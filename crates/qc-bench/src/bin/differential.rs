@@ -98,11 +98,8 @@ fn main() -> ExitCode {
                 eliminate_function_terms(&max_contained_plan(&query_program(&q), &views)).unwrap();
             let inv_ucq = match inv.unfold(&Symbol::new("q")) {
                 Ok(mut u) => {
-                    u.disjuncts.retain(|d| {
-                        d.subgoals
-                            .iter()
-                            .all(|a| views.source(a.pred.as_str()).is_some())
-                    });
+                    u.disjuncts
+                        .retain(|d| d.subgoals.iter().all(|a| views.source(a.pred).is_some()));
                     u
                 }
                 Err(_) => Ucq::empty("q", q.head.arity()),

@@ -34,7 +34,7 @@ pub fn is_executable_rule(rule: &Rule, views: &LavSetting) -> bool {
     for lit in &rule.body {
         match lit {
             Literal::Atom(a) => {
-                if let Some(source) = views.source(a.pred.as_str()) {
+                if let Some(source) = views.source(a.pred) {
                     // With several access paths, *some* adornment must be
                     // satisfied at this position in the body.
                     let satisfied = source.effective_adornments().iter().any(|adornment| {
@@ -129,7 +129,7 @@ pub fn executable_plan(query: &Program, views: &LavSetting) -> Program {
             unreachable!("inverse rules have a single source atom")
         };
         let source = views
-            .source(call.pred.as_str())
+            .source(call.pred)
             .expect("inverse rule calls a source");
         for adornment in source.effective_adornments() {
             let mut body: Vec<Literal> = adornment

@@ -12,14 +12,25 @@
 //!   view apart and classifying its variables as distinguished vs
 //!   existential — both functions of the view alone.
 //!
-//! A [`CompiledCatalog`] caches both per view. [`CompiledCatalog::apply`]
-//! recompiles only the views an op touches and stamps them with the new
-//! catalog version; everything else is reused verbatim (counted by
-//! `catalog_epoch_views_recompiled` / `catalog_epoch_views_reused`).
-//! [`CompiledCatalog::compile`] is the from-scratch rebuild, kept as the
-//! differential oracle: for any delta sequence, `apply` must land on
-//! exactly the artifacts `compile` produces for the final setting (a
-//! property test pins this).
+//! A [`CompiledCatalog`] caches both per view, each view behind an
+//! [`Arc`] so a copy of the catalog shares every view's artifacts.
+//! [`CompiledCatalog::apply`] recompiles only the views an op touches and
+//! stamps them with the new catalog version; everything else is reused
+//! by `Arc` identity (counted by `catalog_epoch_views_recompiled` /
+//! `catalog_epoch_views_reused`). [`CompiledCatalog::compile`] is the
+//! from-scratch rebuild, kept as the differential oracle: for any delta
+//! sequence, `apply` must land on exactly the artifacts `compile`
+//! produces for the final setting (a property test pins this).
+//!
+//! ## Footprints
+//!
+//! A view's *footprint* is its exported name plus its body predicates.
+//! A decision about a query can only depend on the views whose footprint
+//! meets the query's predicates ([`CompiledView::meets`]): any other
+//! view's inverse rules define predicates the query never reaches. Each
+//! compiled view keeps its footprint as interned symbols, so the test is
+//! integer comparisons, and the catalog planner in [`crate::relative`]
+//! draws only on the views a query meets.
 //!
 //! ## Deterministic renaming
 //!
@@ -31,10 +42,11 @@
 //! catalog), and stable across processes. The `_C` prefix marks the names
 //! as machine-generated for `tidy_names`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
-use qc_datalog::{ConjunctiveQuery, Program, Rule, Subst, Term, Var};
+use qc_datalog::{ConjunctiveQuery, Program, Rule, Subst, Symbol, Term, Var};
 
 use crate::inverse_rules::inverse_rules_for_source;
 use crate::schema::{LavSetting, SourceDescription};
@@ -186,6 +198,26 @@ fn prepare_view(source: &SourceDescription) -> PreparedView {
     PreparedView { view, existential }
 }
 
+fn add_preds(out: &mut Vec<Symbol>, preds: impl IntoIterator<Item = Symbol>) {
+    for p in preds {
+        if !out.contains(&p) {
+            out.push(p);
+        }
+    }
+}
+
+/// Appends to `out` every predicate `program` mentions — rule heads and
+/// relational body atoms — that `out` does not already hold. This is a
+/// query's side of the footprint test [`CompiledView::meets`].
+pub fn extend_footprint(out: &mut Vec<Symbol>, program: &Program) {
+    for rule in program.rules() {
+        add_preds(
+            out,
+            std::iter::once(rule.head.pred).chain(rule.body_atoms().map(|a| a.pred)),
+        );
+    }
+}
+
 /// One source with its compiled artifacts and the catalog version that
 /// last touched it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,37 +233,52 @@ pub struct CompiledView {
     pub inverse: Vec<Rule>,
     /// The view's MiniCon preparation.
     pub prepared: PreparedView,
+    // Both derived from `source` once at compile time; private so they
+    // cannot drift from it.
+    footprint: Vec<Symbol>,
+    rendered: String,
 }
 
 impl CompiledView {
     fn compile(source: SourceDescription, version: u64) -> CompiledView {
         let inverse = inverse_rules_for_source(&source);
         let prepared = prepare_view(&source);
+        let mut footprint = Vec::new();
+        add_preds(
+            &mut footprint,
+            std::iter::once(source.name).chain(source.view.subgoals.iter().map(|a| a.pred)),
+        );
+        let rendered = source.to_string();
         CompiledView {
             source,
             version,
             inverse,
             prepared,
+            footprint,
+            rendered,
         }
     }
 
-    /// The predicates this view's presence can influence: its exported
-    /// name plus its body predicates.
-    pub fn pred_names(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        out.insert(self.source.name.to_string());
-        for a in &self.source.view.subgoals {
-            out.insert(a.pred.to_string());
-        }
-        out
+    /// Whether this view's footprint — the predicates its presence can
+    /// influence: its exported name plus its body predicates — meets
+    /// `preds`. The relevance rule shared by plan scoping and request
+    /// fingerprints.
+    pub fn meets(&self, preds: &[Symbol]) -> bool {
+        self.footprint.iter().any(|p| preds.contains(p))
+    }
+
+    /// The source rendered as text (`source.to_string()`), cached.
+    pub fn rendered(&self) -> &str {
+        &self.rendered
     }
 }
 
 /// The compiled, versioned catalog: a [`LavSetting`] plus per-view cached
-/// artifacts, maintained incrementally under [`CatalogOp`]s.
+/// artifacts, maintained incrementally under [`CatalogOp`]s. Cloning it
+/// copies the view list, not the views' compiled artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCatalog {
-    entries: Vec<CompiledView>,
+    entries: Vec<Arc<CompiledView>>,
     // Kept strictly in sync with `entries` (same sources, same order) so
     // the many APIs taking `&LavSetting` need no reconstruction.
     setting: LavSetting,
@@ -244,7 +291,7 @@ impl CompiledCatalog {
         let entries = views
             .sources
             .iter()
-            .map(|s| CompiledView::compile(s.clone(), 0))
+            .map(|s| Arc::new(CompiledView::compile(s.clone(), 0)))
             .collect();
         CompiledCatalog {
             entries,
@@ -258,7 +305,7 @@ impl CompiledCatalog {
     }
 
     /// The compiled per-view entries, in catalog order.
-    pub fn entries(&self) -> &[CompiledView] {
+    pub fn entries(&self) -> &[Arc<CompiledView>] {
         &self.entries
     }
 
@@ -266,7 +313,8 @@ impl CompiledCatalog {
     /// blocks. Bit-for-bit equal to
     /// [`crate::inverse_rules::inverse_rules`] on [`Self::views`], because
     /// inversion is per-view and the blocks are concatenated in catalog
-    /// order.
+    /// order. Catalog plans draw only on the views a query meets; this is
+    /// the full-catalog reference.
     pub fn inverse_program(&self) -> Program {
         let mut out = Program::default();
         for e in &self.entries {
@@ -277,71 +325,94 @@ impl CompiledCatalog {
         out
     }
 
+    /// The views whose footprint meets `preds`, in catalog order.
+    pub(crate) fn scope(&self, preds: &[Symbol]) -> Vec<&CompiledView> {
+        self.entries
+            .iter()
+            .filter(|e| e.meets(preds))
+            .map(|e| &**e)
+            .collect()
+    }
+
     fn index_of(&self, name: &str) -> Option<usize> {
         self.entries.iter().position(|e| e.source.name == name)
     }
 
+    /// Checks every op of `delta` against the view names, in order: op
+    /// K's validity can depend on the ops before it (`add V` then
+    /// `replace V` is legal).
+    fn validate(&self, delta: &CatalogDelta) -> Result<(), CatalogError> {
+        let mut present: BTreeMap<&str, bool> = BTreeMap::new();
+        for op in &delta.ops {
+            let name = op.name();
+            let here = *present
+                .entry(name)
+                .or_insert_with(|| self.index_of(name).is_some());
+            match op {
+                CatalogOp::Add(_) if here => return Err(CatalogError::Duplicate(name.to_string())),
+                CatalogOp::Remove(_) | CatalogOp::Replace(_) if !here => {
+                    return Err(CatalogError::Unknown(name.to_string()))
+                }
+                _ => {}
+            }
+            present.insert(name, !matches!(op, CatalogOp::Remove(_)));
+        }
+        Ok(())
+    }
+
     /// Applies `delta` atomically, stamping every touched view with
-    /// `version`. On error the catalog is unchanged.
+    /// `version`. The ops are validated on view names first and only then
+    /// committed in place, so on error the catalog is unchanged.
     pub fn apply(
         &mut self,
         delta: &CatalogDelta,
         version: u64,
     ) -> Result<DeltaReport, CatalogError> {
-        // Validate-then-commit on a scratch copy: op K's validity can
-        // depend on ops before it, so simulate in order.
-        let mut next = self.clone();
+        self.validate(delta)?;
         let mut report = DeltaReport::default();
+        let mut touch = |view: &CompiledView| {
+            report
+                .touched_preds
+                .extend(view.footprint.iter().map(|p| p.to_string()));
+        };
+        let mut touched_views = Vec::new();
         for op in &delta.ops {
             match op {
                 CatalogOp::Add(s) => {
-                    if next.index_of(s.name.as_str()).is_some() {
-                        return Err(CatalogError::Duplicate(s.name.to_string()));
-                    }
                     let compiled = CompiledView::compile(s.clone(), version);
-                    report.touched_preds.extend(compiled.pred_names());
-                    report.touched_views.push(s.name.to_string());
-                    next.setting.sources.push(s.clone());
-                    next.entries.push(compiled);
+                    touch(&compiled);
+                    self.setting.sources.push(s.clone());
+                    self.entries.push(Arc::new(compiled));
                 }
                 CatalogOp::Remove(name) => {
-                    let Some(ix) = next.index_of(name) else {
-                        return Err(CatalogError::Unknown(name.clone()));
-                    };
-                    let removed = next.entries.remove(ix);
-                    next.setting.sources.remove(ix);
-                    report.touched_preds.extend(removed.pred_names());
-                    report.touched_views.push(name.clone());
+                    let ix = self.index_of(name).expect("validate() found the view");
+                    self.setting.sources.remove(ix);
+                    touch(&self.entries.remove(ix));
                 }
                 CatalogOp::Replace(s) => {
-                    let Some(ix) = next.index_of(s.name.as_str()) else {
-                        return Err(CatalogError::Unknown(s.name.to_string()));
-                    };
+                    let ix = self
+                        .index_of(s.name.as_str())
+                        .expect("validate() found the view");
                     let compiled = CompiledView::compile(s.clone(), version);
                     // Both the old and the new definition's footprint can
                     // be affected by the swap.
-                    report.touched_preds.extend(next.entries[ix].pred_names());
-                    report.touched_preds.extend(compiled.pred_names());
-                    report.touched_views.push(s.name.to_string());
-                    next.setting.sources[ix] = s.clone();
-                    next.entries[ix] = compiled;
+                    touch(&self.entries[ix]);
+                    touch(&compiled);
+                    self.setting.sources[ix] = s.clone();
+                    self.entries[ix] = Arc::new(compiled);
                 }
             }
+            touched_views.push(op.name().to_string());
         }
-        report.touched_views.sort();
-        report.touched_views.dedup();
-        report.views_recompiled = report.touched_views.len();
-        report.views_reused = next
+        touched_views.sort();
+        touched_views.dedup();
+        report.views_recompiled = touched_views.len();
+        report.views_reused = self
             .entries
             .iter()
-            .filter(|e| {
-                !report
-                    .touched_views
-                    .iter()
-                    .any(|t| e.source.name.as_str() == t)
-            })
+            .filter(|e| !touched_views.iter().any(|t| e.source.name == t.as_str()))
             .count();
-        *self = next;
+        report.touched_views = touched_views;
         qc_obs::count(
             qc_obs::Counter::CatalogEpochViewsRecompiled,
             report.views_recompiled as u64,
@@ -358,7 +429,7 @@ impl CompiledCatalog {
     /// treated as freshly changed).
     pub fn set_all_versions(&mut self, version: u64) {
         for e in &mut self.entries {
-            e.version = version;
+            Arc::make_mut(e).version = version;
         }
     }
 
@@ -368,7 +439,7 @@ impl CompiledCatalog {
     pub fn restore_versions(&mut self, names: &[String], versions: &[u64]) {
         for (name, v) in names.iter().zip(versions) {
             if let Some(ix) = self.index_of(name) {
-                self.entries[ix].version = *v;
+                Arc::make_mut(&mut self.entries[ix]).version = *v;
             }
         }
     }
@@ -419,6 +490,65 @@ mod tests {
     }
 
     #[test]
+    fn validation_replays_ops_in_order() {
+        let mut cat = CompiledCatalog::compile(&example1_sources());
+        let before = cat.clone();
+        // Each op sees the ones before it: removing twice fails on the
+        // second, even though the name exists when the delta starts.
+        let twice = CatalogDelta {
+            ops: vec![op("rm RedCars"), op("rm RedCars")],
+        };
+        assert_eq!(
+            cat.apply(&twice, 1),
+            Err(CatalogError::Unknown("RedCars".into()))
+        );
+        assert_eq!(cat, before, "atomicity");
+        // ...and an op may rely on an earlier one.
+        let legal = CatalogDelta {
+            ops: vec![
+                op("add W(X) :- p(X)."),
+                op("replace W(X) :- p(X), r(X)."),
+                op("rm RedCars"),
+                op("add RedCars(C) :- CarDesc(C, M, red, Y)."),
+            ],
+        };
+        let report = cat.apply(&legal, 1).unwrap();
+        assert_eq!(report.touched_views, vec!["RedCars", "W"]);
+        let names: Vec<String> = cat
+            .entries()
+            .iter()
+            .map(|e| e.source.name.to_string())
+            .collect();
+        assert_eq!(names, ["AntiqueCars", "CarAndDriver", "W", "RedCars"]);
+        assert_eq!(cat.entries()[2].rendered(), "W(X) :- p(X), r(X).");
+    }
+
+    #[test]
+    fn scope_keeps_the_views_a_query_meets_in_catalog_order() {
+        let mut views = example1_sources();
+        views
+            .sources
+            .push(SourceDescription::parse("W(A) :- wsrc(A, B).").unwrap());
+        let cat = CompiledCatalog::compile(&views);
+        let scoped = |query: &str| -> Vec<String> {
+            let mut preds = Vec::new();
+            extend_footprint(&mut preds, &qc_datalog::parse_program(query).unwrap());
+            cat.scope(&preds)
+                .iter()
+                .map(|e| e.source.name.to_string())
+                .collect()
+        };
+        assert_eq!(
+            scoped("q(C) :- Review(M, C, R), CarDesc(C, M, X, Y)."),
+            ["RedCars", "AntiqueCars", "CarAndDriver"]
+        );
+        assert_eq!(scoped("q(C) :- Review(M, C, R)."), ["CarAndDriver"]);
+        // A view's exported name is part of its footprint.
+        assert_eq!(scoped("q(A) :- W(A)."), ["W"]);
+        assert!(scoped("q(A) :- elsewhere(A).").is_empty());
+    }
+
+    #[test]
     fn assembled_inverse_program_matches_plain_inverse_rules() {
         let cat = CompiledCatalog::compile(&example1_sources());
         assert_eq!(
@@ -445,8 +575,9 @@ mod tests {
         assert!(report.touched_preds.contains("RedCars"));
         assert!(report.touched_preds.contains("CarDesc"));
         assert!(report.touched_preds.contains("Review"), "new body counts");
-        // Untouched entries reused verbatim, version included.
-        assert_eq!(cat.entries()[1], before_antique);
+        // Untouched entries reused verbatim, version included — shared,
+        // not copied.
+        assert!(Arc::ptr_eq(&cat.entries()[1], &before_antique));
         assert_eq!(cat.entries()[0].version, 7);
         // The sync invariant: setting mirrors entries.
         assert_eq!(cat.views().sources.len(), cat.entries().len());

@@ -23,16 +23,14 @@ pub fn expand_program(plan: &Program, views: &LavSetting) -> Program {
         // Expand atoms left to right, accumulating a substitution.
         let mut work = rule.clone();
         loop {
-            let pos = work.body.iter().position(
-                |l| matches!(l, Literal::Atom(a) if views.source(a.pred.as_str()).is_some()),
-            );
-            let Some(i) = pos else { break };
+            let found = work.body.iter().enumerate().find_map(|(i, l)| match l {
+                Literal::Atom(a) => views.source(a.pred).map(|s| (i, s)),
+                _ => None,
+            });
+            let Some((i, source)) = found else { break };
             let Literal::Atom(call) = work.body[i].clone() else {
                 unreachable!()
             };
-            let source = views
-                .source(call.pred.as_str())
-                .expect("position found above");
             let fresh_view = source.view.rename_apart(&mut gen);
             // Orientation matters: unify the *view* head against the call
             // so that the view's fresh variables bind to the plan's terms

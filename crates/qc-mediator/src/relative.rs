@@ -25,7 +25,7 @@ use qc_containment::ucq_contained;
 use qc_datalog::eval::{EvalError, EvalOptions};
 use qc_datalog::{Program, Symbol, Ucq, UnfoldError};
 
-use crate::catalog::CompiledCatalog;
+use crate::catalog::{extend_footprint, CompiledCatalog, CompiledView};
 use crate::expansion::{expand_cq, expand_program, expand_ucq};
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
 use crate::inverse_rules::max_contained_plan;
@@ -33,33 +33,68 @@ use crate::minicon::semi_interval_plan;
 use crate::schema::LavSetting;
 
 /// Where the maximally-contained plan's ingredients come from: a plain
-/// setting (inverse rules generated on the fly) or a compiled catalog
-/// (cached per-view blocks reassembled). Both construct the *same* plan —
-/// [`CompiledCatalog::inverse_program`] equals
-/// [`crate::inverse_rules::inverse_rules`] by construction — so every
-/// verdict below is independent of the variant chosen; the catalog only
-/// skips recompilation work.
-#[derive(Clone, Copy)]
+/// setting (inverse rules generated on the fly), or the views of a
+/// compiled catalog that Q1 can reach (cached per-view blocks
+/// reassembled).
+///
+/// The catalog variant plans from the views whose footprint meets Q1's
+/// predicates, in catalog order ([`CompiledCatalog::scope`]). With source
+/// names disjoint from mediated predicates, that is exact: every other
+/// view's inverse rules define predicates Q1's rules never reach, and its
+/// name cannot appear in a plan disjunct. It also makes the plan —
+/// disjunct order included — a function of views a `qc-serve` request
+/// fingerprint covers, so a checkpoint's disjunct indices mean the same
+/// thing across deltas to other views.
 enum Planner<'a> {
     Views(&'a LavSetting),
-    Catalog(&'a CompiledCatalog),
+    Catalog {
+        catalog: &'a CompiledCatalog,
+        scope: Vec<&'a CompiledView>,
+        views: LavSetting,
+    },
 }
 
 impl<'a> Planner<'a> {
-    fn views(&self) -> &'a LavSetting {
-        match self {
-            Planner::Views(v) => v,
-            Planner::Catalog(c) => c.views(),
+    fn catalog(catalog: &'a CompiledCatalog, q1: &Program) -> Planner<'a> {
+        let mut preds = Vec::new();
+        extend_footprint(&mut preds, q1);
+        let scope = catalog.scope(&preds);
+        let views = LavSetting {
+            sources: scope.iter().map(|e| e.source.clone()).collect(),
+        };
+        Planner::Catalog {
+            catalog,
+            scope,
+            views,
         }
     }
 
-    /// The query's rules plus the inverse rules of every view.
+    /// Every view: the route checks that still read the whole catalog
+    /// (semi-interval views, the recursive route) look here.
+    fn all_views(&self) -> &LavSetting {
+        match self {
+            Planner::Views(v) => v,
+            Planner::Catalog { catalog, .. } => catalog.views(),
+        }
+    }
+
+    /// The views a plan can mention: source lookups go here.
+    fn views(&self) -> &LavSetting {
+        match self {
+            Planner::Views(v) => v,
+            Planner::Catalog { views, .. } => views,
+        }
+    }
+
+    /// The query's rules plus the inverse rules of the planned views.
     fn inverse_plan(&self, query: &Program) -> Program {
         match self {
             Planner::Views(v) => max_contained_plan(query, v),
-            Planner::Catalog(c) => {
+            Planner::Catalog { scope, .. } => {
                 let mut plan = query.clone();
-                plan.extend(&c.inverse_program());
+                for rule in scope.iter().flat_map(|e| &e.inverse) {
+                    plan.push(rule.clone());
+                }
                 plan
             }
         }
@@ -186,7 +221,7 @@ fn sanitize_datalog_plan(plan: &Program, views: &LavSetting, answer: &Symbol) ->
         .iter()
         .filter(|r| {
             r.body_atoms()
-                .all(|a| idb.contains(&a.pred) || views.source(a.pred.as_str()).is_some())
+                .all(|a| idb.contains(&a.pred) || views.source(a.pred).is_some())
         })
         .cloned()
         .collect();
@@ -215,24 +250,26 @@ pub fn max_contained_ucq_plan(
     answer: &Symbol,
     views: &LavSetting,
 ) -> Result<Ucq, RelativeError> {
-    max_contained_ucq_plan_with(query, answer, Planner::Views(views))
+    max_contained_ucq_plan_with(query, answer, &Planner::Views(views))
 }
 
 /// [`max_contained_ucq_plan`] drawing inverse rules from a compiled
-/// catalog's cached per-view blocks. Produces the identical plan (same
-/// disjuncts, same order) without re-inverting any view.
+/// catalog's cached per-view blocks, for only the views whose footprint
+/// meets the query's predicates. Equivalent to the plan over the whole
+/// catalog without re-inverting any view; its disjuncts and their order
+/// do not change when views over other predicates come or go.
 pub fn max_contained_ucq_plan_catalog(
     query: &Program,
     answer: &Symbol,
     catalog: &CompiledCatalog,
 ) -> Result<Ucq, RelativeError> {
-    max_contained_ucq_plan_with(query, answer, Planner::Catalog(catalog))
+    max_contained_ucq_plan_with(query, answer, &Planner::catalog(catalog, query))
 }
 
 fn max_contained_ucq_plan_with(
     query: &Program,
     answer: &Symbol,
-    planner: Planner<'_>,
+    planner: &Planner<'_>,
 ) -> Result<Ucq, RelativeError> {
     let _span = qc_obs::span("plan_construction");
     let plan = max_contained_ucq_plan_inner(query, answer, planner)?;
@@ -243,7 +280,7 @@ fn max_contained_ucq_plan_with(
 fn max_contained_ucq_plan_inner(
     query: &Program,
     answer: &Symbol,
-    planner: Planner<'_>,
+    planner: &Planner<'_>,
 ) -> Result<Ucq, RelativeError> {
     let views = planner.views();
     let unfolded = query.unfold(answer)?;
@@ -263,11 +300,8 @@ fn max_contained_ucq_plan_inner(
         // A query plan may only mention source relations: disjuncts that
         // kept a mediated-schema atom (no source covers it) can never
         // produce answers over a source instance.
-        ucq.disjuncts.retain(|d| {
-            d.subgoals
-                .iter()
-                .all(|a| views.source(a.pred.as_str()).is_some())
-        });
+        ucq.disjuncts
+            .retain(|d| d.subgoals.iter().all(|a| views.source(a.pred).is_some()));
         // Tidy: minimize each disjunct (unfolding a multi-subgoal view
         // produces one inverted atom per subgoal, which often collapses)
         // and drop subsumed disjuncts. Equivalence is preserved.
@@ -279,7 +313,7 @@ fn max_contained_ucq_plan_inner(
         } else {
             Ok(qc_containment::minimize_union(&ucq))
         }
-    } else if ucq_is_semi_interval(&unfolded) && views.is_semi_interval() {
+    } else if ucq_is_semi_interval(&unfolded) && planner.all_views().is_semi_interval() {
         // Theorem 5.1's construction, per disjunct.
         let mut disjuncts = Vec::new();
         for d in &unfolded.disjuncts {
@@ -397,12 +431,14 @@ pub fn relatively_contained(
 pub struct Partial {
     /// The limit that stopped the decision (stage, kind, consumed/limit).
     pub resource: qc_guard::ResourceError,
-    /// Indices (into the maximally-contained plan's disjunct list, which
-    /// is deterministic for a fixed input) of the disjuncts proven
-    /// contained before the limit hit, in ascending order. Recording the
-    /// *indices* rather than a count is what makes a `Partial` a
-    /// well-defined checkpoint: a retry can skip exactly these disjuncts
-    /// (see [`relatively_contained_verdict_resume`]).
+    /// Indices (into the maximally-contained plan's disjunct list) of the
+    /// disjuncts proven contained before the limit hit, in ascending
+    /// order. The list is deterministic for a fixed input. On a compiled
+    /// catalog that input is Q1 plus the views whose footprint meets Q1's
+    /// predicates, all of which a `qc-serve` request fingerprint hashes.
+    /// Recording the *indices* rather than a count is what makes a
+    /// `Partial` a well-defined checkpoint: a retry can skip exactly these
+    /// disjuncts (see [`relatively_contained_verdict_resume`]).
     pub disjuncts_proven: Vec<usize>,
     /// Total plan disjuncts (0 when the plan itself was never built).
     pub disjuncts_total: usize,
@@ -562,7 +598,7 @@ pub fn relatively_contained_verdict_resume_checked(
         ans1,
         q2,
         ans2,
-        Planner::Views(views),
+        &Planner::Views(views),
         proven_before,
         expected_total,
     )
@@ -570,10 +606,13 @@ pub fn relatively_contained_verdict_resume_checked(
 
 /// [`relatively_contained_verdict_resume_checked`] against a compiled
 /// catalog: the maximally-contained plan draws its inverse rules from the
-/// catalog's cached per-view blocks, so only the query-dependent stages
-/// (fn-elim, unfolding, per-disjunct containment) run per call. The
-/// verdict and the plan's disjunct order are identical to the plain
-/// route for the same setting.
+/// cached per-view blocks of the views whose footprint meets Q1's
+/// predicates, so only the query-dependent stages (fn-elim, unfolding,
+/// per-disjunct containment) run per call, over those views alone. The
+/// verdict is identical to the plain route for the same setting; the plan
+/// is equivalent, and its disjunct order depends only on the views it
+/// draws from. Two route checks still read every view: whether all views
+/// are semi-interval (for a Q1 with comparisons), and the recursive route.
 #[allow(clippy::too_many_arguments)]
 pub fn relatively_contained_verdict_resume_checked_catalog(
     q1: &Program,
@@ -589,7 +628,7 @@ pub fn relatively_contained_verdict_resume_checked_catalog(
         ans1,
         q2,
         ans2,
-        Planner::Catalog(catalog),
+        &Planner::catalog(catalog, q1),
         proven_before,
         expected_total,
     )
@@ -601,12 +640,11 @@ fn relatively_contained_verdict_resume_impl(
     ans1: &Symbol,
     q2: &Program,
     ans2: &Symbol,
-    planner: Planner<'_>,
+    planner: &Planner<'_>,
     proven_before: &[usize],
     expected_total: Option<usize>,
 ) -> Result<(Verdict, ResumeState), RelativeError> {
     let _span = qc_obs::span("relative_containment_verdict");
-    let views = planner.views();
     let q1_recursive = q1.dependency_graph().pred_in_cycle_reachable_from(ans1);
     let q2_recursive = q2.dependency_graph().pred_in_cycle_reachable_from(ans2);
 
@@ -614,6 +652,7 @@ fn relatively_contained_verdict_resume_impl(
         // The recursive routes decide through one monolithic fixpoint or
         // evaluation; exhaustion cannot be attributed to individual
         // disjuncts, so the anytime answer carries no partial plan.
+        let views = planner.all_views();
         return match run_guarded(|| relatively_contained(q1, ans1, q2, ans2, views)) {
             Ok(true) => Ok((Verdict::Contained, ResumeState::Monolithic)),
             Ok(false) => Ok((Verdict::NotContained, ResumeState::Monolithic)),
@@ -666,7 +705,7 @@ fn relatively_contained_verdict_resume_impl(
         }
         let exp = {
             let _s = qc_obs::span("expansion");
-            expand_cq(d, views)
+            expand_cq(d, planner.views())
         }
         .ok_or_else(|| RelativeError::Unsupported("plan disjunct does not expand".into()))?;
         let _s = qc_obs::span("containment_check");

@@ -159,8 +159,9 @@ impl LavSetting {
         })
     }
 
-    /// The source by exported relation name.
-    pub fn source(&self, name: &str) -> Option<&SourceDescription> {
+    /// The source by exported relation name (an interned-id comparison
+    /// per source).
+    pub fn source(&self, name: Symbol) -> Option<&SourceDescription> {
         self.sources.iter().find(|s| s.name == name)
     }
 
@@ -429,11 +430,11 @@ mod tests {
     fn example1_setting() {
         let v = example1_sources();
         assert_eq!(v.sources.len(), 3);
-        assert!(v.source("AntiqueCars").is_some());
+        assert!(v.source(Symbol::new("AntiqueCars")).is_some());
         assert!(!v.is_comparison_free());
         assert!(v.is_semi_interval());
         let without = v.without("RedCars");
         assert_eq!(without.sources.len(), 2);
-        assert!(without.source("RedCars").is_none());
+        assert!(without.source(Symbol::new("RedCars")).is_none());
     }
 }

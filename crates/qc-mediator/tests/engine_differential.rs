@@ -13,23 +13,14 @@ use qc_mediator::workloads::{random_query, random_views, Shape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+use common::canon;
+
 fn configs() -> [(&'static str, EngineOptions); 2] {
     [
         ("sequential", EngineOptions::sequential()),
         ("parallel4", EngineOptions::sequential().with_parallelism(4)),
     ]
-}
-
-/// Canonicalizes each disjunct (in order). Fresh variables minted during
-/// rewriting carry globally unique gensym names, so two runs produce
-/// α-equivalent but not textually identical plans; canonicalization
-/// erases exactly that difference while preserving disjunct order and
-/// structure.
-fn canon(u: &qc_datalog::Ucq) -> Vec<qc_datalog::Rule> {
-    u.disjuncts
-        .iter()
-        .map(|d| d.to_rule().canonicalize())
-        .collect()
 }
 
 proptest! {

@@ -13,6 +13,9 @@ use qc_mediator::workloads::{query_program, random_instance, random_query, rando
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+use common::canon;
+
 fn s(n: &str) -> Symbol {
     Symbol::new(n)
 }
@@ -283,6 +286,63 @@ proptest! {
             "catalog rewritings {} not equivalent to stock {}",
             from_cat,
             stock
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Plan scoping (serve-side plans draw only on the views Q1 can reach)
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Appending views over fresh predicates leaves a catalog plan's
+    /// disjuncts, and their order, unchanged — even when the new views
+    /// have existential variables, whose Skolem terms would send
+    /// function-term elimination over the whole catalog down its
+    /// canonicalizing (reordering) path. The plan stays equivalent to the
+    /// plan over the full setting, the full-catalog oracle.
+    #[test]
+    fn catalog_plan_ignores_views_over_other_predicates(seed in any::<u64>()) {
+        use qc_containment::cq::ucq_equivalent;
+        use qc_mediator::catalog::CompiledCatalog;
+        use qc_mediator::relative::{max_contained_ucq_plan, max_contained_ucq_plan_catalog};
+        use qc_mediator::schema::SourceDescription;
+        use rand::seq::SliceRandom;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = query_program(&random_query(Shape::Chain, rng.gen_range(1..=3), 2, &mut rng));
+        let mut views = random_views(rng.gen_range(1..=3), 2, &mut rng);
+        // The generator names views in sorted order; shuffle so catalog
+        // order can differ from the canonicalizing path's sorted order.
+        views.sources.shuffle(&mut rng);
+        let base = max_contained_ucq_plan_catalog(&q, &s("q"), &CompiledCatalog::compile(&views))
+            .unwrap();
+        let mut more = views.clone();
+        for k in 0..rng.gen_range(1..=3) {
+            let text = if rng.gen_bool(0.5) {
+                format!("u{k}(A) :- r{k}(A, B).")
+            } else {
+                format!("u{k}(A, B) :- r{k}(A, B), r{}(B, A).", k + 1)
+            };
+            more.sources.push(SourceDescription::parse(&text).unwrap());
+        }
+        let grown = max_contained_ucq_plan_catalog(&q, &s("q"), &CompiledCatalog::compile(&more))
+            .unwrap();
+        prop_assert_eq!(
+            canon(&base),
+            canon(&grown),
+            "views: {:?}\nquery: {}",
+            views.sources.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            q
+        );
+        let oracle = max_contained_ucq_plan(&q, &s("q"), &more).unwrap();
+        prop_assert!(
+            ucq_equivalent(&grown, &oracle),
+            "catalog plan {} not equivalent to full-setting plan {}",
+            grown,
+            oracle
         );
     }
 }

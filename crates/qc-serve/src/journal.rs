@@ -95,7 +95,13 @@ pub struct EpochRecord {
 /// Journal format version written in every `gen` header. Replay abandons
 /// journals from a different (e.g. future) version instead of guessing
 /// at their framing.
-pub const JOURNAL_VERSION: u32 = 1;
+///
+/// Version 2: a checkpoint's `proven` indices name positions in a plan
+/// built only from the views the request's fingerprint covers. Version-1
+/// plans drew on every view, so their indices can name different
+/// disjuncts; a version-1 journal is reset and its in-progress requests
+/// recompute once.
+pub const JOURNAL_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven — vendored, the workspace has no crc crate.
@@ -1002,6 +1008,27 @@ mod tests {
         assert!(reason.contains("version"), "{reason}");
         assert_eq!(j.live(), 0);
         assert_eq!(j.generation(), 1, "fresh journal, fresh generations");
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_not_resumed() {
+        // Version-1 indices were cut against plans over every view; they
+        // must be recomputed, not resumed, after the upgrade.
+        let path = tmp("v1");
+        let mut bytes = frame(&record_json(&GenRecord {
+            kind: "gen".into(),
+            version: 1,
+            generation: 4,
+        }));
+        bytes.extend(frame(&record_json(&CpRecord {
+            kind: "cp".into(),
+            cp: cp(1, vec![0]),
+        })));
+        std::fs::write(&path, bytes).unwrap();
+        let j = FileJournal::open(&path).unwrap();
+        assert!(j.replay_report().reset.is_some());
+        assert_eq!(j.live(), 0);
+        assert!(j.load(1).is_none());
     }
 
     #[test]

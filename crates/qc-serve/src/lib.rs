@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use qc_containment::engine::{self, EngineOptions};
 use qc_datalog::{ConjunctiveQuery, Program, Symbol, Ucq};
 use qc_guard::{FaultPlan, Guard, ResourceError};
-use qc_mediator::catalog::CompiledCatalog;
+use qc_mediator::catalog::{extend_footprint, CompiledCatalog};
 use qc_mediator::expansion::expand_cq;
 use qc_mediator::minicon::minicon_rewritings_catalog;
 use qc_mediator::relative::{
@@ -212,7 +212,7 @@ impl CatalogSnapshot {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for e in self.compiled.entries() {
-            e.source.to_string().hash(&mut h);
+            e.rendered().hash(&mut h);
         }
         h.finish()
     }
@@ -269,21 +269,21 @@ impl Request {
         }
     }
 
+    /// [`Request::pred_names`] as interned symbols, each once.
+    fn footprint(&self) -> Vec<Symbol> {
+        let mut out = Vec::new();
+        extend_footprint(&mut out, &self.q1);
+        extend_footprint(&mut out, &self.q2);
+        out
+    }
+
     /// Every predicate this request mentions: head and relational-body
     /// predicates of both programs. This is the request's dependency
     /// footprint against the catalog — a view is *relevant* iff its
-    /// exported name or a body predicate lands in this set.
+    /// exported name or a body predicate lands in this set
+    /// ([`qc_mediator::catalog::CompiledView::meets`]).
     pub fn pred_names(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for prog in [&self.q1, &self.q2] {
-            for rule in prog.rules() {
-                out.insert(rule.head.pred.to_string());
-                for a in rule.body_atoms() {
-                    out.insert(a.pred.to_string());
-                }
-            }
-        }
-        out
+        self.footprint().iter().map(|p| p.to_string()).collect()
     }
 
     /// Deterministic fingerprint of `(Q1, ans1, Q2, ans2, V)`, the key
@@ -305,10 +305,10 @@ impl Request {
         self.ans1.as_str().hash(&mut h);
         self.q2.to_string().hash(&mut h);
         self.ans2.as_str().hash(&mut h);
-        let preds = self.pred_names();
+        let preds = self.footprint();
         for e in snap.catalog().entries() {
-            if e.pred_names().iter().any(|p| preds.contains(p)) {
-                e.source.to_string().hash(&mut h);
+            if e.meets(&preds) {
+                e.rendered().hash(&mut h);
                 e.version.hash(&mut h);
             }
         }
@@ -781,14 +781,16 @@ struct CachedVerdict {
     tier: Tier,
     /// The originating request's predicate footprint: a delta drops the
     /// entry iff its touched predicates intersect this set.
-    preds: BTreeSet<String>,
+    preds: Vec<Symbol>,
     /// Epoch the verdict was computed under (observability; validity is
     /// carried by the fingerprint + predicate-based invalidation).
     #[allow(dead_code)]
     epoch: u64,
 }
 
-/// Bound on memoized definite verdicts (oldest-fingerprint eviction).
+/// Bound on memoized definite verdicts. A full cache evicts the entry
+/// with the numerically smallest fingerprint — an arbitrary victim, not
+/// the oldest or the least used.
 const VERDICT_CACHE_CAP: usize = 4096;
 
 impl ServeCore {
@@ -925,6 +927,8 @@ impl ServeCore {
     pub fn apply_delta(&self, delta: &CatalogDelta) -> Result<DeltaReport, CatalogError> {
         let mut guard = self.catalog_lock();
         let new_epoch = guard.epoch() + 1;
+        // The one copy a delta makes: the view list. Compiled views are
+        // shared with the old snapshot by `Arc`.
         let mut compiled = guard.catalog().clone();
         let report = compiled.apply(delta, new_epoch)?;
         let snap = Arc::new(CatalogSnapshot::new(new_epoch, compiled));
@@ -937,9 +941,10 @@ impl ServeCore {
 
         // Drop memoized verdicts whose footprint the delta touches.
         {
+            let touched: Vec<Symbol> = report.touched_preds.iter().map(Symbol::new).collect();
             let mut cache = self.verdicts_lock();
             let before = cache.len();
-            cache.retain(|_, v| v.preds.is_disjoint(&report.touched_preds));
+            cache.retain(|_, v| !v.preds.iter().any(|p| touched.contains(p)));
             let dropped = (before - cache.len()) as u64;
             if dropped > 0 {
                 self.counters
@@ -1201,7 +1206,11 @@ impl ServeCore {
         // caller wants the run itself (resume paths, chaos instruments,
         // deliberately starved anytime runs), not just its answer.
         if req.checkpoint.is_none() && req.fault.is_none() && req.budget.is_none() {
-            if let Some(hit) = self.verdicts_lock().get(&fingerprint).cloned() {
+            let hit = self
+                .verdicts_lock()
+                .get(&fingerprint)
+                .map(|v| (v.verdict.clone(), v.tier));
+            if let Some((verdict, tier)) = hit {
                 self.counters.add(Counter::ServeVerdictCacheHits, 1);
                 self.counters.add(Counter::ServeCompleted, 1);
                 // A cache hit serves a definite answer; it counts toward
@@ -1213,7 +1222,7 @@ impl ServeCore {
                 self.flight.push(Timeline {
                     trace,
                     outcome: "verdict_cache_hit".into(),
-                    tier: Some(hit.tier),
+                    tier: Some(tier),
                     resumed: false,
                     checkpoint_rejected: None,
                     queue_wait_ns,
@@ -1224,8 +1233,8 @@ impl ServeCore {
                     stages: Vec::new(),
                 });
                 return Ok(Response {
-                    verdict: hit.verdict,
-                    tier: hit.tier,
+                    verdict,
+                    tier,
                     resumed: false,
                     consumed: 0,
                     checkpoint: None,
@@ -1440,7 +1449,7 @@ impl ServeCore {
                 CachedVerdict {
                     verdict: verdict.clone(),
                     tier,
-                    preds: req.pred_names(),
+                    preds: req.footprint(),
                     epoch,
                 },
             );

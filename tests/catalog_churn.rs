@@ -12,14 +12,17 @@
 //!   through the epoch bump on the verdict cache, while the request that
 //!   depends on the replaced view recomputes).
 
+use std::collections::BTreeSet;
 use std::process::Command;
 use std::sync::Arc;
 
 use relcont::datalog::{parse_program, Symbol};
 use relcont::mediator::relative::Verdict;
-use relcont::mediator::schema::{LavSetting, SourceDescription};
+use relcont::mediator::schema::{example1_sources, LavSetting, SourceDescription};
 use relcont::obs::Counter;
-use relcont::serve::{CatalogDelta, CatalogOp, CounterSink, Request, ServeConfig, ServeCore};
+use relcont::serve::{
+    CatalogDelta, CatalogOp, CatalogSnapshot, CounterSink, Request, ServeConfig, ServeCore,
+};
 
 /// Example 1's sources plus one auxiliary view over predicates the
 /// paper's queries never mention.
@@ -248,4 +251,142 @@ fn one_view_delta_reproves_strictly_fewer_disjuncts_than_rebuild() {
         "one-view delta must re-prove strictly fewer disjuncts than a \
          rebuild: {delta_cost} vs {rebuild_cost}"
     );
+}
+
+/// Regression: a checkpoint stored before an unrelated delta must resume
+/// against the same plan it was cut from.
+///
+/// `W`'s footprint `{W, r}` meets none of the request's predicates, so the
+/// delta leaves the fingerprint alone and re-tags the stored checkpoint
+/// instead of retiring it. If the plan drew on every view, `W`'s
+/// existential variable would send function-term elimination down its
+/// canonicalizing path and swap the plan's two disjuncts: the resumed
+/// index would then name the unproven `B` disjunct, whose expansion
+/// `p(X, Y)` is not contained in Q2, and the resubmission would answer
+/// `Contained`.
+#[test]
+fn unrelated_delta_cannot_reorder_a_resumed_plan() {
+    let views = LavSetting::parse(&["B(X, Y) :- p(X, Y).", "A(X, Y) :- p(X, Y), s(Y)."]).unwrap();
+    let plain = request(
+        "q(X, Y) :- p(X, Y).",
+        "q",
+        "q2(X, Y) :- p(X, Y), s(Y).",
+        "q2",
+    );
+    let cfg = || ServeConfig {
+        trip_threshold: u32::MAX,
+        ..ServeConfig::default()
+    };
+    // Starve a fresh core per budget until one run proves exactly one of
+    // the plan's two disjuncts.
+    let mut starved = None;
+    for budget in 0..64 {
+        let core = ServeCore::new(views.clone(), cfg());
+        let req = Request {
+            budget: Some(budget),
+            ..plain.clone()
+        };
+        if let Verdict::Unknown(p) = core.handle(&req, 0).unwrap().verdict {
+            if p.disjuncts_total == 2 && p.disjuncts_proven.len() == 1 {
+                starved = Some(core);
+                break;
+            }
+        }
+    }
+    let core = starved.expect("some budget proves exactly one of the two disjuncts");
+    let fp = plain.fingerprint(&core.snapshot());
+    assert!(core.store().load(fp).is_some(), "the progress was stored");
+
+    core.apply_delta(&CatalogDelta::one(
+        CatalogOp::parse("add W(U) :- r(U, V).").unwrap(),
+    ))
+    .unwrap();
+    assert_eq!(
+        plain.fingerprint(&core.snapshot()),
+        fp,
+        "W is irrelevant to the request"
+    );
+    assert!(core.store().load(fp).is_some(), "re-tagged, not retired");
+
+    let resp = core.handle(&plain, 0).unwrap();
+    assert!(resp.resumed, "the resubmission resumed from the store");
+    assert_eq!(resp.verdict, Verdict::NotContained);
+}
+
+/// The fingerprint formula journals and client checkpoints were written
+/// with, recomputed from resolved strings alone: the rendered programs and
+/// answer names, then `(rendered source, version)` for each view in
+/// catalog order whose name or body predicates meet the predicates of
+/// either program.
+fn reference_fingerprint(req: &Request, snap: &CatalogSnapshot) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    req.q1.to_string().hash(&mut h);
+    req.ans1.as_str().hash(&mut h);
+    req.q2.to_string().hash(&mut h);
+    req.ans2.as_str().hash(&mut h);
+    let mut preds = BTreeSet::new();
+    for prog in [&req.q1, &req.q2] {
+        for rule in prog.rules() {
+            preds.insert(rule.head.pred.to_string());
+            for a in rule.body_atoms() {
+                preds.insert(a.pred.to_string());
+            }
+        }
+    }
+    for e in snap.catalog().entries() {
+        let mut view_preds = vec![e.source.name.to_string()];
+        view_preds.extend(e.source.view.subgoals.iter().map(|a| a.pred.to_string()));
+        if view_preds.iter().any(|p| preds.contains(p)) {
+            e.source.to_string().hash(&mut h);
+            e.version.hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// Fingerprints are stored in journals and client checkpoints, so their
+/// values must not move: every request here fingerprints exactly as the
+/// reference formula says, on Example 1's catalog and on the churned
+/// catalog before and after each of a run of deltas.
+#[test]
+fn fingerprint_values_match_the_reference_formula() {
+    let e1_reverse = request(
+        "q2(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, 10).",
+        "q2",
+        "q1(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, Rating).",
+        "q1",
+    );
+    let reqs = [e1_request(), e1_reverse, e4_request(), w_request()];
+    let check = |core: &ServeCore, when: &str| {
+        let snap = core.snapshot();
+        for req in &reqs {
+            assert_eq!(
+                req.fingerprint(&snap),
+                reference_fingerprint(req, &snap),
+                "{when}: {} vs {}",
+                req.ans1,
+                req.ans2
+            );
+        }
+    };
+    check(
+        &ServeCore::new(example1_sources(), ServeConfig::default()),
+        "Example 1",
+    );
+
+    let core = ServeCore::new(churned_catalog(), ServeConfig::default());
+    check(&core, "churned catalog at epoch 0");
+    for line in [
+        "replace W(A, B) :- wsrc(A, B), wsrc(B, A).",
+        "add Cheap(M, R) :- Review(M, R, 1).",
+        "add Z(U) :- zsrc(U, V).",
+        "rm RedCars",
+        "replace CarAndDriver(Model, Review) :- Review(Model, Review, 9).",
+        "rm W",
+    ] {
+        core.apply_delta(&CatalogDelta::one(CatalogOp::parse(line).unwrap()))
+            .unwrap();
+        check(&core, line);
+    }
 }

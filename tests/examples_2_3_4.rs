@@ -143,11 +143,8 @@ fn inverse_rules_and_minicon_agree_on_random_workloads() {
         let inv = eliminate_function_terms(&max_contained_plan(&prog, &v)).unwrap();
         let inv_ucq = match inv.unfold(&Symbol::new("q")) {
             Ok(mut u) => {
-                u.disjuncts.retain(|d| {
-                    d.subgoals
-                        .iter()
-                        .all(|a| v.source(a.pred.as_str()).is_some())
-                });
+                u.disjuncts
+                    .retain(|d| d.subgoals.iter().all(|a| v.source(a.pred).is_some()));
                 u
             }
             Err(_) => Ucq::empty("q", q.head.arity()),

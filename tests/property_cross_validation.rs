@@ -192,7 +192,7 @@ proptest! {
         let inv_ucq = match inv.unfold(&s("q")) {
             Ok(mut u) => {
                 u.disjuncts.retain(|d| {
-                    d.subgoals.iter().all(|a| views.source(a.pred.as_str()).is_some())
+                    d.subgoals.iter().all(|a| views.source(a.pred).is_some())
                 });
                 u
             }
