@@ -1,11 +1,14 @@
 //! `bench_snapshot` — counter-first performance snapshot of the engine.
 //!
-//! Runs a fixed scenario per experiment suite (E1, E4, E5, E9, E10) under
-//! two engine configurations — the order-naïve reference
-//! ([`EngineOptions::naive`] + textual body order) and the optimized
-//! engine pinned to one thread ([`EngineOptions::sequential`] + greedy
-//! reordering) — and records, per scenario and configuration, the best-of-samples
-//! wall-clock ns/iter plus the `qc-obs` work-counter totals of one run.
+//! Runs fixed scenarios from the experiment suites E1, E4, E5, E6, E9 and
+//! E10, plus one through the `qc-serve` admission layer, on the engine
+//! pinned to one thread ([`EngineOptions::sequential`]) under two datalog
+//! evaluator configurations: the baseline (tuple-at-a-time fixpoints in
+//! textual body order, no magic sets) and the optimized evaluator defaults
+//! (adaptive RA routing, greedy join reordering, magic sets). It records,
+//! per scenario and configuration, the best-of-samples wall-clock ns/iter
+//! plus the `qc-obs` work-counter totals of one run. Only the datalog
+//! scenarios differ between the two configurations.
 //!
 //! ```sh
 //! # Regenerate the committed snapshot.
@@ -18,16 +21,16 @@
 //! # demand that the gate trips.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- \
 //!     --check BENCH_PR2.json --inject-slowdown 10
-//! # Adaptive-tier self-test: force the tier threshold low and high and
-//! # assert the EngineTierDirect/EngineTierOptimized routing counters.
+//! # Tier self-test: assert that the homomorphism search routes by size
+//! # (EngineTierDirect/EngineTierOptimized) and the evaluator by program.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --tier-self-test
 //! ```
 //!
 //! `--check` additionally measures the baseline and optimized
 //! configurations back-to-back on the [`LIVE_COMPARE`] scenarios and fails
-//! when optimized is slower than `1.25 × baseline + 10µs` — "optimized"
-//! regressing behind the naive oracle on wall clock fails CI even if every
-//! counter is fine.
+//! when optimized is slower than `1.25 × baseline + 10µs` — the optimized
+//! evaluator regressing behind the tuple-at-a-time baseline on wall clock
+//! fails CI even if every counter is fine.
 //!
 //! Work counters are deterministic for a sequential engine, which is what
 //! makes the check mode meaningful on shared CI hardware: a >2× counter
@@ -44,7 +47,7 @@ use std::time::Instant;
 
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
 use qc_containment::{cq_contained, engine, memo, EngineOptions};
-use qc_datalog::eval::{evaluate, EvalOptions, Strategy};
+use qc_datalog::eval::{evaluate, EvalEngine, EvalOptions, Strategy};
 use qc_datalog::{parse_program, parse_query, ConjunctiveQuery, Symbol, Ucq};
 use qc_mediator::minicon::minicon_rewritings;
 use qc_mediator::reductions::{asu_reduction, random_cnf3, thm33_reduction};
@@ -89,11 +92,9 @@ const TIME_NOISE_FLOOR_NS: u64 = 50_000;
 /// `baseline × (LIVE_NUM/LIVE_DEN) + LIVE_SLACK_NS` fails. Both minima
 /// come from the same process seconds apart, so the comparison is immune
 /// to host-speed drift that the committed-snapshot gate must tolerate.
+/// They are the two recursive RA-tier scenarios: the compiled engine must
+/// beat (or at worst match, within the ratio) the tuple-at-a-time kernel.
 const LIVE_COMPARE: &[&str] = &[
-    "e1_example1/all_pairs_expansion",
-    "e5_cq_baseline/chain_16",
-    // The two recursive RA-tier scenarios: the compiled engine must beat
-    // (or at worst match, within the ratio) the tuple-at-a-time kernel.
     "e6_binding_patterns/ra_chain_tc_96",
     "e9_rewriting_ablation/magic_seeded_reach_64",
 ];
@@ -103,10 +104,9 @@ const LIVE_DEN: u64 = 4;
 /// …plus a flat allowance for sub-noise scenarios.
 const LIVE_SLACK_NS: u64 = 10_000;
 
-/// One engine configuration under measurement.
+/// One evaluator configuration under measurement.
 struct Cfg {
     name: &'static str,
-    engine: EngineOptions,
     eval: EvalOptions,
 }
 
@@ -114,18 +114,26 @@ fn configs() -> [Cfg; 2] {
     [
         Cfg {
             name: "baseline",
-            engine: EngineOptions::naive(),
-            // The naïve bridge: tuple-at-a-time fixpoints, no dynamic
-            // join reordering, no magic sets.
-            eval: EngineOptions::naive().eval_options(),
+            // Tuple-at-a-time fixpoints, no dynamic join reordering, no
+            // magic sets.
+            eval: EvalOptions {
+                engine: EvalEngine::Tuple,
+                reorder: false,
+                magic_sets: false,
+                ..EvalOptions::default()
+            },
         },
         Cfg {
             name: "optimized",
-            // Pinned to one thread: counter totals stay deterministic.
-            engine: EngineOptions::sequential(),
             eval: EngineOptions::sequential().eval_options(),
         },
     ]
+}
+
+/// Runs the scenario once under `cfg` on the engine pinned to one thread,
+/// so counter totals stay deterministic.
+fn run(s: &Scenario, cfg: &Cfg) {
+    engine::with_options(EngineOptions::sequential(), || (s.run)(cfg));
 }
 
 type RunFn = Box<dyn Fn(&Cfg)>;
@@ -193,10 +201,8 @@ fn scenarios() -> Vec<Scenario> {
             cq_contained(&cb, &ca);
         }),
     });
-    // Small instance: under the adaptive default this routes to the
-    // direct tier (4 × 2 subgoals is below the threshold), so the
-    // snapshot records that skipping the bucketed machinery keeps the
-    // optimized engine at naive-oracle speed on tiny inputs.
+    // Small instance: 4 × 2 subgoal pairs, so the snapshot records the
+    // direct kernel's cost on tiny inputs.
     let (qa4, _) = qc_bench::chain_query(4);
     let (qb4, _) = qc_bench::chain_query(2);
     let ca4 = ConjunctiveQuery::from_rule(&qa4.rules()[0]);
@@ -220,7 +226,7 @@ fn scenarios() -> Vec<Scenario> {
         }),
     });
     // Single-view MiniCon: the smallest rewriting instance — dominated by
-    // setup cost, which is exactly what adaptive tiering protects.
+    // setup cost.
     let mut rng = StdRng::seed_from_u64(9);
     let q1v = random_query(Shape::Chain, 2, 2, &mut rng);
     let v1 = random_views(1, 2, &mut rng);
@@ -305,17 +311,8 @@ fn scenarios() -> Vec<Scenario> {
     let (views, queries) = qc_bench::example1();
     out.push(Scenario {
         name: "serve/example1_admission_resume",
-        run: Box::new(move |cfg| {
-            // The service runs the configuration's engine at Tier::Full, so
-            // baseline-vs-optimized compares the engines through the whole
-            // admission/resume stack instead of measuring identical code.
-            let core = ServeCore::new(
-                views.clone(),
-                ServeConfig {
-                    engine: cfg.engine,
-                    ..ServeConfig::default()
-                },
-            );
+        run: Box::new(move |_cfg| {
+            let core = ServeCore::new(views.clone(), ServeConfig::default());
             for (i, (qa, na)) in queries.iter().enumerate() {
                 for (j, (qb, nb)) in queries.iter().enumerate() {
                     if i == j {
@@ -354,7 +351,7 @@ fn counters_of(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
     let rec = Arc::new(qc_obs::PipelineRecorder::new());
     {
         let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
-        engine::with_options(cfg.engine, || (s.run)(cfg));
+        run(s, cfg);
     }
     let snap = rec.counters().snapshot();
     qc_obs::Counter::ALL
@@ -380,7 +377,7 @@ fn sample_ns(s: &Scenario, cfg: &Cfg, reps: u64) -> u64 {
     let t0 = Instant::now();
     for _ in 0..reps {
         memo::clear();
-        engine::with_options(cfg.engine, || (s.run)(cfg));
+        run(s, cfg);
     }
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / reps.max(1)
 }
@@ -601,7 +598,7 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
     }
     // Live optimized-vs-baseline comparison: both configurations measured
     // with interleaved samples in this process, so "optimized lost to the
-    // naive oracle" cannot hide behind host-speed drift.
+    // baseline" cannot hide behind host-speed drift.
     let baseline_cfg = configs()
         .into_iter()
         .find(|c| c.name == "baseline")
@@ -634,39 +631,32 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
     }
 }
 
-/// `--tier-self-test`: proves the adaptive tier gate actually routes.
-/// Forces the homomorphism tier threshold to its extremes and asserts the
-/// `EngineTierDirect` / `EngineTierOptimized` counters, then checks the
-/// default threshold splits a small and a large instance across tiers.
+/// `--tier-self-test`: proves the size-routed tiers actually route. A
+/// small and a large containment check must split across the
+/// `EngineTierDirect` / `EngineTierOptimized` counters, and the recursive
+/// scenarios must run the RA evaluator only under the optimized
+/// configuration.
 fn tier_self_test() -> ExitCode {
     let small = parse_query("q(X) :- e(X, Y).").unwrap();
     let small_to = parse_query("q(A) :- e(A, B).").unwrap();
-    // 72 × 64 subgoals: past the measured default crossover
-    // (`tier_hom_product`), so defaults route it to the bucketed kernel.
-    // Directed chains with pinned endpoints resolve in linear time, so the
-    // instance is big without being slow.
+    // 72 × 64 subgoals: past the direct kernel's 4 096 subgoal pairs, so
+    // it routes to the bucketed kernel. Directed chains with pinned
+    // endpoints resolve in linear time, so the instance is big without
+    // being slow.
     let (big_p, _) = qc_bench::chain_query(72);
     let (big_p2, _) = qc_bench::chain_query(64);
     let big = ConjunctiveQuery::from_rule(&big_p.rules()[0]);
     let big_to = ConjunctiveQuery::from_rule(&big_p2.rules()[0]);
-    let tiers = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
+    let tiers = |from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
         let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
+        {
             let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
             cq_contained(from, to);
-        });
+        }
         (
             rec.counters().get(qc_obs::Counter::EngineTierDirect),
             rec.counters().get(qc_obs::Counter::EngineTierOptimized),
         )
-    };
-    let force_low = EngineOptions {
-        tier_hom_product: 0,
-        ..EngineOptions::sequential()
-    };
-    let force_high = EngineOptions {
-        tier_hom_product: usize::MAX,
-        ..EngineOptions::sequential()
     };
     let mut failures = 0usize;
     let mut expect = |what: &str, got: (u64, u64), want_direct: bool| {
@@ -686,23 +676,13 @@ fn tier_self_test() -> ExitCode {
         }
     };
     expect(
-        "forced-low threshold routes optimized",
-        tiers(force_low, &small, &small_to),
-        false,
-    );
-    expect(
-        "forced-high threshold routes direct",
-        tiers(force_high, &big, &big_to),
+        "small instances route direct",
+        tiers(&small, &small_to),
         true,
     );
     expect(
-        "default threshold routes small instances direct",
-        tiers(EngineOptions::sequential(), &small, &small_to),
-        true,
-    );
-    expect(
-        "default threshold routes large instances optimized",
-        tiers(EngineOptions::sequential(), &big, &big_to),
+        "large instances route bucketed",
+        tiers(&big, &big_to),
         false,
     );
 
@@ -718,7 +698,7 @@ fn tier_self_test() -> ExitCode {
         let rec = Arc::new(qc_obs::PipelineRecorder::new());
         {
             let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
-            engine::with_options(cfg.engine, || (s.run)(cfg));
+            run(&s, cfg);
         }
         (
             rec.counters().get(qc_obs::Counter::EvalTierRa),
@@ -759,7 +739,7 @@ fn tier_self_test() -> ExitCode {
         eprintln!("{failures} tier-routing failure(s)");
         ExitCode::from(1)
     } else {
-        eprintln!("adaptive tier routing verified");
+        eprintln!("tier routing verified");
         ExitCode::SUCCESS
     }
 }

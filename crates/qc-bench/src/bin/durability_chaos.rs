@@ -17,7 +17,7 @@
 //! 3. **Corruption is contained** — a flipped byte, a truncated file, or
 //!    appended garbage recovers to a consistent *prefix* of the journaled
 //!    states (possibly empty), with the damage reported in the
-//!    [`ReplayReport`], and the restarted generation still reaches the
+//!    [`ReplayReport`](qc_serve::ReplayReport), and the restarted generation still reaches the
 //!    oracle verdict from whatever survived.
 //! 4. **Generations are observable** — the restarted store's generation
 //!    strictly increases and is folded into every trace ID, so traces

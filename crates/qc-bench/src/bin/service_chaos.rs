@@ -4,7 +4,8 @@
 //! verdict, then hammers the service from several directions and checks
 //! the three service-level invariants from DESIGN.md §11:
 //!
-//! 1. **No lost requests** — every submission ends in a [`Response`] or a
+//! 1. **No lost requests** — every submission ends in a
+//!    [`Response`](qc_serve::Response) or a
 //!    typed [`ServiceError`]; a hung ticket or a silently dropped job is a
 //!    failure.
 //! 2. **No unsound verdicts** — any `Contained`/`NotContained` answer, at

@@ -1,167 +1,63 @@
-//! Engine-wide tuning knobs for the containment kernels.
+//! The containment engine's one setting: the parallel fan-out width.
 //!
 //! The containment procedures ([`crate::cq`], [`crate::homomorphism`],
-//! [`crate::datalog_ucq`]) keep their small, paper-shaped signatures; the
-//! *how* — bucketed vs linear homomorphism search, memoization, and the
-//! parallel fan-out width — is configured out-of-band through a scoped,
-//! thread-local [`EngineOptions`], mirroring the `qc-obs` recorder pattern.
+//! [`crate::datalog_ucq`]) keep their small, paper-shaped signatures; how
+//! many threads their independent checks may fan out over is configured
+//! out-of-band through a scoped, thread-local [`EngineOptions`], mirroring
+//! the `qc-obs` recorder pattern.
 //!
-//! The default configuration is the optimized engine. [`EngineOptions::naive`]
-//! reproduces the order-naïve reference path bit-for-bit (sequential,
-//! linear-scan homomorphism search, no memo) — the ablation baseline the
-//! differential tests and `bench_snapshot` compare against.
+//! Every other engine choice is made from the size of the input, against
+//! a constant kept beside the decision it drives: which homomorphism
+//! kernel runs ([`crate::homomorphism`]), whether the canonical memo is
+//! consulted ([`crate::memo`]), and whether a batch is big enough to fan
+//! out ([`parallel_map`]).
 
 use std::cell::Cell;
 
-pub use qc_datalog::eval::EvalEngine;
 use qc_datalog::eval::EvalOptions;
 
-/// Default bound on the number of resident verdicts in the canonical
-/// containment memo (see [`crate::memo`]).
-pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
+/// [`parallel_map`] keeps batches smaller than this on the calling thread:
+/// spawning scoped workers costs more than the items.
+const PARALLEL_MIN_ITEMS: usize = 8;
 
-/// Default [`EngineOptions::tier_hom_product`]: homomorphism instances
-/// whose `|from subgoals| × |to subgoals|` is at or below this run the
-/// direct linear-scan kernel — bucket construction and goal ordering cost
-/// more than they save on such instances.
-pub const DEFAULT_TIER_HOM_PRODUCT: usize = 4096;
-
-/// Default [`EngineOptions::tier_memo_size`]: containment questions whose
-/// combined subgoal count is below this bypass the canonical memo —
-/// canonicalizing and hashing the key costs more than re-deciding.
-pub const DEFAULT_TIER_MEMO_SIZE: usize = 16;
-
-/// Default [`EngineOptions::tier_parallel_min`]: batches smaller than this
-/// stay on the calling thread — spawning scoped workers costs more than
-/// the items.
-pub const DEFAULT_TIER_PARALLEL_MIN: usize = 8;
-
-/// Default [`EngineOptions::tier_ra_min_tuples`]: non-recursive fixpoints
-/// over fewer EDB tuples than this stay on the tuple-at-a-time kernel —
-/// compiling RA plans costs more than evaluating such instances directly.
-/// Recursive programs always amortize compilation over their rounds and
-/// route to RA regardless of size.
-pub const DEFAULT_TIER_RA_MIN_TUPLES: usize = 256;
-
-/// Tuning knobs for the containment engine.
+/// The containment engine's configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Worker threads for the embarrassingly parallel outer loops
     /// (UCQ-disjunct containment checks, per-candidate rewriting checks).
-    /// `1` keeps everything on the calling thread — today's deterministic
+    /// `1` keeps everything on the calling thread — the deterministic
     /// sequential path.
     pub parallelism: usize,
-    /// Predicate-bucketed, constrained-first homomorphism search with the
-    /// cheap pre-filter. `false` falls back to the linear-scan search.
-    pub hom_buckets: bool,
-    /// Capacity of the canonical containment memo; `0` disables it.
-    pub memo_capacity: usize,
-    /// Adaptive tiering: size-estimate each instance and skip the
-    /// optimized machinery (bucketing, memoization, parallel fan-out) when
-    /// the instance is too small to amortize its setup cost. `false` runs
-    /// the configured machinery unconditionally (the pre-tiering
-    /// behavior); [`EngineOptions::naive`] never has machinery to skip.
-    pub adaptive: bool,
-    /// Adaptive threshold: route the homomorphism search to the direct
-    /// kernel when `|from subgoals| × |to subgoals|` is at or below this.
-    pub tier_hom_product: usize,
-    /// Adaptive threshold: bypass the containment memo when the combined
-    /// subgoal count of the two queries is below this.
-    pub tier_memo_size: usize,
-    /// Adaptive threshold: keep [`parallel_map`] batches smaller than this
-    /// on the calling thread.
-    pub tier_parallel_min: usize,
-    /// Datalog fixpoint engine for canonical-database evaluation, certain
-    /// answers, and datalog containment: the compiled relational-algebra
-    /// tier, the tuple-at-a-time kernel, or adaptive routing between them
-    /// (see [`EngineOptions::tier_ra_min_tuples`]).
-    pub eval_engine: EvalEngine,
-    /// Apply the magic-sets rewrite before goal-directed RA fixpoints, so
-    /// only tuples reachable from the query's binding pattern are derived.
-    pub eval_magic_sets: bool,
-    /// Adaptive threshold: non-recursive fixpoints over fewer EDB tuples
-    /// than this stay on the tuple-at-a-time kernel.
-    pub tier_ra_min_tuples: usize,
 }
 
 impl Default for EngineOptions {
+    /// As many workers as the host has available parallelism.
     fn default() -> EngineOptions {
         EngineOptions {
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            hom_buckets: true,
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
-            adaptive: true,
-            tier_hom_product: DEFAULT_TIER_HOM_PRODUCT,
-            tier_memo_size: DEFAULT_TIER_MEMO_SIZE,
-            tier_parallel_min: DEFAULT_TIER_PARALLEL_MIN,
-            eval_engine: EvalEngine::Adaptive,
-            eval_magic_sets: true,
-            tier_ra_min_tuples: DEFAULT_TIER_RA_MIN_TUPLES,
         }
     }
 }
 
 impl EngineOptions {
-    /// The order-naïve reference configuration: sequential, linear-scan
-    /// homomorphism search, no memo, no tiering, tuple-at-a-time fixpoints.
-    pub fn naive() -> EngineOptions {
-        EngineOptions {
-            parallelism: 1,
-            hom_buckets: false,
-            memo_capacity: 0,
-            adaptive: false,
-            tier_hom_product: 0,
-            tier_memo_size: 0,
-            tier_parallel_min: 0,
-            eval_engine: EvalEngine::Tuple,
-            eval_magic_sets: false,
-            tier_ra_min_tuples: 0,
-        }
-    }
-
-    /// The optimized engine, pinned to one thread (deterministic).
+    /// The engine pinned to one thread (deterministic counters).
     pub fn sequential() -> EngineOptions {
-        EngineOptions {
-            parallelism: 1,
-            ..EngineOptions::default()
-        }
+        EngineOptions { parallelism: 1 }
     }
 
-    /// This configuration with the given parallelism.
+    /// This configuration with the given parallelism (at least 1).
     pub fn with_parallelism(self, parallelism: usize) -> EngineOptions {
         EngineOptions {
             parallelism: parallelism.max(1),
-            ..self
         }
     }
 
-    /// This configuration with adaptive tiering forced on or off (the
-    /// optimized machinery runs unconditionally when off).
-    pub fn with_adaptive(self, adaptive: bool) -> EngineOptions {
-        EngineOptions { adaptive, ..self }
-    }
-
-    /// This configuration with the given datalog fixpoint engine.
-    pub fn with_eval_engine(self, eval_engine: EvalEngine) -> EngineOptions {
-        EngineOptions {
-            eval_engine,
-            ..self
-        }
-    }
-
-    /// The [`EvalOptions`] this engine configuration implies: the fixpoint
-    /// tier, magic sets, and the RA routing threshold come from the engine
-    /// knobs; everything else keeps the evaluator defaults (except the
-    /// naïve configuration, which also disables the evaluator's dynamic
-    /// join reordering to stay the order-naïve reference).
+    /// The [`EvalOptions`] the engine's datalog fixpoints run with
+    /// (canonical-database evaluation, certain answers): the evaluator
+    /// defaults, so `relcont`, the REPL and `qc-serve` route fixpoints
+    /// through one policy.
     pub fn eval_options(&self) -> EvalOptions {
-        EvalOptions {
-            engine: self.eval_engine,
-            magic_sets: self.eval_magic_sets,
-            tier_ra_min_tuples: self.tier_ra_min_tuples,
-            reorder: self.hom_buckets,
-            ..EvalOptions::default()
-        }
+        EvalOptions::default()
     }
 }
 
@@ -192,15 +88,15 @@ pub fn with_options<R>(opts: EngineOptions, f: impl FnOnce() -> R) -> R {
 }
 
 /// Maps `f` over `items`, fanning out across scoped worker threads when
-/// [`EngineOptions::parallelism`] allows (and the batch is big enough to
-/// pay for it). Results come back in input order regardless of scheduling.
+/// [`EngineOptions::parallelism`] allows and the batch has at least 8
+/// items (`PARALLEL_MIN_ITEMS`). Results come back in input order
+/// regardless of scheduling.
 ///
-/// * `parallelism == 1` (or a single-item batch) runs on the calling
-///   thread with **zero** behavioral difference from a plain `map` — the
+/// * `parallelism == 1` (or a smaller batch) runs on the calling thread
+///   with **zero** behavioral difference from a plain `map` — the
 ///   deterministic reference path.
-/// * Workers inherit the parent's [`EngineOptions`] pinned to
-///   `parallelism = 1` (no nested fan-out) and, because `qc-obs` recorders
-///   are thread-local, each installs a private
+/// * Workers run [`EngineOptions::sequential`] (no nested fan-out) and,
+///   because `qc-obs` recorders are thread-local, each installs a private
 ///   [`qc_obs::PipelineRecorder`]; after the scope joins, worker counter
 ///   totals are merged into the parent's recorder in worker order, so
 ///   aggregate counters are deterministic for a fixed parallelism.
@@ -220,14 +116,12 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let opts = current();
-    let workers = opts.parallelism.max(1).min(items.len());
-    // Adaptive tier gate: a scoped-thread fan-out costs tens of
-    // microseconds before any item runs; tiny batches never win it back.
-    if workers <= 1 || (opts.adaptive && items.len() < opts.tier_parallel_min) {
+    let workers = current().parallelism.max(1).min(items.len());
+    // A scoped-thread fan-out costs tens of microseconds before any item
+    // runs; tiny batches never win it back.
+    if workers <= 1 || items.len() < PARALLEL_MIN_ITEMS {
         return items.iter().map(f).collect();
     }
-    let worker_opts = opts.with_parallelism(1);
     let parent_active = qc_obs::is_active();
     let parent_guard = qc_guard::current();
     // Contiguous chunking: ceil(len / workers) keeps chunk assignment a
@@ -245,7 +139,7 @@ where
             handles.push(scope.spawn(move || {
                 let _install = parent_active.then(|| qc_obs::install(rec));
                 let mut body = || {
-                    with_options(worker_opts, || {
+                    with_options(EngineOptions::sequential(), || {
                         for (t, slot) in slice.iter().zip(out.iter_mut()) {
                             // Panic isolation: a poisoned item leaves its
                             // slot empty for the sequential retry below.
@@ -299,40 +193,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_optimized() {
-        let d = EngineOptions::default();
-        assert!(d.hom_buckets);
-        assert!(d.parallelism >= 1);
-        assert_eq!(d.memo_capacity, DEFAULT_MEMO_CAPACITY);
-        assert!(d.adaptive);
-        assert_eq!(d.tier_hom_product, DEFAULT_TIER_HOM_PRODUCT);
-        assert_eq!(d.tier_memo_size, DEFAULT_TIER_MEMO_SIZE);
-        assert_eq!(d.tier_parallel_min, DEFAULT_TIER_PARALLEL_MIN);
-        assert_eq!(d.eval_engine, EvalEngine::Adaptive);
-        assert!(d.eval_magic_sets);
-        assert_eq!(d.tier_ra_min_tuples, DEFAULT_TIER_RA_MIN_TUPLES);
-        let n = EngineOptions::naive();
-        assert!(!n.hom_buckets);
-        assert_eq!(n.parallelism, 1);
-        assert_eq!(n.memo_capacity, 0);
-        assert!(!n.adaptive);
-        assert_eq!(n.eval_engine, EvalEngine::Tuple);
-        assert!(!n.eval_options().reorder);
-        assert!(!n.eval_options().magic_sets);
-        assert_eq!(
-            EngineOptions::default().eval_options().engine,
-            EvalEngine::Adaptive
-        );
-        assert_eq!(
-            EngineOptions::sequential()
-                .with_eval_engine(EvalEngine::Ra)
-                .eval_options()
-                .engine,
-            EvalEngine::Ra
-        );
+    fn parallelism_is_the_only_knob() {
+        assert!(EngineOptions::default().parallelism >= 1);
         assert_eq!(EngineOptions::sequential().parallelism, 1);
-        assert_eq!(n.with_parallelism(0).parallelism, 1);
-        assert!(!EngineOptions::sequential().with_adaptive(false).adaptive);
+        assert_eq!(
+            EngineOptions::sequential().with_parallelism(0).parallelism,
+            1
+        );
+        assert_eq!(
+            EngineOptions::sequential().with_parallelism(4).parallelism,
+            4
+        );
+        // The fixpoint options are the evaluator defaults at any width.
+        let (d, e) = (
+            EvalOptions::default(),
+            EngineOptions::sequential()
+                .with_parallelism(4)
+                .eval_options(),
+        );
+        assert_eq!(
+            (e.strategy, e.reorder, e.engine, e.magic_sets, e.trace),
+            (d.strategy, d.reorder, d.engine, d.magic_sets, d.trace)
+        );
+        assert_eq!(
+            (e.max_iterations, e.max_derived, e.max_term_depth),
+            (d.max_iterations, d.max_derived, d.max_term_depth)
+        );
     }
 
     #[test]
@@ -359,34 +245,32 @@ mod tests {
             rec.counters().get(qc_obs::Counter::MemoHits),
             items.len() as u64
         );
-        // Workers run with parallelism pinned to 1 (no nested fan-out).
-        // Tiering off: a 2-item batch would otherwise stay on the caller.
-        let nested_opts = EngineOptions::sequential()
-            .with_parallelism(2)
-            .with_adaptive(false);
-        let nested = with_options(nested_opts, || {
-            parallel_map(&[0u8, 1], |_| current().parallelism)
+        // Workers run with parallelism pinned to 1 (no nested fan-out); a
+        // batch of PARALLEL_MIN_ITEMS is the smallest that fans out.
+        let nested = with_options(EngineOptions::sequential().with_parallelism(2), || {
+            parallel_map(&[0u8; PARALLEL_MIN_ITEMS], |_| current().parallelism)
         });
-        assert_eq!(nested, vec![1, 1]);
+        assert_eq!(nested, vec![1; PARALLEL_MIN_ITEMS]);
     }
 
     #[test]
-    fn adaptive_tier_keeps_small_batches_on_the_calling_thread() {
+    fn small_batches_stay_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        // Below the threshold: the closure observes the caller's thread.
-        let small: Vec<bool> =
+        let on_caller = |n: usize| -> Vec<bool> {
             with_options(EngineOptions::sequential().with_parallelism(4), || {
-                parallel_map(&[1u8, 2], |_| std::thread::current().id() == caller)
-            });
-        assert_eq!(small, vec![true, true]);
-        // Same batch with tiering off: it fans out to workers.
-        let forced: Vec<bool> = with_options(
-            EngineOptions::sequential()
-                .with_parallelism(4)
-                .with_adaptive(false),
-            || parallel_map(&[1u8, 2], |_| std::thread::current().id() == caller),
+                parallel_map(&vec![0u8; n], |_| std::thread::current().id() == caller)
+            })
+        };
+        // Below the threshold: the closure observes the caller's thread.
+        assert_eq!(
+            on_caller(PARALLEL_MIN_ITEMS - 1),
+            vec![true; PARALLEL_MIN_ITEMS - 1]
         );
-        assert_eq!(forced, vec![false, false]);
+        // At the threshold the batch fans out to workers.
+        assert_eq!(
+            on_caller(PARALLEL_MIN_ITEMS),
+            vec![false; PARALLEL_MIN_ITEMS]
+        );
     }
 
     #[test]
@@ -432,12 +316,13 @@ mod tests {
     #[test]
     fn with_options_is_scoped_and_restores() {
         let base = current();
-        let inner = with_options(EngineOptions::naive(), || {
+        let wide = EngineOptions::sequential().with_parallelism(3);
+        let inner = with_options(wide, || {
             let nested = with_options(EngineOptions::sequential(), current);
             assert_eq!(nested, EngineOptions::sequential());
             current()
         });
-        assert_eq!(inner, EngineOptions::naive());
+        assert_eq!(inner, wide);
         assert_eq!(current(), base);
     }
 }

@@ -6,29 +6,31 @@
 //! relational subgoal of `Q1`. `Q1 ⊆ Q2` (comparison-free case) iff such a
 //! mapping exists [Chandra–Merlin 1977].
 //!
-//! The search is a backtracking walk over `Q2`'s subgoals with candidate
-//! subgoals of `Q1` pre-bucketed by `(predicate, arity)`, seeded with the
-//! head constraint (which usually pins the distinguished variables
-//! immediately). Goals are ordered most-constrained-first (ground
-//! arguments, then repeated-variable arguments, then fewest candidate
-//! targets), and a cheap pre-filter — predicate-set and
-//! constant-occurrence necessary conditions — rejects impossible
-//! instances before any search node is expanded.
+//! Two backtracking kernels search for mappings, chosen by instance size;
+//! `EngineTierDirect` / `EngineTierOptimized` count which one ran.
 //!
-//! Inside the bucketed search, `Q2`'s variables are numbered into dense
-//! *slots* once up front; the backtracking state is a flat
-//! `Vec<Option<&Term>>` indexed by slot with a shared rewind stack, so
-//! binding, conflict checks, and rollback are array stores rather than
-//! hash-map operations. A [`Mapping`] is materialized only at the leaves,
-//! once per complete mapping found.
+//! * Instances of at most 4 096 subgoal pairs (`|from subgoals| × |to
+//!   subgoals|`) run the **direct** kernel: goals ordered by fewest
+//!   same-predicate targets, every target subgoal tried at every node,
+//!   bindings trailed on one shared rewind stack. On instances this small,
+//!   building buckets and ordering goals costs more than it saves.
+//! * Larger instances run the **bucketed** kernel. Candidate subgoals of
+//!   `Q1` are pre-bucketed by `(predicate, arity)`, the head constraint is
+//!   applied first (it usually pins the distinguished variables
+//!   immediately), and goals are ordered most-constrained-first (ground
+//!   arguments, then repeated-variable arguments, then fewest candidate
+//!   targets). A cheap pre-filter — predicate-set and constant-occurrence
+//!   necessary conditions — rejects impossible instances before any search
+//!   node is expanded, and a forward check after every binding prunes
+//!   doomed subtrees. `Q2`'s variables are numbered into dense *slots* once
+//!   up front; the backtracking state is a flat `Vec<Option<&Term>>`
+//!   indexed by slot with a shared rewind stack, so binding, conflict
+//!   checks, and rollback are array stores rather than hash-map operations.
+//!   A [`Mapping`] is materialized only at the leaves, once per complete
+//!   mapping found.
 //!
-//! Under [`crate::engine::EngineOptions::adaptive`] tiering, instances
-//! whose subgoal-count product is at or below
-//! [`crate::engine::EngineOptions::tier_hom_product`] skip bucket
-//! construction and goal ordering entirely and run the direct linear-scan
-//! kernel (`EngineTierDirect`/`EngineTierOptimized` count the routing).
-//! The linear-scan reference search is kept behind
-//! [`crate::engine::EngineOptions::naive`] as the ablation baseline.
+//! Both kernels enumerate the same mappings, in general in a different
+//! order.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
@@ -36,7 +38,9 @@ use std::ops::ControlFlow;
 use qc_datalog::fx::FxHashMap;
 use qc_datalog::{Atom, ConjunctiveQuery, Symbol, Term, Var};
 
-use crate::engine;
+/// Instances of at most this many subgoal pairs (`|from subgoals| × |to
+/// subgoals|`) run the direct kernel, larger ones the bucketed kernel.
+const DIRECT_MAX_PAIRS: usize = 4096;
 
 /// A variable-to-term mapping (the hom restricted to variables; constants
 /// always map to themselves).
@@ -91,28 +95,21 @@ pub fn for_each_containment_mapping(
     if from.head.arity() != to.head.arity() {
         return true; // no mappings possible
     }
-    // The tier counters record which kernel actually ran, whatever made
-    // the choice (explicit `hom_buckets = false`, or the adaptive gate).
-    // Counting on every route keeps the accounting cost identical across
-    // configurations, so an A/B wall-clock comparison of baseline vs
-    // optimized measures the kernels, not the bookkeeping.
-    let opts = engine::current();
-    if !opts.hom_buckets {
+    if from.subgoals.len().saturating_mul(to.subgoals.len()) <= DIRECT_MAX_PAIRS {
         qc_obs::count(qc_obs::Counter::EngineTierDirect, 1);
-        return naive_mapping_search(from, to, &mut visit);
+        direct_mapping_search(from, to, &mut visit)
+    } else {
+        qc_obs::count(qc_obs::Counter::EngineTierOptimized, 1);
+        bucketed_mapping_search(from, to, &mut visit)
     }
-    // Adaptive tier gate: below the size threshold, bucket construction
-    // and goal ordering cost more than the linear scan they would save —
-    // the direct kernel is the faster *and* behaviorally identical choice
-    // (it is the ablation baseline).
-    if opts.adaptive
-        && from.subgoals.len().saturating_mul(to.subgoals.len()) <= opts.tier_hom_product
-    {
-        qc_obs::count(qc_obs::Counter::EngineTierDirect, 1);
-        return direct_mapping_search(from, to, &mut visit);
-    }
-    qc_obs::count(qc_obs::Counter::EngineTierOptimized, 1);
+}
 
+/// The bucketed kernel (see the module documentation).
+fn bucketed_mapping_search(
+    from: &ConjunctiveQuery,
+    to: &ConjunctiveQuery,
+    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
+) -> bool {
     // Pre-bucket the targets by (predicate, arity): every search node then
     // enumerates exactly the pred/arity-compatible candidates. Symbols
     // hash by interned id, so the key is two integers.
@@ -236,7 +233,7 @@ pub fn for_each_containment_mapping(
         slots: &slots,
         bind,
         rewind: added,
-        visit: &mut visit,
+        visit,
     };
     bucketed_search(&mut ctx, 0).is_continue()
 }
@@ -404,72 +401,11 @@ fn bucketed_search<V: FnMut(&Mapping) -> ControlFlow<()>>(
     ControlFlow::Continue(())
 }
 
-/// The linear-scan reference search (pre-bucketing behavior, preserved
-/// bit-for-bit as the ablation baseline under
-/// [`engine::EngineOptions::naive`]).
-fn naive_mapping_search(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
-    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
-) -> bool {
-    let mut m = Mapping::new();
-    let mut added = Vec::new();
-    for (f, t) in from.head.args.iter().zip(&to.head.args) {
-        if !extend(&mut m, f, t, &mut added) {
-            return true;
-        }
-    }
-    // Order subgoals most-constrained-first: fewer candidate targets first.
-    let mut order: Vec<&Atom> = from.subgoals.iter().collect();
-    order.sort_by_key(|g| to.subgoals.iter().filter(|t| t.pred == g.pred).count());
-    naive_search(&order, 0, to, &mut m, visit).is_continue()
-}
-
-fn naive_search(
-    goals: &[&Atom],
-    k: usize,
-    to: &ConjunctiveQuery,
-    m: &mut Mapping,
-    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    qc_guard::trip(qc_guard::stage::HOM_SEARCH, 1);
-    qc_obs::count(qc_obs::Counter::HomSearchNodes, 1);
-    if k == goals.len() {
-        qc_obs::count(qc_obs::Counter::HomMappingsFound, 1);
-        return visit(m);
-    }
-    let goal = goals[k];
-    for target in &to.subgoals {
-        if target.pred != goal.pred || target.args.len() != goal.args.len() {
-            continue;
-        }
-        let mut added = Vec::new();
-        let ok = goal
-            .args
-            .iter()
-            .zip(&target.args)
-            .all(|(f, t)| extend(m, f, t, &mut added));
-        if ok {
-            naive_search(goals, k + 1, to, m, visit)?;
-        } else {
-            qc_obs::count(qc_obs::Counter::HomCandidatesPruned, 1);
-        }
-        for v in added {
-            m.remove(&v);
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// The direct-tier kernel: the same candidate order, pruning behavior,
-/// and counter sites as [`naive_mapping_search`] — verdicts and counters
-/// are bit-for-bit identical — with the allocation discipline of the
-/// optimized engine. Candidate counts are computed once up front instead
-/// of inside every sort comparison, and bindings are trailed on one shared
-/// rewind stack (mark / drain) instead of a fresh `Vec` per search node.
-/// This is what the adaptive gate runs below the bucketing threshold, so
-/// "optimized" stays ahead of the naive reference even on instances too
-/// small for buckets to pay.
+/// The direct kernel: goals ordered by fewest same-predicate targets
+/// (stable on ties, so textual order breaks them), every target subgoal
+/// tried at every node. Candidate counts are computed once up front, and
+/// bindings are trailed on one shared rewind stack (mark / drain) instead
+/// of a fresh `Vec` per search node.
 fn direct_mapping_search(
     from: &ConjunctiveQuery,
     to: &ConjunctiveQuery,
@@ -482,11 +418,10 @@ fn direct_mapping_search(
             return true;
         }
     }
-    // Most-constrained-first, as in the reference kernel; the count is the
-    // same sort key, computed once per goal. Stable sort on equal counts
-    // preserves the reference's candidate order exactly. Single-goal
-    // searches (the bulk of MiniCon's MCD checks) skip both the counting
-    // pass and the sort — there is nothing to order.
+    // Most-constrained-first: fewest same-predicate targets, counted once
+    // per goal. Single-goal searches (the bulk of MiniCon's MCD checks)
+    // skip both the counting pass and the sort — there is nothing to
+    // order.
     let mut order: Vec<(usize, &Atom)> = if from.subgoals.len() <= 1 {
         from.subgoals.iter().map(|g| (0, g)).collect()
     } else {
@@ -562,7 +497,11 @@ pub fn all_containment_mappings(from: &ConjunctiveQuery, to: &ConjunctiveQuery) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qc_datalog::parse_query;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn q(s: &str) -> ConjunctiveQuery {
         parse_query(s).unwrap()
@@ -665,9 +604,55 @@ mod tests {
         assert!(containment_mapping(&from, &to).is_some());
     }
 
+    type Kernel = fn(
+        &ConjunctiveQuery,
+        &ConjunctiveQuery,
+        &mut dyn FnMut(&Mapping) -> ControlFlow<()>,
+    ) -> bool;
+
+    /// Every mapping a kernel visits, each rendered as its sorted
+    /// `var -> term` bindings; the list is sorted, so two kernels compare
+    /// as multisets whatever order they search in.
+    fn kernel_mappings(
+        kernel: Kernel,
+        from: &ConjunctiveQuery,
+        to: &ConjunctiveQuery,
+    ) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        kernel(from, to, &mut |m: &Mapping| {
+            let mut b: Vec<String> = m.iter().map(|(v, t)| format!("{v} -> {t}")).collect();
+            b.sort();
+            out.push(b);
+            ControlFlow::Continue(())
+        });
+        out.sort();
+        out
+    }
+
+    fn direct(
+        from: &ConjunctiveQuery,
+        to: &ConjunctiveQuery,
+        mut visit: &mut dyn FnMut(&Mapping) -> ControlFlow<()>,
+    ) -> bool {
+        direct_mapping_search(from, to, &mut visit)
+    }
+
+    fn bucketed(
+        from: &ConjunctiveQuery,
+        to: &ConjunctiveQuery,
+        mut visit: &mut dyn FnMut(&Mapping) -> ControlFlow<()>,
+    ) -> bool {
+        bucketed_mapping_search(from, to, &mut visit)
+    }
+
+    /// `q(X0, Xn) :- e(X0, X1), ..., e(Xn-1, Xn).`
+    fn chain(n: usize) -> ConjunctiveQuery {
+        let body: Vec<String> = (0..n).map(|i| format!("e(X{i}, X{})", i + 1)).collect();
+        q(&format!("q(X0, X{n}) :- {}.", body.join(", ")))
+    }
+
     #[test]
-    fn bucketed_and_naive_search_agree() {
-        use crate::engine::{self, EngineOptions};
+    fn bucketed_and_direct_kernels_agree() {
         let pairs = [
             ("q(X) :- r(X, Y).", "q(A) :- r(A, B)."),
             (
@@ -682,131 +667,179 @@ mod tests {
         ];
         for (f, t) in pairs {
             let (from, to) = (q(f), q(t));
-            let bucketed = containment_mapping(&from, &to).is_some();
-            let naive = engine::with_options(EngineOptions::naive(), || {
-                containment_mapping(&from, &to).is_some()
-            });
-            assert_eq!(bucketed, naive, "{f} -> {t}");
-            // Mapping multiplicity agrees too.
-            let nb = all_containment_mappings(&from, &to).len();
-            let nn = engine::with_options(EngineOptions::naive(), || {
-                all_containment_mappings(&from, &to).len()
-            });
-            assert_eq!(nb, nn, "{f} -> {t}");
+            assert_eq!(
+                kernel_mappings(bucketed, &from, &to),
+                kernel_mappings(direct, &from, &to),
+                "{f} -> {t}"
+            );
         }
     }
 
     #[test]
     fn prefilter_rejects_before_search() {
-        use crate::engine::{self, EngineOptions};
         use std::sync::Arc;
-        // Tiering off: these instances are small enough that the adaptive
-        // gate would otherwise route them past the pre-filter to the
-        // direct kernel.
-        let opts = EngineOptions::sequential().with_adaptive(false);
+        let rejects = |from: &str, to: &str| {
+            let rec = Arc::new(qc_obs::PipelineRecorder::new());
+            let (from, to) = (q(from), q(to));
+            {
+                let _g = qc_obs::install(rec.clone());
+                assert_eq!(kernel_mappings(bucketed, &from, &to).len(), 0);
+            }
+            (
+                rec.counters().get(qc_obs::Counter::HomPrefilterRejects),
+                rec.counters().get(qc_obs::Counter::HomSearchNodes),
+            )
+        };
         // Missing predicate: rejected with zero search nodes.
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
-            let _g = qc_obs::install(rec.clone());
-            let from = q("q() :- r(X), absent(X).");
-            let to = q("q() :- r(A).");
-            assert!(containment_mapping(&from, &to).is_none());
-        });
-        assert_eq!(rec.counters().get(qc_obs::Counter::HomPrefilterRejects), 1);
-        assert_eq!(rec.counters().get(qc_obs::Counter::HomSearchNodes), 0);
+        assert_eq!(rejects("q() :- r(X), absent(X).", "q() :- r(A)."), (1, 0));
         // Constant that occurs nowhere at that position: same.
-        let rec2 = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
-            let _g = qc_obs::install(rec2.clone());
-            let from = q("q() :- r(X, 10).");
-            let to = q("q() :- r(A, 9), r(B, B).");
-            assert!(containment_mapping(&from, &to).is_none());
-        });
-        assert_eq!(rec2.counters().get(qc_obs::Counter::HomPrefilterRejects), 1);
-        assert_eq!(rec2.counters().get(qc_obs::Counter::HomSearchNodes), 0);
+        assert_eq!(
+            rejects("q() :- r(X, 10).", "q() :- r(A, 9), r(B, B)."),
+            (1, 0)
+        );
     }
 
     #[test]
-    fn adaptive_tier_routes_by_instance_size() {
-        use crate::engine::{self, EngineOptions};
+    fn kernel_routes_by_instance_size() {
         use std::sync::Arc;
-        let small_from = q("q(X) :- e(X, Y).");
-        let small_to = q("q(A) :- e(A, B).");
-        let big_from = q("q(X) :- e(X, A), e(A, B), e(B, C), e(C, D), e(D, Y).");
-        let big_to = q("q(X) :- e(X, A), e(A, B), e(B, C), e(C, D), e(D, Y), \
-             e(Y, X), e(A, C), e(B, D).");
-        let tiers = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
+        let tiers = |from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
             let rec = Arc::new(qc_obs::PipelineRecorder::new());
-            engine::with_options(opts, || {
+            let found = {
                 let _g = qc_obs::install(rec.clone());
-                containment_mapping(from, to);
-            });
+                containment_mapping(from, to).is_some()
+            };
             (
+                found,
                 rec.counters().get(qc_obs::Counter::EngineTierDirect),
                 rec.counters().get(qc_obs::Counter::EngineTierOptimized),
             )
         };
-        // 1 × 1 subgoals ≤ the default threshold: direct kernel.
-        let defaults = EngineOptions::sequential();
-        assert_eq!(tiers(defaults, &small_from, &small_to), (1, 0));
-        // With a lowered threshold the 5 × 8 = 40 product routes to the
-        // bucketed kernel (the measured default crossover is far larger —
-        // see engine::DEFAULT_TIER_HOM_PRODUCT).
-        let lowered = EngineOptions {
-            tier_hom_product: 16,
-            ..EngineOptions::sequential()
-        };
-        assert_eq!(tiers(lowered, &big_from, &big_to), (0, 1));
-        // And the same big instance stays on the direct kernel at defaults.
-        assert_eq!(tiers(defaults, &big_from, &big_to), (1, 0));
-        // Forcing the tier works in both directions, and every routing
-        // agrees on the verdict.
-        let forced = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
-            engine::with_options(opts, || containment_mapping(from, to).is_some())
-        };
-        let low = EngineOptions {
-            tier_hom_product: 0,
-            ..EngineOptions::sequential()
-        };
-        let high = EngineOptions {
-            tier_hom_product: usize::MAX,
-            ..EngineOptions::sequential()
-        };
-        for (from, to) in [(&small_from, &small_to), (&big_from, &big_to)] {
-            let oracle = engine::with_options(EngineOptions::naive(), || {
-                containment_mapping(from, to).is_some()
-            });
-            assert_eq!(forced(low, from, to), oracle);
-            assert_eq!(forced(high, from, to), oracle);
+        // 1 × 1 and 64 × 64 = DIRECT_MAX_PAIRS subgoal pairs: direct.
+        assert_eq!(
+            tiers(&q("q(X) :- e(X, Y)."), &q("q(A) :- e(A, B).")),
+            (true, 1, 0)
+        );
+        assert_eq!(
+            chain(64).subgoals.len() * chain(64).subgoals.len(),
+            DIRECT_MAX_PAIRS
+        );
+        assert_eq!(tiers(&chain(64), &chain(64)), (true, 1, 0));
+        // One atom more, 65 × 64 pairs: bucketed, in either direction.
+        assert_eq!(tiers(&chain(65), &chain(64)), (false, 0, 1));
+        assert_eq!(tiers(&chain(64), &chain(65)), (false, 0, 1));
+        assert_eq!(tiers(&chain(65), &chain(65)), (true, 0, 1));
+        // Each kernel agrees with the other on the routed instances.
+        for (a, b) in [(64, 64), (65, 64), (64, 65), (65, 65)] {
+            let (from, to) = (chain(a), chain(b));
+            assert_eq!(
+                kernel_mappings(bucketed, &from, &to),
+                kernel_mappings(direct, &from, &to),
+                "chain {a} -> chain {b}"
+            );
         }
     }
 
     #[test]
     fn bucketed_search_explores_fewer_nodes() {
-        use crate::engine::{self, EngineOptions};
         use std::sync::Arc;
         // A wide target with many distractor predicates: bucketing skips
-        // them, the linear scan walks them per node.
+        // them, the direct kernel's linear scan walks them per node.
         let from = q("q(X) :- e(X, Y), e(Y, Z), lab(Z, red).");
         let to = q(
             "q(A) :- e(A, B), e(B, C), lab(C, red), d0(A), d1(A), d2(A), \
              d3(A), d4(A), e(C, A), e(B, A).",
         );
-        let nodes = |opts: EngineOptions| {
+        let nodes = |kernel: Kernel| {
             let rec = Arc::new(qc_obs::PipelineRecorder::new());
-            engine::with_options(opts, || {
+            {
                 let _g = qc_obs::install(rec.clone());
-                assert!(containment_mapping(&from, &to).is_some());
-            });
+                assert!(!kernel_mappings(kernel, &from, &to).is_empty());
+            }
             rec.counters().get(qc_obs::Counter::HomSearchNodes)
         };
-        // Adaptive tiering off: this 3 × 10 instance would otherwise route
-        // to the direct kernel and the comparison would be vacuous.
-        let bucketed = nodes(EngineOptions::sequential().with_adaptive(false));
-        let naive = nodes(EngineOptions::naive());
-        assert!(
-            bucketed <= naive,
-            "bucketed {bucketed} > naive {naive} search nodes"
-        );
+        let (b, d) = (nodes(bucketed), nodes(direct));
+        assert!(b <= d, "bucketed {b} > direct {d} search nodes");
+    }
+
+    /// A variable from `vars` (few, so they repeat) or one of the
+    /// constants 0 and 1.
+    fn random_term(rng: &mut StdRng, vars: &[&str]) -> Term {
+        if rng.gen_bool(0.2) {
+            Term::int(rng.gen_range(0..2))
+        } else {
+            Term::var(vars[rng.gen_range(0..vars.len())])
+        }
+    }
+
+    /// `n` random atoms over the binary predicates `p0`–`p2`.
+    fn random_atoms(rng: &mut StdRng, n: usize, vars: &[&str]) -> Vec<Atom> {
+        (0..n)
+            .map(|_| {
+                let p = rng.gen_range(0..3);
+                let args = vec![random_term(rng, vars), random_term(rng, vars)];
+                Atom::new(format!("p{p}"), args)
+            })
+            .collect()
+    }
+
+    /// A random instance of 1–5 source atoms and 1–9 target atoms. Half of
+    /// the targets contain the image of the source under a random
+    /// substitution, shuffled among random atoms, so that many instances
+    /// have mappings to enumerate; the other half are random.
+    fn random_instance(rng: &mut StdRng) -> (ConjunctiveQuery, ConjunctiveQuery) {
+        const TO_VARS: &[&str] = &["A", "B", "C", "D"];
+        let n = rng.gen_range(1..=5);
+        let subgoals = random_atoms(rng, n, &["X", "Y", "Z"]);
+        let body_vars: Vec<Var> = subgoals.iter().flat_map(|a| a.vars()).collect();
+        let head_args = match (rng.gen_bool(0.5), body_vars.is_empty()) {
+            (true, false) => vec![Term::Var(body_vars[rng.gen_range(0..body_vars.len())])],
+            _ => Vec::new(),
+        };
+        let from = ConjunctiveQuery::new(Atom::new("q", head_args), subgoals, Vec::new());
+        let to = if rng.gen_bool(0.5) {
+            let sub: Mapping = from
+                .vars()
+                .into_iter()
+                .map(|v| (v, random_term(rng, TO_VARS)))
+                .collect();
+            let image = |a: &Atom| Atom {
+                pred: a.pred,
+                args: a.args.iter().map(|t| apply_mapping(&sub, t)).collect(),
+            };
+            let mut atoms: Vec<Atom> = from.subgoals.iter().map(image).collect();
+            let noise = rng.gen_range(0..=9 - atoms.len());
+            atoms.extend(random_atoms(rng, noise, TO_VARS));
+            atoms.shuffle(rng);
+            ConjunctiveQuery::new(image(&from.head), atoms, Vec::new())
+        } else {
+            let n = rng.gen_range(1..=9);
+            let atoms = random_atoms(rng, n, TO_VARS);
+            let head = from
+                .head
+                .args
+                .iter()
+                .map(|_| random_term(rng, TO_VARS))
+                .collect();
+            ConjunctiveQuery::new(Atom::new("q", head), atoms, Vec::new())
+        };
+        (from, to)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bucketed kernel is reached in production only above
+        /// `DIRECT_MAX_PAIRS`; called directly here, it must enumerate
+        /// exactly the direct kernel's mappings on small random instances
+        /// with constants and repeated variables.
+        #[test]
+        fn bucketed_and_direct_kernels_find_the_same_mappings(seed in any::<u64>()) {
+            let (from, to) = random_instance(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(
+                kernel_mappings(bucketed, &from, &to),
+                kernel_mappings(direct, &from, &to),
+                "from: {} to: {}", from, to
+            );
+        }
     }
 }

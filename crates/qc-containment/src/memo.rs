@@ -14,12 +14,10 @@
 //! and bounded by a two-generation LRU approximation: when the current
 //! generation fills up it becomes the previous generation and the oldest
 //! entries are discarded wholesale. Lookups promote previous-generation
-//! hits, so the resident set stays within `2 × capacity` with O(1)
-//! operations. Capacity comes from
-//! [`crate::engine::EngineOptions::memo_capacity`]; `0` bypasses the cache
-//! entirely (the naïve reference path), and under adaptive tiering
-//! near-trivial questions skip it too
-//! ([`crate::engine::EngineOptions::tier_memo_size`]).
+//! hits, so the resident set stays within `2 × 4 096` verdicts with O(1)
+//! operations. Questions with fewer than 16 subgoals between their two
+//! sides skip the cache: canonicalizing and hashing the key costs more
+//! than re-deciding them.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,12 +25,18 @@ use std::collections::HashMap;
 use qc_datalog::{ConjunctiveQuery, Rule, Symbol};
 
 use crate::cq::cq_contained;
-use crate::engine;
+
+/// Verdicts per generation; at most twice this many are resident.
+const CAPACITY: usize = 4096;
+
+/// Questions with fewer subgoals than this between their two sides are
+/// decided directly, without the cache.
+const MIN_SUBGOALS: usize = 16;
 
 /// A canonical containment question: canonical forms of both sides.
 type Key = (Rule, Rule);
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct GenCache {
     current: HashMap<Key, bool>,
     previous: HashMap<Key, bool>,
@@ -40,6 +44,14 @@ struct GenCache {
 }
 
 impl GenCache {
+    fn new(capacity: usize) -> GenCache {
+        GenCache {
+            current: HashMap::new(),
+            previous: HashMap::new(),
+            capacity,
+        }
+    }
+
     fn lookup(&mut self, key: &Key) -> Option<bool> {
         if let Some(&v) = self.current.get(key) {
             return Some(v);
@@ -53,9 +65,6 @@ impl GenCache {
     }
 
     fn store(&mut self, key: Key, verdict: bool) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.current.len() >= self.capacity {
             self.previous = std::mem::take(&mut self.current);
         }
@@ -68,7 +77,7 @@ impl GenCache {
 }
 
 thread_local! {
-    static MEMO: RefCell<GenCache> = RefCell::new(GenCache::default());
+    static MEMO: RefCell<GenCache> = RefCell::new(GenCache::new(CAPACITY));
 }
 
 /// The canonical form of one side: α-renamed apart and head predicate
@@ -82,30 +91,18 @@ fn canonical_key(q: &ConjunctiveQuery) -> Rule {
 
 /// Decides `q1 ⊆ q2` through the memo: answers from cache when the
 /// canonical pair has been decided before on this thread, otherwise
-/// computes via [`cq_contained`] and records the verdict.
-///
-/// With [`engine::EngineOptions::memo_capacity`] `== 0` this is exactly
-/// `cq_contained` (no key construction, no cache access).
+/// computes via [`cq_contained`] and records the verdict. Questions with
+/// fewer than 16 subgoals between their two sides go straight to
+/// [`cq_contained`] (no key construction, no cache access).
 pub fn cq_contained_memo(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     // One work unit per containment question asked through the memo (hits
     // and misses both — the canonicalization alone is real work).
     qc_guard::trip(qc_guard::stage::MEMO, 1);
-    let opts = engine::current();
-    let capacity = opts.memo_capacity;
-    if capacity == 0 {
-        return cq_contained(q1, q2);
-    }
-    // Adaptive tier gate: canonicalizing both sides and hashing the key
-    // costs more than re-deciding a near-trivial containment question.
-    if opts.adaptive && q1.subgoals.len() + q2.subgoals.len() < opts.tier_memo_size {
+    if q1.subgoals.len() + q2.subgoals.len() < MIN_SUBGOALS {
         return cq_contained(q1, q2);
     }
     let key = (canonical_key(q1), canonical_key(q2));
-    let cached = MEMO.with(|m| {
-        let mut cache = m.borrow_mut();
-        cache.capacity = capacity;
-        cache.lookup(&key)
-    });
+    let cached = MEMO.with(|m| m.borrow_mut().lookup(&key));
     if let Some(verdict) = cached {
         qc_obs::count(qc_obs::Counter::MemoHits, 1);
         return verdict;
@@ -121,7 +118,7 @@ pub fn cq_contained_memo(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// Empties this thread's memo (fresh counter baselines between bench
 /// scenarios).
 pub fn clear() {
-    MEMO.with(|m| *m.borrow_mut() = GenCache::default());
+    MEMO.with(|m| *m.borrow_mut() = GenCache::new(CAPACITY));
 }
 
 /// Number of resident verdicts (both generations) on this thread.
@@ -132,12 +129,38 @@ pub fn resident() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineOptions;
-    use qc_datalog::parse_query;
+    use qc_datalog::{parse_query, Atom, Term};
     use std::sync::Arc;
 
     fn q(s: &str) -> ConjunctiveQuery {
         parse_query(s).unwrap()
+    }
+
+    /// `s` with 8 atoms over fresh predicates and fresh variables
+    /// appended: two padded sides have at least `MIN_SUBGOALS` subgoals
+    /// between them, so the question goes through the cache, and the
+    /// common block maps onto itself, so the verdict is `s`'s.
+    fn padded(s: &str) -> ConjunctiveQuery {
+        let mut cq = q(s);
+        cq.subgoals.extend(
+            (0..8).map(|i| Atom::new(format!("pad{i}"), vec![Term::var(format!("Pad{i}"))])),
+        );
+        cq
+    }
+
+    /// Hits and misses of `f` under a fresh recorder and an empty memo.
+    fn memo_counters(f: impl FnOnce()) -> (u64, u64) {
+        clear();
+        let rec = Arc::new(qc_obs::PipelineRecorder::new());
+        {
+            let _g = qc_obs::install(rec.clone());
+            f();
+        }
+        clear();
+        (
+            rec.counters().get(qc_obs::Counter::MemoHits),
+            rec.counters().get(qc_obs::Counter::MemoMisses),
+        )
     }
 
     #[test]
@@ -150,91 +173,57 @@ mod tests {
             ("q(X) :- r(X, Y), Y < 5.", "q(A) :- r(A, B)."),
         ];
         for (a, b) in pairs {
-            let (qa, qb) = (q(a), q(b));
-            // Tiering off so these 1-atom pairs actually go through the
-            // cache (the adaptive tier would decide them directly).
-            let opts = EngineOptions::sequential().with_adaptive(false);
+            let (qa, qb) = (padded(a), padded(b));
             let direct = cq_contained(&qa, &qb);
-            let memoized = engine::with_options(opts, || cq_contained_memo(&qa, &qb));
-            assert_eq!(direct, memoized, "{a} ⊆ {b}");
-            // Second ask hits the cache and still agrees.
-            let again = engine::with_options(opts, || cq_contained_memo(&qa, &qb));
-            assert_eq!(direct, again, "{a} ⊆ {b} (cached)");
+            assert_eq!(direct, cq_contained(&q(a), &q(b)), "{a} ⊆ {b} (padding)");
+            let (hits, misses) = memo_counters(|| {
+                assert_eq!(direct, cq_contained_memo(&qa, &qb), "{a} ⊆ {b}");
+                // Second ask hits the cache and still agrees.
+                assert_eq!(direct, cq_contained_memo(&qa, &qb), "{a} ⊆ {b} (cached)");
+            });
+            assert_eq!((hits, misses), (1, 1), "{a} ⊆ {b}");
         }
     }
 
     #[test]
     fn alpha_equivalent_pairs_share_an_entry() {
-        clear();
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(EngineOptions::sequential().with_adaptive(false), || {
-            let _g = qc_obs::install(rec.clone());
+        let counts = memo_counters(|| {
             assert!(cq_contained_memo(
-                &q("q(X) :- e(X, Y), e(Y, Z)."),
-                &q("q(U) :- e(U, V).")
+                &padded("q(X) :- e(X, Y), e(Y, Z)."),
+                &padded("q(U) :- e(U, V).")
             ));
             // α-renamed and head-renamed variant of the same question.
             assert!(cq_contained_memo(
-                &q("p(A) :- e(A, B), e(B, C)."),
-                &q("r(M) :- e(M, N).")
+                &padded("p(A) :- e(A, B), e(B, C)."),
+                &padded("r(M) :- e(M, N).")
             ));
         });
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoMisses), 1);
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoHits), 1);
-        clear();
+        assert_eq!(counts, (1, 1));
     }
 
     #[test]
-    fn zero_capacity_bypasses_cache() {
-        clear();
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(EngineOptions::naive(), || {
-            let _g = qc_obs::install(rec.clone());
+    fn small_questions_bypass_the_memo() {
+        // 1 + 1 subgoals < MIN_SUBGOALS: decided directly, nothing cached.
+        let counts = memo_counters(|| {
             assert!(cq_contained_memo(
                 &q("q(X) :- r(X, X)."),
                 &q("q(A) :- r(A, B).")
             ));
+            assert_eq!(resident(), 0);
         });
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoHits), 0);
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoMisses), 0);
-        assert_eq!(resident(), 0);
-    }
-
-    #[test]
-    fn adaptive_tier_bypasses_memo_for_tiny_questions() {
-        clear();
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(EngineOptions::sequential(), || {
-            let _g = qc_obs::install(rec.clone());
-            // 1 + 1 subgoals < DEFAULT_TIER_MEMO_SIZE: decided directly.
-            assert!(cq_contained_memo(
-                &q("q(X) :- r(X, X)."),
-                &q("q(A) :- r(A, B).")
-            ));
-        });
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoHits), 0);
-        assert_eq!(rec.counters().get(qc_obs::Counter::MemoMisses), 0);
-        assert_eq!(resident(), 0);
-        clear();
+        assert_eq!(counts, (0, 0));
     }
 
     #[test]
     fn capacity_bound_holds() {
-        clear();
-        // Tiering off: the 1-atom probe pairs below would otherwise bypass
-        // the memo entirely.
-        let opts = EngineOptions {
-            memo_capacity: 8,
-            ..EngineOptions::sequential().with_adaptive(false)
-        };
-        engine::with_options(opts, || {
-            for i in 0..100 {
-                let a = q(&format!("q(X) :- r{i}(X, Y)."));
-                let b = q(&format!("q(A) :- r{i}(A, B)."));
-                cq_contained_memo(&a, &b);
-            }
-        });
-        assert!(resident() <= 16, "resident = {}", resident());
-        clear();
+        let mut cache = GenCache::new(8);
+        for i in 0..100 {
+            let a = q(&format!("q(X) :- r{i}(X, Y).")).to_rule();
+            cache.store((a.clone(), a), true);
+        }
+        assert!(cache.len() <= 16, "resident = {}", cache.len());
+        // The newest entry survives every rotation.
+        let last = q("q(X) :- r99(X, Y).").to_rule();
+        assert_eq!(cache.lookup(&(last.clone(), last)), Some(true));
     }
 }

@@ -1,30 +1,99 @@
-//! Differential tests for the engine configurations: the optimized paths
-//! (atom reordering, bucketed homomorphism search, containment memo,
-//! parallel fan-out) must agree with the order-naïve reference path on
-//! random inputs, for every knob combination the engine exposes.
+//! Differential tests for the containment engine: the homomorphism
+//! kernels, the containment memo, the datalog ⊆ UCQ type fixpoint and the
+//! parallel fan-out must agree with an independent oracle on random
+//! inputs, on one thread and on four.
 //!
-//! The oracle is [`qc_containment::EngineOptions::naive`] — sequential,
-//! linear-scan homomorphism search, no memo — which reproduces the
-//! pre-optimization engine bit-for-bit. Every other configuration is an
-//! implementation of the same mathematical functions, so the verdicts
-//! (and, for evaluation, the answer *sets*) must be identical.
+//! The oracle is [`brute_contained`]: it tries every assignment of Q2's
+//! variables to Q1's terms, so it shares no code with either search
+//! kernel. For comparison-free CQs `Q1 ⊆ Q2` iff one of those assignments
+//! is a containment mapping (Chandra–Merlin), and for unions iff every
+//! disjunct of the left side is contained in some disjunct of the right
+//! (Sagiv–Yannakakis). Evaluation is checked against itself with join
+//! reordering off: the answer *sets* must be identical.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
-use qc_containment::{cq_contained, cq_contained_memo, engine, ucq_contained, EngineOptions};
+use qc_containment::{cq_contained, cq_contained_memo, engine, memo, ucq_contained, EngineOptions};
 use qc_datalog::eval::{answers, EvalOptions};
-use qc_datalog::{parse_program, Atom, ConjunctiveQuery, Database, Program, Symbol, Term, Ucq};
+use qc_datalog::{
+    parse_program, Atom, ConjunctiveQuery, Database, Program, Symbol, Term, Ucq, Var,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The configurations under test, paired with the naïve oracle: the
-/// optimized engine pinned to one thread, and the optimized engine fanned
-/// out over four workers.
+/// The engine on one thread and fanned out over four workers.
 fn configs() -> [(&'static str, EngineOptions); 2] {
     [
         ("sequential", EngineOptions::sequential()),
         ("parallel4", EngineOptions::sequential().with_parallelism(4)),
     ]
+}
+
+/// Decides `q1 ⊆ q2` for comparison-free CQs by brute force: some
+/// assignment of `q2`'s variables to `q1`'s terms maps `q2`'s head onto
+/// `q1`'s head and every subgoal of `q2` onto a subgoal of `q1`.
+fn brute_contained(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
+    assert!(q1.is_comparison_free() && q2.is_comparison_free());
+    if q1.head.args.len() != q2.head.args.len() {
+        return false;
+    }
+    let vars: Vec<Var> = q2.vars().into_iter().collect();
+    let terms = q1.all_terms();
+    let targets: HashSet<(Symbol, &[Term])> = q1
+        .subgoals
+        .iter()
+        .map(|a| (a.pred, a.args.as_slice()))
+        .collect();
+    let image = |assignment: &[usize], t: &Term| match t {
+        Term::Var(v) => {
+            let i = vars.iter().position(|w| w == v).expect("a variable of q2");
+            terms[assignment[i]].clone()
+        }
+        _ => t.clone(),
+    };
+    let maps = |assignment: &[usize]| {
+        q2.head
+            .args
+            .iter()
+            .zip(&q1.head.args)
+            .all(|(a, b)| &image(assignment, a) == b)
+            && q2.subgoals.iter().all(|a| {
+                let args: Vec<Term> = a.args.iter().map(|t| image(assignment, t)).collect();
+                targets.contains(&(a.pred, args.as_slice()))
+            })
+    };
+    // Odometer over terms.len()^vars.len() assignments.
+    let mut assignment = vec![0; vars.len()];
+    loop {
+        if maps(&assignment) {
+            return true;
+        }
+        let Some(k) = (0..vars.len()).find(|&k| assignment[k] + 1 < terms.len()) else {
+            return false;
+        };
+        assignment[k] += 1;
+        assignment[..k].iter_mut().for_each(|a| *a = 0);
+    }
+}
+
+/// Decides `u1 ⊆ u2` for comparison-free unions by brute force.
+fn brute_ucq_contained(u1: &Ucq, u2: &Ucq) -> bool {
+    u1.disjuncts
+        .iter()
+        .all(|d1| u2.disjuncts.iter().any(|d2| brute_contained(d1, d2)))
+}
+
+/// `q` with `n` atoms over fresh predicates and fresh variables appended.
+/// Padding both sides with the same block leaves `q1 ⊆ q2` unchanged: the
+/// block maps onto itself, and no other atom has its predicates.
+fn padded(q: &ConjunctiveQuery, n: usize) -> ConjunctiveQuery {
+    let mut p = q.clone();
+    p.subgoals
+        .extend((0..n).map(|i| Atom::new(format!("pad{i}"), vec![Term::var(format!("Pad{i}"))])));
+    p
 }
 
 /// A random small comparison-free CQ over binary predicates (mirrors the
@@ -107,46 +176,47 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let q1 = random_cq(&mut rng, 1);
         let q2 = random_cq(&mut rng, 1);
-        let oracle = engine::with_options(EngineOptions::naive(), || cq_contained(&q1, &q2));
+        let oracle = brute_contained(&q1, &q2);
         for (name, opts) in configs() {
             let got = engine::with_options(opts, || cq_contained(&q1, &q2));
             prop_assert_eq!(oracle, got, "{}: q1: {} q2: {}", name, q1, q2);
-            // The memoized entry point must agree too — ask twice so the
-            // second answer comes from the cache.
-            let memo1 = engine::with_options(opts, || cq_contained_memo(&q1, &q2));
-            let memo2 = engine::with_options(opts, || cq_contained_memo(&q1, &q2));
-            prop_assert_eq!(oracle, memo1, "{} (memo): q1: {} q2: {}", name, q1, q2);
-            prop_assert_eq!(oracle, memo2, "{} (cached): q1: {} q2: {}", name, q1, q2);
+            let memo = engine::with_options(opts, || cq_contained_memo(&q1, &q2));
+            prop_assert_eq!(oracle, memo, "{} (memo): q1: {} q2: {}", name, q1, q2);
         }
     }
 
     #[test]
-    fn direct_tier_counters_match_naive_oracle(seed in any::<u64>()) {
-        // The adaptive direct tier is a drop-in replacement for the naïve
-        // kernel: below the tier threshold it must do exactly the same
-        // work, counter for counter, not just reach the same verdict.
-        // (The bucketed tier above the threshold legitimately explores
-        // fewer nodes; this pins the small-instance path to zero drift.)
+    fn padded_cq_containment_agrees_through_the_memo(seed in any::<u64>()) {
+        // Unpadded pairs have at most 6 subgoals between them and never
+        // reach the memo's cache; 8 padding atoms a side put every pair
+        // past its 16-subgoal threshold.
         let mut rng = StdRng::seed_from_u64(seed);
         let q1 = random_cq(&mut rng, 1);
         let q2 = random_cq(&mut rng, 1);
-        let observe = |opts: EngineOptions| {
-            let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
-            let verdict = {
+        let oracle = brute_contained(&q1, &q2);
+        let (p1, p2) = (padded(&q1, 8), padded(&q2, 8));
+        for (name, opts) in configs() {
+            let got = engine::with_options(opts, || cq_contained(&p1, &p2));
+            prop_assert_eq!(oracle, got, "{}: q1: {} q2: {}", name, p1, p2);
+            // From an empty memo, the first ask misses and the second is
+            // answered from the cache.
+            memo::clear();
+            let rec = Arc::new(qc_obs::PipelineRecorder::new());
+            let (miss, hit) = {
                 let _g = qc_obs::install(rec.clone());
-                engine::with_options(opts, || cq_contained(&q1, &q2))
+                engine::with_options(opts, || {
+                    (cq_contained_memo(&p1, &p2), cq_contained_memo(&p1, &p2))
+                })
             };
+            prop_assert_eq!(oracle, miss, "{} (memo miss): q1: {} q2: {}", name, p1, p2);
+            prop_assert_eq!(oracle, hit, "{} (memo hit): q1: {} q2: {}", name, p1, p2);
             let c = rec.counters();
-            (
-                verdict,
-                c.get(qc_obs::Counter::HomSearchNodes),
-                c.get(qc_obs::Counter::HomMappingsFound),
-                c.get(qc_obs::Counter::HomCandidatesPruned),
-            )
-        };
-        let naive = observe(EngineOptions::naive());
-        let direct = observe(EngineOptions::sequential());
-        prop_assert_eq!(naive, direct, "q1: {} q2: {}", q1, q2);
+            prop_assert_eq!(
+                (c.get(qc_obs::Counter::MemoMisses), c.get(qc_obs::Counter::MemoHits)),
+                (1, 1),
+                "{}: q1: {} q2: {}", name, p1, p2
+            );
+        }
     }
 
     #[test]
@@ -154,7 +224,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let u1 = Ucq::new((0..3).map(|_| random_cq(&mut rng, 1)).collect()).unwrap();
         let u2 = Ucq::new((0..3).map(|_| random_cq(&mut rng, 1)).collect()).unwrap();
-        let oracle = engine::with_options(EngineOptions::naive(), || ucq_contained(&u1, &u2));
+        let oracle = brute_ucq_contained(&u1, &u2);
         for (name, opts) in configs() {
             let got = engine::with_options(opts, || ucq_contained(&u1, &u2));
             prop_assert_eq!(oracle, got, "{}: u1: {} u2: {}", name, u1, u2);
@@ -173,17 +243,20 @@ proptest! {
         }
         let u2 = Ucq::new(targets).expect("same heads");
         let ans = Symbol::new("q");
+        // The program is nonrecursive, so it unfolds to a UCQ with the
+        // same answers, and the type fixpoint must agree with the UCQ test.
+        let unfolded = p.unfold(&ans).expect("layered programs unfold");
+        let oracle = brute_ucq_contained(&unfolded, &u2);
         let budget = FixpointBudget::default();
-        let oracle = engine::with_options(EngineOptions::naive(), || {
-            datalog_contained_in_ucq(&p, &ans, &u2, &budget)
-        })
-        .unwrap();
         for (name, opts) in configs() {
             let got = engine::with_options(opts, || {
                 datalog_contained_in_ucq(&p, &ans, &u2, &budget)
             })
             .unwrap();
-            prop_assert_eq!(oracle, got, "{}: program:\n{}\ntarget:\n{}", name, p, u2);
+            prop_assert_eq!(
+                oracle, got,
+                "{}: program:\n{}\nunfolded: {}\ntarget:\n{}", name, p, unfolded, u2
+            );
         }
     }
 

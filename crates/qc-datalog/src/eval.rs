@@ -40,13 +40,12 @@ pub enum Strategy {
 pub enum EvalEngine {
     /// The tuple-at-a-time backtracking join (the differential oracle).
     Tuple,
-    /// The compiled relational-algebra batch engine ([`crate::ra`]),
-    /// falling back to the tuple kernel for programs it cannot compile
-    /// (non-ground function-term patterns in rule bodies).
+    /// The compiled relational-algebra batch engine (the private `ra`
+    /// module), falling back to the tuple kernel for programs it cannot
+    /// compile (non-ground function-term patterns in rule bodies).
     Ra,
     /// Route per fixpoint: RA for recursive programs or large instances
-    /// (≥ [`EvalOptions::tier_ra_min_tuples`] EDB tuples), the tuple
-    /// kernel otherwise (default).
+    /// (at least 256 EDB tuples), the tuple kernel otherwise (default).
     #[default]
     Adaptive,
 }
@@ -79,9 +78,6 @@ pub struct EvalOptions {
     /// are derived. Ignored by [`evaluate`] (no goal) and by the tuple
     /// kernel.
     pub magic_sets: bool,
-    /// [`EvalEngine::Adaptive`] routes non-recursive programs to the RA
-    /// engine only when the EDB holds at least this many tuples.
-    pub tier_ra_min_tuples: usize,
 }
 
 impl Default for EvalOptions {
@@ -95,7 +91,6 @@ impl Default for EvalOptions {
             reorder: true,
             engine: EvalEngine::Adaptive,
             magic_sets: true,
-            tier_ra_min_tuples: 256,
         }
     }
 }
@@ -143,6 +138,11 @@ impl From<qc_guard::ResourceError> for EvalError {
     }
 }
 
+/// [`EvalEngine::Adaptive`] routes non-recursive programs to the RA engine
+/// only when the EDB holds at least this many tuples: below it, compiling
+/// RA plans costs more than evaluating the instance tuple by tuple.
+const RA_MIN_TUPLES: usize = 256;
+
 /// Whether this fixpoint should run on the RA batch engine.
 ///
 /// Tracing and the naive strategy pin the tuple kernel (provenance and the
@@ -159,9 +159,7 @@ fn use_ra(program: &Program, edb: &Database, opts: &EvalOptions) -> bool {
     let want = match opts.engine {
         EvalEngine::Tuple => false,
         EvalEngine::Ra => true,
-        EvalEngine::Adaptive => {
-            program.is_recursive() || edb.total_len() >= opts.tier_ra_min_tuples
-        }
+        EvalEngine::Adaptive => program.is_recursive() || edb.total_len() >= RA_MIN_TUPLES,
     };
     want && crate::ra::supports(program)
 }

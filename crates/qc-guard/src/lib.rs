@@ -350,7 +350,7 @@ impl Guard {
     /// Consumes `n` work units against this guard in stage `stage`.
     ///
     /// Checks, in order: the injected fault, cancellation, the budget,
-    /// and (every [`DEADLINE_POLL_UNITS`] units, or always when `n == 0`)
+    /// and (every `DEADLINE_POLL_UNITS` units, or always when `n == 0`)
     /// the deadline.
     pub fn tick(&self, stage: &'static str, n: u64) -> Result<(), ResourceError> {
         let inner = &*self.inner;

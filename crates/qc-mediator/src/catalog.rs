@@ -5,7 +5,7 @@
 //! change throws away exactly the work the per-view structure of the
 //! algorithms makes reusable:
 //!
-//! * **inverse rules** ([`crate::inverse_rules`]) are generated
+//! * **inverse rules** ([`crate::inverse_rules`](mod@crate::inverse_rules)) are generated
 //!   per source with no cross-view state, so the rules of an untouched
 //!   view are byte-identical before and after a delta;
 //! * **MiniCon** spends a large share of its per-call work renaming each

@@ -72,7 +72,8 @@ pub fn minicon_rewritings(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
     assemble_rewritings(query, mcds, views)
 }
 
-/// [`minicon_rewritings`] against a [`CompiledCatalog`]: per-view
+/// [`minicon_rewritings`] against a
+/// [`CompiledCatalog`](crate::catalog::CompiledCatalog): per-view
 /// renaming and variable classification come from the cached
 /// [`crate::catalog::PreparedView`]s instead of being redone per call.
 ///

@@ -1,9 +1,7 @@
-//! Differential tests for the rewriting pipelines across engine
-//! configurations: MiniCon and the Theorem 3.1 enumeration must produce
-//! *identical* plans (not merely equivalent ones — candidate order is
-//! preserved through the batched parallel checks) under the naïve
-//! reference engine, the optimized sequential engine, and the parallel
-//! fan-out.
+//! Differential tests for the rewriting pipelines across parallelism:
+//! MiniCon and the Theorem 3.1 enumeration must produce *identical* plans
+//! (not merely equivalent ones — candidate order is preserved through the
+//! batched parallel checks) on four threads and on one.
 
 use proptest::prelude::*;
 use qc_containment::{engine, EngineOptions};
@@ -16,11 +14,11 @@ use rand::{Rng, SeedableRng};
 mod common;
 use common::canon;
 
-fn configs() -> [(&'static str, EngineOptions); 2] {
-    [
-        ("sequential", EngineOptions::sequential()),
-        ("parallel4", EngineOptions::sequential().with_parallelism(4)),
-    ]
+/// Runs `f` on one thread and on four.
+fn one_and_four<R>(f: impl Fn() -> R) -> (R, R) {
+    let one = engine::with_options(EngineOptions::sequential(), &f);
+    let four = engine::with_options(EngineOptions::sequential().with_parallelism(4), &f);
+    (one, four)
 }
 
 proptest! {
@@ -32,18 +30,13 @@ proptest! {
         let shape = if rng.gen_bool(0.5) { Shape::Chain } else { Shape::Star };
         let q = random_query(shape, rng.gen_range(1..=3), 2, &mut rng);
         let views = random_views(rng.gen_range(1..=3), 2, &mut rng);
-        let oracle = engine::with_options(EngineOptions::naive(), || {
-            minicon_rewritings(&q, &views)
-        });
-        for (name, opts) in configs() {
-            let got = engine::with_options(opts, || minicon_rewritings(&q, &views));
-            prop_assert_eq!(
-                canon(&oracle),
-                canon(&got),
-                "{}: query: {}\noracle: {}\ngot: {}",
-                name, q, &oracle, &got
-            );
-        }
+        let (one, four) = one_and_four(|| minicon_rewritings(&q, &views));
+        prop_assert_eq!(
+            canon(&one),
+            canon(&four),
+            "query: {}\none thread: {}\nfour threads: {}",
+            q, &one, &four
+        );
     }
 
     #[test]
@@ -56,25 +49,16 @@ proptest! {
             max_candidates: 200_000,
             ..EnumerationLimits::default()
         };
-        let oracle = engine::with_options(EngineOptions::naive(), || {
-            enumerated_plan(&q, &views, &limits)
-        });
-        for (name, opts) in configs() {
-            let got = engine::with_options(opts, || enumerated_plan(&q, &views, &limits));
-            match (&oracle, &got) {
-                (Some(a), Some(b)) => prop_assert_eq!(
-                    canon(a),
-                    canon(b),
-                    "{}: query: {}\noracle: {}\ngot: {}",
-                    name, q, a, b
-                ),
-                (None, None) => {}
-                _ => prop_assert!(
-                    false,
-                    "{}: budget verdicts differ for query {}",
-                    name, q
-                ),
-            }
+        let (one, four) = one_and_four(|| enumerated_plan(&q, &views, &limits));
+        match (&one, &four) {
+            (Some(a), Some(b)) => prop_assert_eq!(
+                canon(a),
+                canon(b),
+                "query: {}\none thread: {}\nfour threads: {}",
+                q, a, b
+            ),
+            (None, None) => {}
+            _ => prop_assert!(false, "budget verdicts differ for query {}", q),
         }
     }
 }

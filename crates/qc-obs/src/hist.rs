@@ -1,5 +1,5 @@
 //! Latency histograms: fixed-size log2-bucketed distributions with a
-//! [`Histograms`] registry mirroring the [`Counters`](crate::Counters)
+//! [`Histograms`] registry mirroring the [`Counters`]
 //! design.
 //!
 //! A [`Histogram`] has 65 buckets: bucket `i` holds every value whose bit

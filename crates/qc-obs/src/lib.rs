@@ -183,17 +183,15 @@ counters! {
     JournalResets => "journal_resets",
     /// Size-triggered journal compactions (live fingerprints rewritten).
     JournalCompactions => "journal_compactions",
-    /// Containment-mapping searches the adaptive size estimator routed to
-    /// the direct (linear-scan) kernel because the instance was small.
+    /// Containment-mapping searches of at most 4 096 subgoal pairs, which
+    /// run on the direct (linear-scan) kernel.
     EngineTierDirect => "engine_tier_direct",
-    /// Containment-mapping searches the adaptive size estimator routed to
-    /// the bucketed (optimized) kernel.
+    /// Containment-mapping searches of more than 4 096 subgoal pairs,
+    /// which run on the bucketed kernel.
     EngineTierOptimized => "engine_tier_optimized",
-    /// Fixpoints the adaptive eval router ran on the batch
-    /// relational-algebra engine.
+    /// Fixpoints run on the batch relational-algebra engine.
     EvalTierRa => "eval_tier_ra",
-    /// Fixpoints the adaptive eval router kept on the tuple-at-a-time
-    /// kernel.
+    /// Fixpoints run on the tuple-at-a-time kernel.
     EvalTierTuple => "eval_tier_tuple",
     /// Rule plan variants compiled by the RA engine (one per rule plus one
     /// per rule × semi-naive delta focus).
@@ -202,7 +200,7 @@ counters! {
     /// candidate derivations the magic-sets rewrite pruned before they
     /// produced tuples.
     RaMagicPrunedTuples => "ra_magic_pruned_tuples",
-    /// Catalog epoch advances (one per applied [`CatalogDelta`] plus any
+    /// Catalog epoch advances (one per applied `CatalogDelta` plus any
     /// replay-time bump after a catalog/journal mismatch).
     CatalogEpochBumps => "catalog_epoch_bumps",
     /// Views whose inverse rules and MiniCon preparation were recompiled

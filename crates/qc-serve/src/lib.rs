@@ -464,11 +464,6 @@ pub struct ServeConfig {
     pub coalesce: bool,
     /// How many request timelines the flight recorder retains.
     pub flight_capacity: usize,
-    /// Engine configuration for [`Tier::Full`] runs. Defaults to the
-    /// sequential optimized engine: service-level parallelism comes from
-    /// workers, and sequential runs keep verdicts (and checkpoints)
-    /// deterministic per request.
-    pub engine: EngineOptions,
 }
 
 impl Default for ServeConfig {
@@ -486,7 +481,6 @@ impl Default for ServeConfig {
             start_paused: false,
             coalesce: true,
             flight_capacity: 256,
-            engine: EngineOptions::sequential(),
         }
     }
 }
@@ -1276,17 +1270,15 @@ impl ServeCore {
         ));
         let _rec_guard = qc_obs::install(request_rec.clone() as Arc<dyn qc_obs::Recorder>);
 
+        // Every tier runs the sequential engine: service-level parallelism
+        // comes from workers, and sequential runs keep verdicts (and
+        // checkpoints) deterministic per request.
         let outcome = if tier == Tier::MiniconOnly && self.minicon_supported(req, snap) {
             engine::with_options(EngineOptions::sequential(), || {
                 qc_guard::with_guard(&guard, || self.minicon_verdict(req, grant, snap))
             })
         } else {
-            let opts = if tier == Tier::Full {
-                self.cfg.engine
-            } else {
-                EngineOptions::sequential()
-            };
-            engine::with_options(opts, || {
+            engine::with_options(EngineOptions::sequential(), || {
                 qc_guard::with_guard(&guard, || {
                     relatively_contained_verdict_resume_checked_catalog(
                         &req.q1,
