@@ -13,9 +13,10 @@
 //! ```sh
 //! # Regenerate the committed snapshot.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --out BENCH_PR2.json
-//! # CI smoke: recompute counters and fail on >2x regressions vs the
-//! # committed snapshot, and remeasure wall-clock minima, failing on
-//! # >4x (configurable via --time-factor) against the committed ones.
+//! # CI smoke: recompute counters and fail when one leaves the 2x band
+//! # around the committed snapshot (either way, or between zero and
+//! # non-zero), and remeasure wall-clock minima, failing on >4x
+//! # (configurable via --time-factor) against the committed ones.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --check BENCH_PR2.json
 //! # Negative self-test for CI: multiply the measured minima by 10 and
 //! # demand that the gate trips.
@@ -33,8 +34,10 @@
 //! fails CI even if every counter is fine.
 //!
 //! Work counters are deterministic for a sequential engine, which is what
-//! makes the check mode meaningful on shared CI hardware: a >2× counter
-//! increase is an algorithmic regression, not scheduler noise. The
+//! makes the check mode meaningful on shared CI hardware: a counter that
+//! more than doubles is an algorithmic regression, not scheduler noise,
+//! and one that more than halves (or vanishes) means the scenario no
+//! longer exercises what the snapshot recorded — regenerate it. The
 //! wall-clock gate is deliberately looser (default 4× on a
 //! min-of-[`TIMED_ITERS`]-samples, with a [`TIME_NOISE_FLOOR_NS`] floor) so it
 //! only trips on order-of-magnitude slowdowns — the class of regression a
@@ -73,8 +76,9 @@ const SAMPLE_TARGET_NS: u64 = 400_000;
 /// Cap on inner repeats per sample.
 const MAX_SAMPLE_REPS: u64 = 256;
 
-/// Counter-regression tolerance for `--check`: current > `2 ×
-/// max(committed, NOISE_FLOOR)` fails.
+/// Counter band for `--check`: a counter fails when it leaves
+/// `[committed / 2, 2 × committed]` (both sides clamped up to
+/// `NOISE_FLOOR`) or moves between zero and non-zero.
 const REGRESSION_FACTOR: u64 = 2;
 const NOISE_FLOOR: u64 = 64;
 
@@ -483,6 +487,16 @@ fn as_u64(v: &Value) -> Option<u64> {
     }
 }
 
+/// True when a recomputed work counter leaves the committed band: it
+/// moved between zero and non-zero, or one of `current` and `committed`
+/// exceeds [`REGRESSION_FACTOR`]× the other (clamped up to
+/// [`NOISE_FLOOR`]). Pure so the band is unit-testable; saturating like
+/// [`time_gate_trips`].
+fn counter_gate_trips(current: u64, committed: u64) -> bool {
+    let beyond = |a: u64, b: u64| a > REGRESSION_FACTOR.saturating_mul(b.max(NOISE_FLOOR));
+    (current == 0) != (committed == 0) || beyond(current, committed) || beyond(committed, current)
+}
+
 /// True when a freshly measured wall-clock minimum regresses past the
 /// gate: `current > factor × max(committed, TIME_NOISE_FLOOR_NS)`. Pure
 /// so the arithmetic is unit-testable; saturating so a `u64::MAX` clamp
@@ -498,8 +512,8 @@ fn live_gate_trips(opt_ns: u64, base_ns: u64) -> bool {
 }
 
 /// Recomputes the optimized-engine counters and fails on any counter that
-/// regressed more than [`REGRESSION_FACTOR`]× against the committed
-/// snapshot, then remeasures wall-clock minima and fails on any scenario
+/// left the committed band ([`counter_gate_trips`]), then remeasures
+/// wall-clock minima and fails on any scenario
 /// slower than `time_factor ×` the committed value (after the noise
 /// floor). `inject_slowdown` multiplies the measured minima — a CI
 /// self-test hook proving the gate actually trips.
@@ -542,19 +556,28 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
             eprintln!("SKIP {}: malformed counters", s.name);
             continue;
         };
-        for (name, committed_v) in want {
-            let Some(committed_n) = as_u64(committed_v) else {
-                continue;
-            };
+        // The snapshot omits zero counters, so a counter that appeared
+        // since is checked against a committed 0.
+        let mut names: Vec<&str> = want.iter().map(|(k, _)| k.as_str()).collect();
+        for (k, _) in &current {
+            if !names.contains(&k.as_str()) {
+                names.push(k);
+            }
+        }
+        for name in names {
+            let committed_n = want
+                .iter()
+                .find(|(k, _)| k == name)
+                .and_then(|(_, v)| as_u64(v))
+                .unwrap_or(0);
             let current_n = current
                 .iter()
                 .find(|(k, _)| k == name)
                 .map_or(0, |&(_, v)| v);
-            let limit = REGRESSION_FACTOR * committed_n.max(NOISE_FLOOR);
-            if current_n > limit {
+            if counter_gate_trips(current_n, committed_n) {
                 eprintln!(
-                    "REGRESSION {}: {} = {} (committed {}, limit {})",
-                    s.name, name, current_n, committed_n, limit
+                    "COUNTER OUT OF BAND {}: {} = {} (committed {}, band {}x)",
+                    s.name, name, current_n, committed_n, REGRESSION_FACTOR
                 );
                 failures += 1;
             } else {
@@ -802,6 +825,36 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_gate_is_two_sided() {
+        // The 2x band around the committed value, edges included.
+        assert!(!counter_gate_trips(1_000, 1_000));
+        assert!(!counter_gate_trips(2_000, 1_000));
+        assert!(!counter_gate_trips(500, 1_000));
+        assert!(counter_gate_trips(2_001, 1_000));
+        assert!(counter_gate_trips(499, 1_000));
+    }
+
+    #[test]
+    fn counter_gate_clamps_small_counters_to_the_noise_floor() {
+        // Both sides clamp up to 64: 10 against anything up to 128 passes.
+        assert!(!counter_gate_trips(128, 10));
+        assert!(counter_gate_trips(129, 10));
+        assert!(!counter_gate_trips(10, 128));
+        assert!(counter_gate_trips(10, 129));
+    }
+
+    #[test]
+    fn counter_gate_trips_between_zero_and_nonzero() {
+        // A vanished counter fails even inside the noise floor, and so
+        // does one the snapshot never recorded.
+        assert!(counter_gate_trips(0, 72));
+        assert!(counter_gate_trips(0, 1));
+        assert!(counter_gate_trips(1, 0));
+        assert!(!counter_gate_trips(0, 0));
+        assert!(!counter_gate_trips(u64::MAX, u64::MAX));
+    }
 
     #[test]
     fn time_gate_respects_noise_floor() {

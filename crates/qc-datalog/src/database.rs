@@ -1,7 +1,7 @@
 //! In-memory databases: flat interned-id relations with per-position
 //! indexes.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -15,16 +15,17 @@ pub type Tuple = Vec<Term>;
 /// A relation instance: a duplicate-free, insertion-ordered set of ground
 /// tuples stored as a flat `Vec<u32>` of interned value ids.
 ///
-/// Row `r` of an arity-`a` relation occupies `flat[r*a .. (r+1)*a]`. Three
-/// index structures ride on top of the flat array, all maintained
-/// incrementally on insert (relations are append-only during evaluation):
+/// Row `r` of an arity-`a` relation occupies `flat[r*a .. (r+1)*a]`, so
+/// every row of one relation must have the same arity. Two index
+/// structures ride on top of the flat array, both maintained incrementally
+/// on insert (relations are append-only during evaluation):
 ///
-/// * a dedup table mapping row hashes to row-id chains (tuple set
-///   membership without storing a second copy of any row);
+/// * a dedup table mapping each row hash to the first row with that hash,
+///   plus a side table for rows whose 64-bit hash collides with an earlier
+///   row's (tuple set membership without storing a second copy of any
+///   row, and without a heap allocation per row);
 /// * per-position hash indexes `index[i]: value id → ascending row ids`,
-///   which keep join lookups constant-time per candidate;
-/// * per-position sorted distinct-value columns `sorted[i]`, kept ordered
-///   by value id for ordered scans and merge-style set operations.
+///   which keep join lookups constant-time per candidate.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     /// Row-major value ids; `rows * arity` entries.
@@ -33,12 +34,12 @@ pub struct Relation {
     rows: usize,
     /// Arity, fixed by the first insert.
     arity: Option<usize>,
-    /// Row hash → row ids with that hash (almost always a single entry).
-    dedup: FxHashMap<u64, Vec<u32>>,
+    /// Row hash → the first row id with that hash.
+    dedup: FxHashMap<u64, u32>,
+    /// Row hash → later row ids whose hash equals an earlier row's.
+    collisions: FxHashMap<u64, Vec<u32>>,
     /// `index[i][v]` = ascending row ids whose position `i` equals `v`.
     index: Vec<FxHashMap<u32, Vec<u32>>>,
-    /// `sorted[i]` = distinct value ids at position `i`, ascending.
-    sorted: Vec<Vec<u32>>,
 }
 
 fn row_hash(row: &[u32]) -> u64 {
@@ -87,9 +88,16 @@ impl Relation {
             .collect()
     }
 
-    fn find_row(&self, row: &[u32]) -> Option<u32> {
-        let ids = self.dedup.get(&row_hash(row))?;
-        ids.iter().copied().find(|&id| self.row_ids(id) == row)
+    fn find_row(&self, hash: u64, row: &[u32]) -> Option<u32> {
+        let &first = self.dedup.get(&hash)?;
+        if self.row_ids(first) == row {
+            return Some(first);
+        }
+        self.collisions
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&id| self.row_ids(id) == row)
     }
 
     /// Whether the relation contains a tuple.
@@ -110,14 +118,14 @@ impl Relation {
 
     /// Whether the relation contains a row of value ids.
     pub fn contains_ids(&self, row: &[u32]) -> bool {
-        self.arity == Some(row.len()) && self.find_row(row).is_some()
+        self.arity == Some(row.len()) && self.find_row(row_hash(row), row).is_some()
     }
 
     /// Inserts a ground tuple; returns `true` if it was new.
     ///
     /// # Panics
-    /// Panics (debug builds) if the tuple is not ground or its arity
-    /// disagrees with previously inserted tuples.
+    /// Panics if the tuple's arity disagrees with previously inserted
+    /// tuples, and (debug builds) if the tuple is not ground.
     pub fn insert(&mut self, t: Tuple) -> bool {
         debug_assert!(t.iter().all(Term::is_ground), "non-ground tuple {t:?}");
         let row: Vec<u32> = t.iter().map(value::intern).collect();
@@ -127,43 +135,49 @@ impl Relation {
     /// Inserts a row of value ids; returns `true` if it was new.
     ///
     /// # Panics
-    /// Panics (debug builds) if the arity disagrees with previously
-    /// inserted rows.
+    /// Panics if the arity disagrees with previously inserted rows: the
+    /// flat row layout depends on one arity per relation.
     pub fn insert_ids(&mut self, row: &[u32]) -> bool {
-        debug_assert!(
-            self.arity.is_none() || self.arity == Some(row.len()),
-            "arity mismatch inserting {row:?}"
-        );
-        let hash = row_hash(row);
-        if let Some(ids) = self.dedup.get(&hash) {
-            if ids.iter().any(|&id| self.row_ids(id) == row) {
-                return false;
+        self.insert_hashed(row_hash(row), row)
+    }
+
+    fn insert_hashed(&mut self, hash: u64, row: &[u32]) -> bool {
+        let a = row.len();
+        match self.arity {
+            Some(arity) => assert!(
+                arity == a,
+                "arity mismatch: row {row:?} inserted into a relation of arity {arity}"
+            ),
+            None => {
+                self.arity = Some(a);
+                self.index.resize_with(a, FxHashMap::default);
             }
         }
-        let id = self.rows as u32;
-        if self.arity.is_none() {
-            self.arity = Some(row.len());
-            self.index.resize_with(row.len(), FxHashMap::default);
-            self.sorted.resize_with(row.len(), Vec::new);
+        let id = u32::try_from(self.rows).expect("relation row ids fit in u32");
+        match self.dedup.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(id);
+            }
+            Entry::Occupied(e) => {
+                let flat = &self.flat;
+                let same = |other: u32| &flat[other as usize * a..][..a] == row;
+                if same(*e.get())
+                    || self
+                        .collisions
+                        .get(&hash)
+                        .is_some_and(|chain| chain.iter().any(|&other| same(other)))
+                {
+                    return false;
+                }
+                self.collisions.entry(hash).or_default().push(id);
+            }
         }
         self.flat.extend_from_slice(row);
         self.rows += 1;
-        self.dedup.entry(hash).or_default().push(id);
         for (i, &v) in row.iter().enumerate() {
             self.index[i].entry(v).or_default().push(id);
-            if let Err(at) = self.sorted[i].binary_search(&v) {
-                self.sorted[i].insert(at, v);
-            }
         }
         true
-    }
-
-    /// Row ids whose position `pos` holds `value`.
-    pub fn rows_with(&self, pos: usize, value: &Term) -> &[u32] {
-        match value::lookup(value) {
-            Some(v) => self.rows_with_id(pos, v),
-            None => &[],
-        }
     }
 
     /// Row ids whose position `pos` holds the value id `v`.
@@ -174,37 +188,22 @@ impl Relation {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// The distinct value ids at position `pos`, ascending by id — the
-    /// sorted-column index.
-    pub fn sorted_values(&self, pos: usize) -> &[u32] {
-        self.sorted.get(pos).map_or(&[], Vec::as_slice)
-    }
-
-    /// Iterates over candidate rows for a partially-ground pattern: if some
-    /// pattern position is ground *and indexed*, uses the most selective
-    /// index; otherwise falls back to a full scan. Rows are materialized to
-    /// tuples.
-    ///
-    /// Positions without an index yet — the relation is empty (indexes are
-    /// sized on first insert) or the pattern is wider than the relation's
-    /// arity — are excluded from probe selection rather than treated as
-    /// empty probe lists, which would silently drop every candidate. The
-    /// caller still verifies full patterns against the returned rows, so
-    /// over-approximating with a scan is always safe.
-    pub fn candidates<'a>(
-        &'a self,
-        bound: &[(usize, Term)],
-    ) -> Box<dyn Iterator<Item = Tuple> + 'a> {
-        if let Some((pos, val)) = bound
-            .iter()
-            .filter(|(pos, _)| *pos < self.index.len())
-            .min_by_key(|(pos, val)| self.rows_with(*pos, val).len())
-        {
-            let rows = self.rows_with(*pos, val).to_vec();
-            Box::new(rows.into_iter().map(move |id| self.row(id)))
-        } else {
-            Box::new((0..self.rows as u32).map(move |id| self.row(id)))
+    /// The rows that hold no labelled null, i.e. whose value ids all have
+    /// function depth 0, in insertion order. Returns `self` unchanged when
+    /// no row holds a null.
+    pub fn without_nulls(self) -> Relation {
+        let null_free = |row: &[u32]| row.iter().all(|&v| value::depth(v) == 0);
+        if null_free(&self.flat) {
+            return self;
         }
+        let mut out = Relation::new();
+        for id in 0..self.rows as u32 {
+            let row = self.row_ids(id);
+            if null_free(row) {
+                out.insert_ids(row);
+            }
+        }
+        out
     }
 }
 
@@ -235,6 +234,12 @@ impl Database {
         self.relations.get(pred)
     }
 
+    /// Consumes the database and returns the relation for a predicate
+    /// (empty if absent), moved out rather than copied.
+    pub fn into_relation(mut self, pred: &Symbol) -> Relation {
+        self.relations.remove(pred).unwrap_or_default()
+    }
+
     /// Number of tuples for a predicate.
     pub fn len_of(&self, pred: &Symbol) -> usize {
         self.relations.get(pred).map_or(0, Relation::len)
@@ -251,6 +256,10 @@ impl Database {
     }
 
     /// Inserts a ground fact; returns `true` if new.
+    ///
+    /// # Panics
+    /// Panics if the tuple's arity disagrees with the facts already stored
+    /// for `pred` (see [`Database::check_arity`]).
     pub fn insert(&mut self, pred: impl AsRef<str>, tuple: Tuple) -> bool {
         self.relations
             .entry(Symbol::new(pred))
@@ -266,10 +275,24 @@ impl Database {
     /// Inserts a ground atom as a fact.
     ///
     /// # Panics
-    /// Panics if the atom is not ground.
+    /// Panics if the atom is not ground, or if its arity disagrees with
+    /// the facts already stored for its predicate.
     pub fn insert_atom(&mut self, atom: &Atom) -> bool {
         assert!(atom.is_ground(), "fact must be ground: {atom}");
         self.insert(atom.pred.as_str(), atom.args.clone())
+    }
+
+    /// Checks that a fact with `arity` arguments fits the facts already
+    /// stored for `pred`: on a mismatch, an error naming the predicate and
+    /// both arities. Check before inserting facts from user input — one
+    /// relation stores rows of one arity.
+    pub fn check_arity(&self, pred: &Symbol, arity: usize) -> Result<(), String> {
+        match self.relations.get(pred).and_then(Relation::arity) {
+            Some(have) if have != arity => Err(format!(
+                "predicate {pred} has arity {have}, but this fact has {arity} argument(s)"
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Whether a ground atom is present.
@@ -305,25 +328,25 @@ impl Database {
     }
 
     /// Parses a database from fact syntax, e.g.
-    /// `edge(1, 2). edge(2, 3). color(1, red).`
+    /// `edge(1, 2). edge(2, 3). color(1, red).` Every fact of one
+    /// predicate must have the same arity.
     pub fn parse(src: &str) -> Result<Database, ParseError> {
         let program = crate::parse_program(src)?;
         let mut db = Database::new();
+        let error = |message: String| ParseError {
+            message,
+            line: 1,
+            col: 1,
+        };
         for rule in program.rules() {
             if !rule.body.is_empty() {
-                return Err(ParseError {
-                    message: format!("expected a fact, found rule {rule}"),
-                    line: 1,
-                    col: 1,
-                });
+                return Err(error(format!("expected a fact, found rule {rule}")));
             }
             if !rule.head.is_ground() {
-                return Err(ParseError {
-                    message: format!("fact must be ground: {}", rule.head),
-                    line: 1,
-                    col: 1,
-                });
+                return Err(error(format!("fact must be ground: {}", rule.head)));
             }
+            db.check_arity(&rule.head.pred, rule.head.args.len())
+                .map_err(|e| error(format!("{e}: {}", rule.head)))?;
             db.insert_atom(&rule.head);
         }
         Ok(db)
@@ -333,7 +356,8 @@ impl Database {
     /// line, comma-separated values. Values parse as numbers when they
     /// look numeric, as symbolic constants otherwise; surrounding
     /// whitespace is trimmed; empty lines and `#`-comment lines are
-    /// skipped.
+    /// skipped. Every row must have the relation's arity: that of the
+    /// facts already stored for `pred`, else that of the first row.
     ///
     /// ```
     /// use qc_datalog::{Database, Symbol};
@@ -343,8 +367,8 @@ impl Database {
     /// assert_eq!(db.len_of(&Symbol::new("car")), 2);
     /// ```
     pub fn load_csv(&mut self, pred: &str, text: &str) -> Result<usize, ParseError> {
+        let pred = Symbol::new(pred);
         let mut n = 0;
-        let mut arity: Option<usize> = None;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -360,35 +384,16 @@ impl Database {
                     }
                 })
                 .collect();
-            if let Some(a) = arity {
-                if a != values.len() {
-                    return Err(ParseError {
-                        message: format!("csv row has {} fields, expected {a}", values.len()),
-                        line: lineno + 1,
-                        col: 1,
-                    });
-                }
-            } else {
-                arity = Some(values.len());
-            }
-            self.insert(pred, values);
+            self.check_arity(&pred, values.len())
+                .map_err(|message| ParseError {
+                    message: format!("csv row: {message}"),
+                    line: lineno + 1,
+                    col: 1,
+                })?;
+            self.relations.entry(pred).or_default().insert(values);
             n += 1;
         }
         Ok(n)
-    }
-
-    /// The set of constants (and ground function terms) appearing in the
-    /// database, read off the sorted-column indexes.
-    pub fn active_domain(&self) -> BTreeSet<Term> {
-        let mut out = BTreeSet::new();
-        for r in self.relations.values() {
-            for pos in 0..r.arity().unwrap_or(0) {
-                for &v in r.sorted_values(pos) {
-                    out.insert(value::resolve(v).clone());
-                }
-            }
-        }
-        out
     }
 }
 
@@ -405,6 +410,10 @@ impl fmt::Display for Database {
 mod tests {
     use super::*;
 
+    fn id(t: Term) -> u32 {
+        value::intern(&t)
+    }
+
     #[test]
     fn insert_dedup_and_index() {
         let mut r = Relation::new();
@@ -412,15 +421,15 @@ mod tests {
         assert!(!r.insert(vec![Term::int(1), Term::int(2)]));
         assert!(r.insert(vec![Term::int(1), Term::int(3)]));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows_with(0, &Term::int(1)).len(), 2);
-        assert_eq!(r.rows_with(1, &Term::int(2)).len(), 1);
-        assert!(r.rows_with(1, &Term::int(9)).is_empty());
+        assert_eq!(r.rows_with_id(0, id(Term::int(1))).len(), 2);
+        assert_eq!(r.rows_with_id(1, id(Term::int(2))).len(), 1);
+        assert!(r.rows_with_id(1, id(Term::int(9))).is_empty());
     }
 
     #[test]
     fn duplicate_inserts_leave_relation_consistent() {
-        // The hash-chain dedup must reject duplicates without touching
-        // the flat array or any per-position index.
+        // The dedup table must reject duplicates without touching the
+        // flat array or any per-position index.
         let mut r = Relation::new();
         let t = vec![Term::int(7), Term::sym("a")];
         assert!(r.insert(t.clone()));
@@ -430,43 +439,38 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(r.contains(&t));
         assert_eq!(r.tuples(), std::slice::from_ref(&t));
-        assert_eq!(r.rows_with(0, &Term::int(7)), &[0]);
-        assert_eq!(r.rows_with(1, &Term::sym("a")), &[0]);
+        assert_eq!(r.rows_with_id(0, id(Term::int(7))), &[0]);
+        assert_eq!(r.rows_with_id(1, id(Term::sym("a"))), &[0]);
         // Interleaved duplicates keep row ids dense and in insertion order.
         let u = vec![Term::int(7), Term::sym("b")];
         assert!(r.insert(u.clone()));
         assert!(!r.insert(t.clone()));
         assert!(!r.insert(u.clone()));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.rows_with(0, &Term::int(7)), &[0, 1]);
+        assert_eq!(r.rows_with_id(0, id(Term::int(7))), &[0, 1]);
         assert_eq!(r.row(1), u);
     }
 
     #[test]
-    fn candidates_picks_selective_index() {
+    fn hash_collisions_keep_distinct_rows_apart() {
+        // Force every row onto one hash: the first row sits in the dedup
+        // table, the others in the collision side table, and duplicates of
+        // either kind are still rejected.
         let mut r = Relation::new();
-        for i in 0..10 {
-            r.insert(vec![Term::int(1), Term::int(i)]);
+        let rows = [[1, 2], [3, 4], [5, 6]];
+        for row in &rows {
+            assert!(r.insert_hashed(7, row));
         }
-        let bound = vec![(0, Term::int(1)), (1, Term::int(5))];
-        let cands: Vec<_> = r.candidates(&bound).collect();
-        assert_eq!(cands.len(), 1);
-        let unbound: Vec<(usize, Term)> = vec![];
-        assert_eq!(r.candidates(&unbound).count(), 10);
-    }
-
-    #[test]
-    fn sorted_column_is_ascending_and_distinct() {
-        let mut r = Relation::new();
-        for i in [5, 1, 9, 1, 5, 3] {
-            r.insert(vec![Term::int(i)]);
+        for row in &rows {
+            assert!(!r.insert_hashed(7, row), "{row:?} is already stored");
         }
-        let col = r.sorted_values(0);
-        assert_eq!(col.len(), 4, "distinct values only");
-        assert!(col.windows(2).all(|w| w[0] < w[1]), "ascending ids");
-        let terms: BTreeSet<Term> = col.iter().map(|&v| value::resolve(v).clone()).collect();
-        let expect: BTreeSet<Term> = [1, 3, 5, 9].into_iter().map(Term::int).collect();
-        assert_eq!(terms, expect);
+        assert_eq!(r.len(), 3);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(r.find_row(7, row), Some(i as u32));
+            assert_eq!(r.row_ids(i as u32), row);
+        }
+        assert_eq!(r.find_row(7, &[1, 4]), None);
+        assert_eq!(r.find_row(8, &[1, 2]), None);
     }
 
     #[test]
@@ -480,29 +484,43 @@ mod tests {
     }
 
     #[test]
-    fn candidates_on_empty_relation_is_empty_not_panicking() {
-        let r = Relation::new();
-        // No index exists yet (indexes are sized on first insert): both the
-        // unbound and the bound pattern must degrade to an empty scan.
-        assert_eq!(r.candidates(&[]).count(), 0);
-        assert_eq!(r.candidates(&[(0, Term::int(1))]).count(), 0);
-        assert_eq!(r.candidates(&[(3, Term::sym("x"))]).count(), 0);
+    #[should_panic(expected = "arity mismatch")]
+    fn mixed_arity_insert_panics() {
+        let mut r = Relation::new();
+        r.insert(vec![Term::int(1), Term::int(2)]);
+        r.insert(vec![Term::int(3)]);
     }
 
     #[test]
-    fn candidates_falls_back_to_scan_for_unindexed_positions() {
-        let mut r = Relation::new();
-        r.insert(vec![Term::int(1), Term::int(2)]);
-        r.insert(vec![Term::int(3), Term::int(4)]);
-        // Position 5 is beyond the relation's arity, so it has no index; a
-        // probe there must not shadow the scan with an empty candidate set.
-        assert_eq!(r.candidates(&[(5, Term::int(2))]).count(), 2);
-        // A mix of indexed and unindexed positions uses the indexed one.
-        assert_eq!(
-            r.candidates(&[(5, Term::int(9)), (1, Term::int(2))])
-                .count(),
-            1
-        );
+    fn without_nulls_drops_exactly_the_rows_holding_a_skolem_value() {
+        let null = Term::app("f", vec![Term::sym("a")]);
+        let rows = [
+            vec![Term::sym("a"), Term::int(1)],
+            vec![null.clone(), Term::int(2)],
+            vec![Term::sym("b"), Term::int(3)],
+            vec![Term::sym("c"), Term::app("g", vec![null])],
+        ];
+        let r: Relation = rows.iter().cloned().collect();
+        let kept = r.without_nulls();
+        assert_eq!(kept.tuples(), vec![rows[0].clone(), rows[2].clone()]);
+        assert!(kept.contains(&rows[2]));
+        assert!(!kept.contains(&rows[1]));
+        assert_eq!(kept.rows_with_id(0, id(Term::sym("b"))), &[1]);
+        // Every row null: an empty relation.
+        let all_null: Relation = [vec![Term::app("f", vec![Term::int(1)])]]
+            .into_iter()
+            .collect();
+        assert!(all_null.without_nulls().is_empty());
+    }
+
+    #[test]
+    fn without_nulls_keeps_a_null_free_relation_as_is() {
+        let rows: Vec<Tuple> = (0..5).map(|i| vec![Term::int(i), Term::sym("x")]).collect();
+        let r: Relation = rows.iter().cloned().collect();
+        let kept = r.without_nulls();
+        assert_eq!(kept.tuples(), rows);
+        assert_eq!(kept.rows_with_id(1, id(Term::sym("x"))), &[0, 1, 2, 3, 4]);
+        assert!(Relation::new().without_nulls().is_empty());
     }
 
     #[test]
@@ -516,14 +534,52 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_active_domain() {
+    fn parse_rejects_facts_of_two_arities() {
+        for src in ["p(1). p(1, 2).", "p(1, 2). p(3).", "p(1, 2). p(3). p(4)."] {
+            let err = Database::parse(src).expect_err(src);
+            let msg = err.message;
+            assert!(msg.contains("predicate p"), "{src}: {msg}");
+            assert!(msg.contains("arity 1") || msg.contains("arity 2"), "{msg}");
+            assert!(
+                msg.contains("1 argument") || msg.contains("2 argument"),
+                "{msg}"
+            );
+        }
+        // Same name, same arity across facts is fine.
+        assert_eq!(Database::parse("p(1). p(2).").unwrap().total_len(), 2);
+    }
+
+    #[test]
+    fn load_csv_checks_the_stored_arity() {
+        let mut db = Database::parse("p(1, 2).").unwrap();
+        let err = db.load_csv("p", "3, 4\n5\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.contains("predicate p has arity 2"),
+            "{}",
+            err.message
+        );
+        let err = db.load_csv("p", "# header\n6\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(db.len_of(&Symbol::new("p")), 2);
+        assert!(db.check_arity(&Symbol::new("p"), 2).is_ok());
+        assert!(db.check_arity(&Symbol::new("fresh"), 5).is_ok());
+    }
+
+    #[test]
+    fn merge_unions_relations() {
         let mut a = Database::parse("p(1).").unwrap();
         let b = Database::parse("p(2). q(red).").unwrap();
         a.merge(&b);
         assert_eq!(a.total_len(), 3);
-        let dom = a.active_domain();
-        assert_eq!(dom.len(), 3);
-        assert!(dom.contains(&Term::sym("red")));
+    }
+
+    #[test]
+    fn into_relation_moves_one_relation_out() {
+        let db = Database::parse("p(1). p(2). q(red).").unwrap();
+        let p = db.clone().into_relation(&Symbol::new("p"));
+        assert_eq!(p.tuples(), vec![vec![Term::int(1)], vec![Term::int(2)]]);
+        assert!(db.into_relation(&Symbol::new("absent")).is_empty());
     }
 
     #[test]

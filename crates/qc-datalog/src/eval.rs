@@ -75,7 +75,11 @@ pub struct EvalOptions {
     pub engine: EvalEngine,
     /// Apply the magic-sets rewrite before an RA [`answers`] fixpoint, so
     /// only tuples reachable from the answer predicate's binding pattern
-    /// are derived. Ignored by [`evaluate`] (no goal) and by the tuple
+    /// are derived. The rewrite applies only where it can prune: when,
+    /// after every call to a predicate that is also demanded with all
+    /// arguments free has been pointed at that full copy, some call still
+    /// binds an argument (a constant-seeded query). Otherwise the plain
+    /// program runs. Ignored by [`evaluate`] (no goal) and by the tuple
     /// kernel.
     pub magic_sets: bool,
 }
@@ -183,11 +187,13 @@ pub fn evaluate(
 }
 
 /// Evaluates and returns the answer relation for `answer` (empty relation
-/// if nothing was derived).
+/// if nothing was derived), moved out of the derived database rather than
+/// copied.
 ///
 /// On the RA engine with `opts.magic_sets` set, the program is first
-/// rewritten with magic sets for `answer`, so the fixpoint only derives
-/// tuples the answer predicate can reach.
+/// rewritten with magic sets for `answer` when some call in it binds an
+/// argument, so the fixpoint only derives tuples the answer predicate can
+/// reach; see [`EvalOptions::magic_sets`].
 pub fn answers(
     program: &Program,
     edb: &Database,
@@ -199,8 +205,7 @@ pub fn answers(
         qc_obs::count(qc_obs::Counter::EvalTierRa, 1);
         return crate::ra::answers(program, edb, answer, opts);
     }
-    let idb = evaluate(program, edb, opts)?;
-    Ok(idb.relation(answer).cloned().unwrap_or_default())
+    Ok(evaluate(program, edb, opts)?.into_relation(answer))
 }
 
 /// One recorded derivation step: the rule that first derived a tuple and

@@ -33,8 +33,11 @@
 //! fixpoint: the program is adorned starting from the answer predicate
 //! (left-to-right sideways information passing), demand (`magic`)
 //! predicates guard every adorned rule, and only tuples reachable from the
-//! query's binding pattern are derived. Probes against a magic relation
-//! that find no demand are counted as `ra_magic_pruned_tuples`.
+//! query's binding pattern are derived. A predicate that is also demanded
+//! all-free is derived once, in full, for every call to it; when no call
+//! is left binding an argument the plain program runs instead. Probes
+//! against a magic relation that find no demand are counted as
+//! `ra_magic_pruned_tuples`.
 //!
 //! The module is deliberately *answer-equivalent* to [`crate::eval`]: the
 //! same fixpoint (bit-identical relations) for [`evaluate`], the same
@@ -753,7 +756,7 @@ pub(crate) fn evaluate(
 /// magic-sets rewrite first when `opts.magic_sets` allows and the program
 /// shape does (the answer predicate is IDB, no IDB predicate doubles as an
 /// EDB relation — renaming would break the engines' shared
-/// IDB-shadows-EDB convention).
+/// IDB-shadows-EDB convention — and some call binds an argument).
 pub(crate) fn answers(
     program: &Program,
     edb: &Database,
@@ -769,11 +772,10 @@ pub(crate) fn answers(
         if let Some(m) = magic_rewrite(program, answer) {
             let compiled = compile_program(&m.program, Some(&m.magic_preds), opts);
             let idb = run_fixpoint(&compiled, edb, opts)?;
-            return Ok(idb.relation(&m.answer).cloned().unwrap_or_default());
+            return Ok(idb.into_relation(&m.answer));
         }
     }
-    let idb = evaluate(program, edb, opts)?;
-    Ok(idb.relation(answer).cloned().unwrap_or_default())
+    Ok(evaluate(program, edb, opts)?.into_relation(answer))
 }
 
 // ---------------------------------------------------------------------------
@@ -801,13 +803,92 @@ fn magic_sym(pred: &Symbol, ad: &[bool]) -> Symbol {
     Symbol::new(format!("{pred}__mag_{}", ad_str(ad)))
 }
 
-/// Adorns `program` starting from `answer` (all positions free) with
-/// left-to-right sideways information passing, and emits the magic
-/// (demand) rules. Comparisons never join magic-rule bodies — demand
-/// relations may over-approximate, which is sound.
+/// One rule of the adorned program: `rule` read with head adornment `ad`.
+struct AdornedRule<'a> {
+    rule: &'a Rule,
+    ad: Vec<bool>,
+    /// The callee and adornment of each IDB body atom, in body order.
+    calls: Vec<(Symbol, Vec<bool>)>,
+}
+
+/// Adorns `program` starting from `answer` (every position free) with
+/// left-to-right sideways information passing. A call to a predicate in
+/// `full` is adorned all-free whatever it binds: that predicate is derived
+/// in full anyway. Returns the adorned rules in the order the rewrite
+/// emits them.
+fn adorn<'a>(
+    program: &'a Program,
+    idb: &BTreeSet<Symbol>,
+    bindable: &HashMap<Symbol, Vec<bool>>,
+    answer: Symbol,
+    answer_arity: usize,
+    full: &BTreeSet<Symbol>,
+) -> Vec<AdornedRule<'a>> {
+    let mut out = Vec::new();
+    let mut seen: BTreeSet<(Symbol, Vec<bool>)> = BTreeSet::new();
+    let mut queue: Vec<(Symbol, Vec<bool>)> = vec![(answer, vec![false; answer_arity])];
+    while let Some((p, ad)) = queue.pop() {
+        if !seen.insert((p, ad.clone())) {
+            continue;
+        }
+        for rule in program.rules().iter().filter(|r| r.head.pred == p) {
+            if rule.head.args.len() != ad.len() {
+                continue; // arity-mismatched call: derives nothing
+            }
+            let mut bound: BTreeSet<Var> = BTreeSet::new();
+            for (t, _) in rule.head.args.iter().zip(&ad).filter(|(_, &b)| b) {
+                if let Term::Var(v) = t {
+                    bound.insert(*v);
+                }
+            }
+            let mut calls = Vec::new();
+            for a in rule.body_atoms() {
+                if idb.contains(&a.pred) {
+                    let able = bindable.get(&a.pred).map_or(&[][..], Vec::as_slice);
+                    let call_ad: Vec<bool> = a
+                        .args
+                        .iter()
+                        .enumerate()
+                        .map(|(i, t)| {
+                            !full.contains(&a.pred)
+                                && able.get(i).copied().unwrap_or(false)
+                                && t.vars().iter().all(|v| bound.contains(v))
+                        })
+                        .collect();
+                    queue.push((a.pred, call_ad.clone()));
+                    calls.push((a.pred, call_ad));
+                }
+                bound.extend(a.vars());
+            }
+            out.push(AdornedRule {
+                rule,
+                ad: ad.clone(),
+                calls,
+            });
+        }
+    }
+    out
+}
+
+/// Rewrites `program` for `answer` with magic sets: adorned predicates
+/// `{p}__adn_{ad}` guarded by demand predicates `{p}__mag_{ad}`, seeded
+/// with the answer wanted with every position free. Comparisons never join
+/// magic-rule bodies — demand relations may over-approximate, which is
+/// sound.
+///
+/// *Subsumption:* a predicate demanded with every argument free is derived
+/// in full anyway, so every call to it — bound or not — reads that one
+/// all-free copy instead of deriving a second, bound-adorned one. Forcing
+/// a predicate free only frees more of its callees' arguments, so the set
+/// of such predicates grows to a fixpoint.
 ///
 /// Returns `None` when the rewrite does not apply: `answer` has no rules,
-/// or its rules disagree on arity.
+/// its rules disagree on arity, or no call in the adorned program binds an
+/// argument — the rewrite would only add guards to the plain fixpoint.
+///
+/// The analysis is static: when a predicate's all-free demand never fires
+/// at run time, its bound calls still read the full copy they would
+/// otherwise have derived selectively.
 fn magic_rewrite(program: &Program, answer: &Symbol) -> Option<MagicProgram> {
     let idb = program.idb_preds();
     if !idb.contains(answer) {
@@ -849,108 +930,87 @@ fn magic_rewrite(program: &Program, answer: &Symbol) -> Option<MagicProgram> {
         return None;
     }
 
-    let seed_ad = vec![false; answer_arity];
-    let mut out = Vec::new();
-    let mut magic_preds = BTreeSet::new();
-    let mut seen: BTreeSet<(Symbol, Vec<bool>)> = BTreeSet::new();
-    let mut queue: Vec<(Symbol, Vec<bool>)> = vec![(*answer, seed_ad.clone())];
+    let binds = |ad: &[bool]| ad.contains(&true);
+    let mut full: BTreeSet<Symbol> = BTreeSet::from([*answer]);
+    let adorned = loop {
+        let adorned = adorn(program, &idb, &bindable, *answer, answer_arity, &full);
+        let before = full.len();
+        full.extend(
+            adorned
+                .iter()
+                .flat_map(|r| &r.calls)
+                .filter(|(_, ad)| !binds(ad))
+                .map(|(p, _)| *p),
+        );
+        if full.len() == before {
+            break adorned;
+        }
+    };
+    if !adorned
+        .iter()
+        .flat_map(|r| &r.calls)
+        .any(|(_, ad)| binds(ad))
+    {
+        return None;
+    }
 
-    // Demand seed: the answer is wanted with every position free.
+    let seed_ad = vec![false; answer_arity];
     let seed_magic = magic_sym(answer, &seed_ad);
-    magic_preds.insert(seed_magic);
-    out.push(Rule::new(
+    let mut magic_preds = BTreeSet::from([seed_magic]);
+    // Demand seed: the answer is wanted with every position free.
+    let mut out = vec![Rule::new(
         Atom {
             pred: seed_magic,
             args: Vec::new(),
         },
         Vec::new(),
-    ));
-
-    while let Some((p, ad)) = queue.pop() {
-        if !seen.insert((p, ad.clone())) {
-            continue;
-        }
-        let p_magic = magic_sym(&p, &ad);
+    )];
+    for AdornedRule { rule, ad, calls } in &adorned {
+        let p_magic = magic_sym(&rule.head.pred, ad);
         magic_preds.insert(p_magic);
-        for rule in program.rules_for(&p) {
-            if rule.head.args.len() != ad.len() {
-                continue; // arity-mismatched call: derives nothing
-            }
-            // Head-bound variables and the magic guard's arguments.
-            let mut bound: BTreeSet<Var> = BTreeSet::new();
-            let mut guard_args = Vec::new();
-            for (i, t) in rule.head.args.iter().enumerate() {
-                if ad[i] {
-                    if let Term::Var(v) = t {
-                        bound.insert(*v);
-                    }
-                    guard_args.push(t.clone());
+        let guard = Atom {
+            pred: p_magic,
+            args: bound_args(&rule.head.args, ad),
+        };
+        let mut calls = calls.iter();
+        let mut prefix: Vec<Atom> = vec![guard.clone()];
+        let mut body: Vec<Literal> = vec![Literal::Atom(guard)];
+        for lit in &rule.body {
+            match lit {
+                Literal::Comp(c) => body.push(Literal::Comp(c.clone())),
+                Literal::Atom(a) if !idb.contains(&a.pred) => {
+                    body.push(Literal::Atom(a.clone()));
+                    prefix.push(a.clone());
+                }
+                Literal::Atom(a) => {
+                    let (_, call_ad) = calls.next().expect("one adornment per IDB call");
+                    // Demand rule: the bound arguments of this call are
+                    // wanted whenever the prefix matches.
+                    let m = magic_sym(&a.pred, call_ad);
+                    magic_preds.insert(m);
+                    out.push(Rule::new(
+                        Atom {
+                            pred: m,
+                            args: bound_args(&a.args, call_ad),
+                        },
+                        prefix.iter().cloned().map(Literal::Atom).collect(),
+                    ));
+                    let adorned = Atom {
+                        pred: adorned_sym(&a.pred, call_ad),
+                        args: a.args.clone(),
+                    };
+                    prefix.push(adorned.clone());
+                    body.push(Literal::Atom(adorned));
                 }
             }
-            let guard = Atom {
-                pred: p_magic,
-                args: guard_args,
-            };
-            let mut prefix: Vec<Atom> = vec![guard.clone()];
-            let mut body: Vec<Literal> = vec![Literal::Atom(guard)];
-            for lit in &rule.body {
-                match lit {
-                    Literal::Comp(c) => body.push(Literal::Comp(c.clone())),
-                    Literal::Atom(a) => {
-                        if !idb.contains(&a.pred) {
-                            body.push(Literal::Atom(a.clone()));
-                            prefix.push(a.clone());
-                        } else {
-                            let able = bindable.get(&a.pred).cloned().unwrap_or_default();
-                            let call_ad: Vec<bool> = a
-                                .args
-                                .iter()
-                                .enumerate()
-                                .map(|(i, t)| {
-                                    able.get(i).copied().unwrap_or(false)
-                                        && t.vars().iter().all(|v| bound.contains(v))
-                                })
-                                .collect();
-                            // Demand rule: the bound arguments of this call
-                            // are wanted whenever the prefix matches.
-                            let m = magic_sym(&a.pred, &call_ad);
-                            magic_preds.insert(m);
-                            let m_args: Vec<Term> = a
-                                .args
-                                .iter()
-                                .zip(&call_ad)
-                                .filter(|(_, &b)| b)
-                                .map(|(t, _)| t.clone())
-                                .collect();
-                            out.push(Rule::new(
-                                Atom {
-                                    pred: m,
-                                    args: m_args,
-                                },
-                                prefix.iter().cloned().map(Literal::Atom).collect(),
-                            ));
-                            queue.push((a.pred, call_ad.clone()));
-                            let adorned = Atom {
-                                pred: adorned_sym(&a.pred, &call_ad),
-                                args: a.args.clone(),
-                            };
-                            prefix.push(adorned.clone());
-                            body.push(Literal::Atom(adorned));
-                        }
-                        for v in a.vars() {
-                            bound.insert(v);
-                        }
-                    }
-                }
-            }
-            out.push(Rule::new(
-                Atom {
-                    pred: adorned_sym(&p, &ad),
-                    args: rule.head.args.clone(),
-                },
-                body,
-            ));
         }
+        out.push(Rule::new(
+            Atom {
+                pred: adorned_sym(&rule.head.pred, ad),
+                args: rule.head.args.clone(),
+            },
+            body,
+        ));
     }
 
     Some(MagicProgram {
@@ -958,6 +1018,15 @@ fn magic_rewrite(program: &Program, answer: &Symbol) -> Option<MagicProgram> {
         answer: adorned_sym(answer, &seed_ad),
         magic_preds,
     })
+}
+
+/// The arguments at the bound positions of an adornment.
+fn bound_args(args: &[Term], ad: &[bool]) -> Vec<Term> {
+    args.iter()
+        .zip(ad)
+        .filter(|(_, &b)| b)
+        .map(|(t, _)| t.clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -1072,24 +1141,108 @@ mod tests {
         }
         let db = Database::parse(&facts).unwrap();
         let q = Symbol::new("q");
-        let derived = |opts: &EvalOptions| {
-            let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
-            let rel = {
-                let _g = qc_obs::install(rec.clone());
-                eval_answers(&p, &db, &q, opts).unwrap()
-            };
-            (rel, rec.counters().get(qc_obs::Counter::EvalDerivedFacts))
-        };
-        let (magic_rel, magic_derived) = derived(&ra_opts());
-        let (plain_rel, plain_derived) = derived(&EvalOptions {
-            magic_sets: false,
-            ..ra_opts()
-        });
+        let (magic_rel, magic_derived, _) = counted(&p, &db, &q, &ra_opts());
+        let (plain_rel, plain_derived, _) = counted(
+            &p,
+            &db,
+            &q,
+            &EvalOptions {
+                magic_sets: false,
+                ..ra_opts()
+            },
+        );
         assert_eq!(magic_rel.len(), plain_rel.len());
         assert!(
             magic_derived < plain_derived,
             "magic {magic_derived} !< plain {plain_derived}"
         );
+    }
+
+    /// Runs `eval_answers` under a fresh recorder: the answer relation,
+    /// `eval_derived_facts` and `ra_magic_pruned_tuples`.
+    fn counted(p: &Program, db: &Database, q: &Symbol, opts: &EvalOptions) -> (Relation, u64, u64) {
+        let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
+        let rel = {
+            let _g = qc_obs::install(rec.clone());
+            eval_answers(p, db, q, opts).unwrap()
+        };
+        let c = rec.counters();
+        (
+            rel,
+            c.get(qc_obs::Counter::EvalDerivedFacts),
+            c.get(qc_obs::Counter::RaMagicPrunedTuples),
+        )
+    }
+
+    /// `q` answered with magic sets on must cost exactly the plain
+    /// fixpoint: no call binds an argument, so there is nothing to prune.
+    fn assert_all_free_query_runs_plain(prog: &str, q: &str, facts: &str) {
+        let p = parse_program(prog).unwrap();
+        let db = Database::parse(facts).unwrap();
+        let q = Symbol::new(q);
+        assert!(magic_rewrite(&p, &q).is_none(), "{prog}");
+        let (magic, magic_derived, pruned) = counted(&p, &db, &q, &ra_opts());
+        let no_magic = EvalOptions {
+            magic_sets: false,
+            ..ra_opts()
+        };
+        let (plain, plain_derived, _) = counted(&p, &db, &q, &no_magic);
+        let set = |r: &Relation| r.tuples().into_iter().collect::<BTreeSet<_>>();
+        assert_eq!(set(&magic), set(&plain));
+        assert!(!plain.is_empty());
+        assert_eq!(magic_derived, plain_derived, "{prog}");
+        assert_eq!(pruned, 0, "{prog}");
+    }
+
+    #[test]
+    fn magic_skips_an_all_free_closure() {
+        // Sideways passing adorns the recursive call `reach(Y, Z)` as bf,
+        // but `reach` is wanted all-free anyway: one copy, no guards.
+        assert_all_free_query_runs_plain(
+            "reach(X, Y) :- e(X, Y). reach(X, Z) :- e(X, Y), reach(Y, Z).",
+            "reach",
+            "e(1, 2). e(2, 3). e(3, 4). e(5, 6). e(6, 7).",
+        );
+    }
+
+    #[test]
+    fn magic_skips_an_all_free_two_hop_join() {
+        // The inverse-rule plan's shape: the first call wants `e2`
+        // all-free, so the second (bound by `Y`) reads the same copy.
+        assert_all_free_query_runs_plain(
+            "e2(X, Y) :- e(X, Y). q(X, Z) :- e2(X, Y), e2(Y, Z).",
+            "q",
+            "e(1, 2). e(1, 3). e(2, 3). e(3, 1). e(4, 4).",
+        );
+    }
+
+    #[test]
+    fn subsumption_keeps_the_rewrite_where_a_call_stays_bound() {
+        // `t` is demanded all-free, so its second call reads that copy; the
+        // seeded call `r(0, W)` still binds, so the rewrite stays.
+        let prog = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z). \
+                    r(X, Y) :- e(X, Y). r(X, Z) :- e(X, Y), r(Y, Z). \
+                    q(X, W) :- t(X, Y), t(Y, Z), r(0, W).";
+        let p = parse_program(prog).unwrap();
+        let q = Symbol::new("q");
+        let m = magic_rewrite(&p, &q).expect("the seeded call keeps the rewrite");
+        let heads: BTreeSet<String> = m
+            .program
+            .rules()
+            .iter()
+            .map(|r| r.head.pred.to_string())
+            .collect();
+        assert!(heads.contains("t__adn_ff"), "{heads:?}");
+        assert!(!heads.contains("t__adn_bf"), "{heads:?}");
+        assert!(heads.contains("r__adn_bf"), "{heads:?}");
+        let db = Database::parse("e(0, 1). e(1, 2). e(2, 3). e(7, 8). e(8, 9).").unwrap();
+        let (magic, _, pruned) = counted(&p, &db, &q, &ra_opts());
+        let (oracle, _, _) = counted(&p, &db, &q, &tuple_opts());
+        assert_eq!(magic.len(), oracle.len());
+        for t in oracle.tuples() {
+            assert!(magic.contains(&t), "{t:?}");
+        }
+        assert!(pruned > 0, "r's demand must prune the 7-8-9 chain");
     }
 
     #[test]

@@ -164,13 +164,7 @@ pub fn reachable_certain_answers(
     // is *accessible* only if its bound arguments are in dom. The guarded
     // inverse rules enforce exactly this during evaluation, so we can
     // evaluate directly.
-    let rel = answers(&plan, instance, answer, opts)?;
-    Ok(rel
-        .tuples()
-        .iter()
-        .filter(|t| t.iter().all(|v| !v.has_function()))
-        .cloned()
-        .collect())
+    Ok(answers(&plan, instance, answer, opts)?.without_nulls())
 }
 
 #[cfg(test)]

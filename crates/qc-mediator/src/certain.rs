@@ -87,13 +87,7 @@ pub fn certain_answers(
     opts: &EvalOptions,
 ) -> Result<Relation, CertainError> {
     let plan = max_contained_plan(query, views);
-    let rel = answers(&plan, instance, answer, opts)?;
-    Ok(rel
-        .tuples()
-        .iter()
-        .filter(|t| t.iter().all(|v| !v.has_function()))
-        .cloned()
-        .collect())
+    Ok(answers(&plan, instance, answer, opts)?.without_nulls())
 }
 
 /// Same as [`certain_answers`], but through function-term elimination

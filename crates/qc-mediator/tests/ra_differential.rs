@@ -42,7 +42,8 @@ fn tuple() -> EvalOptions {
 
 /// Random positive (hence stratified) function-free program: a pool of
 /// recursive and non-recursive shapes over EDB `e`/`s`, sometimes with
-/// comparisons and constant-seeded goal rules.
+/// comparisons and constant-seeded goal rules, seeded and all-free calls
+/// side by side.
 fn random_program(rng: &mut StdRng) -> Program {
     let shapes = [
         // Linear transitive closure, left and right recursive.
@@ -59,6 +60,11 @@ fn random_program(rng: &mut StdRng) -> Program {
         // Multi-join nonrecursive layer above a recursive core.
         "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z). \
          q(X, Z) :- t(X, Y), t(Y, Z), s(Y).",
+        // An all-free closure beside a seeded one: both calls to `t` read
+        // its all-free copy, while `r(0, W)` keeps the magic rewrite.
+        "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z). \
+         r(X, Y) :- e(X, Y). r(X, Z) :- e(X, Y), r(Y, Z). \
+         q(X, W) :- t(X, Y), t(Y, Z), r(0, W).",
     ];
     qc_datalog::parse_program(shapes[rng.gen_range(0..shapes.len())]).unwrap()
 }

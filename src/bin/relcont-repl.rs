@@ -232,6 +232,8 @@ impl Session {
                             .into(),
                     );
                 }
+                self.facts
+                    .check_arity(&rule.head.pred, rule.head.args.len())?;
                 self.facts.insert_atom(&rule.head);
                 Ok(Some(format!("{} fact(s) total", self.facts.total_len())))
             }

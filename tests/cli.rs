@@ -345,6 +345,83 @@ fn cli_reports_usage_errors() {
 }
 
 #[test]
+fn cli_rejects_facts_of_two_arities() {
+    let dir = tmpdir("arity");
+    let views = write_tmp(&dir, "views.dl", "v(X, Y) :- p(X, Y).");
+    let query = write_tmp(&dir, "q.dl", "q(X) :- p(X, Y).");
+    let program = write_tmp(&dir, "prog.dl", "r(Y) :- p(3, Y).");
+    let bin = env!("CARGO_BIN_EXE_relcont");
+    let expect_usage_error = |out: std::process::Output, what: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what}: {out:?}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(stderr.contains("arity"), "{what}: {stderr}");
+        assert!(out.stdout.is_empty(), "{what}: {out:?}");
+    };
+    for (i, facts) in ["v(1). v(1, 2).", "v(1, 2). v(3).", "v(1, 2). v(3). v(4)."]
+        .into_iter()
+        .enumerate()
+    {
+        let data = write_tmp(&dir, &format!("inst{i}.dl"), facts);
+        let out = Command::new(bin)
+            .args(["certain", "--views"])
+            .arg(&views)
+            .arg("--query")
+            .arg(&query)
+            .arg("--instance")
+            .arg(&data)
+            .output()
+            .unwrap();
+        expect_usage_error(out, &format!("certain --instance {facts}"));
+        let data = write_tmp(&dir, &format!("data{i}.dl"), &facts.replace('v', "p"));
+        let out = Command::new(bin)
+            .arg("eval")
+            .arg("--program")
+            .arg(&program)
+            .arg("--data")
+            .arg(&data)
+            .args(["--ans", "r"])
+            .output()
+            .unwrap();
+        expect_usage_error(out, &format!("eval --data {facts}"));
+    }
+    // An instance and a CSV file that disagree on one source's arity.
+    let data = write_tmp(&dir, "inst.dl", "v(1, 2).");
+    let csv = write_tmp(&dir, "v.csv", "3\n4\n");
+    let out = Command::new(bin)
+        .args(["certain", "--views"])
+        .arg(&views)
+        .arg("--query")
+        .arg(&query)
+        .arg("--instance")
+        .arg(&data)
+        .args(["--csv", &format!("v={}", csv.display())])
+        .output()
+        .unwrap();
+    expect_usage_error(out, "certain --instance --csv");
+
+    // The REPL reports the clash and keeps going.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_relcont-repl"))
+        .env("NO_PROMPT", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repl");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b"fact V(a, b).\nfact V(c).\nfact V(c, d).\nquit\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("has arity 2"), "{stdout}");
+    assert!(stdout.contains("2 fact(s) total"), "{stdout}");
+}
+
+#[test]
 fn repl_scripted_session() {
     let bin = env!("CARGO_BIN_EXE_relcont-repl");
     let mut child = Command::new(bin)
