@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qc_datalog::eval::EvalOptions;
 use qc_datalog::{parse_program, Database, Symbol};
 use qc_mediator::binding::{executable_plan, reachable_certain_answers};
-use qc_mediator::relative::relatively_contained_bp;
+use qc_mediator::relative::{decide, Question, Sources};
 use qc_mediator::schema::LavSetting;
 
 fn adorned_views() -> LavSetting {
@@ -60,8 +60,11 @@ fn bench(c: &mut Criterion) {
     let q_red = parse_program("qf(P) :- authored(I, eco), price(I, P), authored(I, A).").unwrap();
     g.bench_function("thm42_decision", |b| {
         b.iter(|| {
-            relatively_contained_bp(&q_eco, &Symbol::new("qe"), &q_red, &Symbol::new("qf"), &v2)
-                .unwrap()
+            let question = Question {
+                binding_patterns: true,
+                ..Question::new(&q_eco, &Symbol::new("qe"), &q_red, &Symbol::new("qf"))
+            };
+            decide(&question, Sources::Views(&v2)).unwrap()
         })
     });
     g.finish();

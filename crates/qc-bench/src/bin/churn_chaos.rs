@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use qc_datalog::Symbol;
 use qc_guard::{stage, FaultKind, FaultPlan};
-use qc_mediator::relative::{relatively_contained_verdict, Verdict};
+use qc_mediator::relative::{decide, Question, Sources, Verdict};
 use qc_mediator::schema::{LavSetting, SourceDescription};
 use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
 use qc_obs::Counter;
@@ -93,10 +93,11 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
     let views = random_views(3, 2, rng);
     let p1 = query_program(&cq1);
     let p2 = query_program(&cq2);
-    let oracle = match relatively_contained_verdict(&p1, &q, &p2, &q, &views) {
-        Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-        _ => return None,
-    };
+    let oracle =
+        match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views)).map(|d| d.verdict) {
+            Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
+            _ => return None,
+        };
     Some(Case {
         views,
         req: Request::new(p1, q, p2, q),
@@ -176,7 +177,12 @@ fn check_epoch_flip(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tal
     let mut cat1 = cat0.clone();
     cat1.sources.retain(|s| s.name.as_str() != victim);
     let q = Symbol::new("q");
-    let oracle1 = match relatively_contained_verdict(&case.req.q1, &q, &case.req.q2, &q, &cat1) {
+    let oracle1 = match decide(
+        &Question::new(&case.req.q1, &q, &case.req.q2, &q),
+        Sources::Views(&cat1),
+    )
+    .map(|d| d.verdict)
+    {
         Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
         _ => return, // epoch-1 oracle indefinite: nothing to check against
     };

@@ -189,7 +189,7 @@ fn main() -> ExitCode {
         seed ^ 6,
         |rng| {
             use qc_mediator::binding::reachable_certain_answers;
-            use qc_mediator::relative::relatively_contained_bp;
+            use qc_mediator::relative::{decide, Question, Sources};
             use qc_mediator::schema::LavSetting;
             let mut views =
                 LavSetting::parse(&["Va(A, B) :- p0(A, B).", "Vb(A, B) :- p1(A, B)."]).unwrap();
@@ -209,13 +209,12 @@ fn main() -> ExitCode {
             let b2 = bodies[rng.gen_range(0..bodies.len())];
             let q1 = qc_datalog::parse_program(&format!("q(X) :- {b1}.")).unwrap();
             let q2 = qc_datalog::parse_program(&format!("q(X) :- {b2}.")).unwrap();
-            let decided = match relatively_contained_bp(
-                &q1,
-                &Symbol::new("q"),
-                &q2,
-                &Symbol::new("q"),
-                &views,
-            ) {
+            let q = Symbol::new("q");
+            let question = Question {
+                binding_patterns: true,
+                ..Question::new(&q1, &q, &q2, &q)
+            };
+            let decided = match decide(&question, Sources::Views(&views)).and_then(|d| d.holds()) {
                 Ok(d) => d,
                 Err(_) => return true,
             };

@@ -33,7 +33,7 @@ use qc_guard::{stage, FaultKind, FaultPlan, Guard};
 use qc_mediator::certain::certain_answers;
 use qc_mediator::enumerate::{enumerated_plan, EnumerationLimits};
 use qc_mediator::minicon::minicon_rewritings;
-use qc_mediator::relative::{relatively_contained_verdict, relatively_contained_witness, Verdict};
+use qc_mediator::relative::{decide, relatively_contained_witness, Question, Sources, Verdict};
 use qc_mediator::workloads::{query_program, random_instance, random_query, random_views, Shape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,7 +194,9 @@ fn main() -> ExitCode {
 
         // Anytime containment verdict: a definite answer under a fault must
         // match the unguarded decision; Unknown is always acceptable.
-        let oracle = match relatively_contained_verdict(&p1, &q, &p2, &q, &views) {
+        let oracle = match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views))
+            .map(|d| d.verdict)
+        {
             Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
             other => {
                 eprintln!(
@@ -209,7 +211,9 @@ fn main() -> ExitCode {
             &mut verdicts,
             &[stage::HOM_SEARCH, stage::MEMO, stage::FN_ELIM],
             &oracle,
-            || match relatively_contained_verdict(&p1, &q, &p2, &q, &views) {
+            || match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views))
+                .map(|d| d.verdict)
+            {
                 Ok(Verdict::Unknown(_)) => Err(ProcErr::Resource),
                 Ok(v) => Ok(v),
                 Err(e) if e.resource().is_some() => Err(ProcErr::Resource),

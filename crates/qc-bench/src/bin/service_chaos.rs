@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use qc_datalog::Symbol;
 use qc_guard::{stage, FaultKind, FaultPlan};
-use qc_mediator::relative::{relatively_contained_verdict, Verdict};
+use qc_mediator::relative::{decide, Question, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
 use qc_serve::{Request, ServeConfig, ServeCore, Service, ServiceError, Tier};
@@ -83,10 +83,11 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
     let views = random_views(3, 2, rng);
     let p1 = query_program(&cq1);
     let p2 = query_program(&cq2);
-    let oracle = match relatively_contained_verdict(&p1, &q, &p2, &q, &views) {
-        Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-        _ => return None,
-    };
+    let oracle =
+        match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views)).map(|d| d.verdict) {
+            Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
+            _ => return None,
+        };
     Some(Case {
         views,
         req: Request::new(p1, q, p2, q),

@@ -325,11 +325,14 @@ impl CompiledCatalog {
         out
     }
 
-    /// The views whose footprint meets `preds`, in catalog order.
-    pub(crate) fn scope(&self, preds: &[Symbol]) -> Vec<&CompiledView> {
+    /// The views whose footprint meets `query`'s predicates, in catalog
+    /// order: every view `query`'s maximally-contained plan can mention.
+    pub fn scope(&self, query: &Program) -> Vec<&CompiledView> {
+        let mut preds = Vec::new();
+        extend_footprint(&mut preds, query);
         self.entries
             .iter()
-            .filter(|e| e.meets(preds))
+            .filter(|e| e.meets(&preds))
             .map(|e| &**e)
             .collect()
     }
@@ -531,9 +534,7 @@ mod tests {
             .push(SourceDescription::parse("W(A) :- wsrc(A, B).").unwrap());
         let cat = CompiledCatalog::compile(&views);
         let scoped = |query: &str| -> Vec<String> {
-            let mut preds = Vec::new();
-            extend_footprint(&mut preds, &qc_datalog::parse_program(query).unwrap());
-            cat.scope(&preds)
+            cat.scope(&qc_datalog::parse_program(query).unwrap())
                 .iter()
                 .map(|e| e.source.name.to_string())
                 .collect()

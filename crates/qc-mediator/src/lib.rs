@@ -30,9 +30,9 @@
 //! * [`binding`] — binding-pattern limitations (§4): executability,
 //!   recursive executable plans with `dom` rules, reachable certain
 //!   answers (Definitions 4.1–4.4);
-//! * [`relative`] — **relative containment** (Definitions 2.4 and 4.5)
-//!   with the decision procedures of Theorems 3.1, 3.2, 4.1/4.2, 5.1,
-//!   5.2/5.3;
+//! * [`relative`] — **relative containment** (Definitions 2.4 and 4.5):
+//!   one [`decide`] over a [`Question`] runs the decision procedures of
+//!   Theorems 3.1, 3.2, 4.1/4.2, 5.1, 5.2/5.3;
 //! * [`gav`] — the global-as-view corollary (§1, §6);
 //! * [`reductions`] — the Π₂ᵖ-hardness reduction of Theorem 3.3 and the
 //!   Aho–Sagiv–Ullman NP-hardness reduction \[3\], used as workload
@@ -82,5 +82,7 @@ pub use expansion::{expand_program, expand_ucq};
 pub use fn_elim::eliminate_function_terms;
 pub use inverse_rules::{inverse_rules, max_contained_plan};
 pub use minicon::minicon_rewritings;
-pub use relative::{relatively_contained, relatively_contained_bp, relatively_equivalent};
+pub use relative::{
+    decide, relatively_contained, relatively_equivalent, Decision, Question, Sources,
+};
 pub use schema::{Adornment, LavSetting, MediatedSchema, SchemaError, SourceDescription};

@@ -1,18 +1,27 @@
 //! Relative containment — Definitions 2.4 and 4.5, Theorems 3.1–5.3.
 //!
 //! `Q1 ⊑_V Q2` iff for every source instance `I`, `certain(Q1, I) ⊆
-//! certain(Q2, I)`. The decision procedures all reduce through the
-//! maximally-contained plan `P1` of `Q1` and the equivalence
-//! `P1 ⊑ P2 ⟺ P1^exp ⊆ Q2` (Theorem 4.1; Theorem 5.2; and, as the paper
-//! notes after Theorem 4.2, the analogous statement for the plain case):
+//! certain(Q2, I)`. Every case reduces through the maximally-contained
+//! plan `P1` of `Q1` and the equivalence `P1 ⊑ P2 ⟺ P1^exp ⊆ Q2`
+//! (Theorem 4.1; Theorem 5.2; and, as the paper notes after Theorem 4.2,
+//! the analogous statement for the plain case). [`decide`] is the one
+//! function that picks the route, builds `P1` once and checks it:
 //!
 //! | case | `P1` construction | final check |
 //! |------|-------------------|-------------|
-//! | Q1 nonrecursive, comparison-free (views may carry arbitrary comparisons — Thm 3.1, 5.2/5.3) | inverse rules → fn-elim → unfold | `P1^exp ⊆ Q2` via the dense-order UCQ test |
+//! | Q1 nonrecursive, comparison-free (views may carry arbitrary comparisons — Thm 3.1, 5.2/5.3) | inverse rules → fn-elim → unfold | per disjunct: `d^exp ⊆ Q2` via the dense-order UCQ test |
 //! | Q1 nonrecursive, semi-interval; views semi-interval (Thm 5.1) | MiniCon + constraint completion | same |
+//! | Q1 nonrecursive, Q2 recursive, all comparison-free (Thm 3.2) | inverse rules → fn-elim → unfold | per disjunct: `d^exp ⊆ Q2` by evaluating `Q2` over the frozen `d^exp` |
 //! | Q1 recursive, all comparison-free, Q2 nonrecursive (Thm 3.2) | inverse rules → fn-elim (datalog) | `P1^exp ⊆ Q2` via the type fixpoint |
-//! | Q1 nonrecursive, Q2 recursive, all comparison-free (Thm 3.2) | both plans | `P1 ⊆ P2` by freezing each disjunct of `P1` |
-//! | binding patterns (§4, Thms 4.1/4.2) | executable plan (`dom` recursion) → fn-elim | `P1^exp ⊆ Q2` via the type fixpoint |
+//! | binding patterns (§4, Thms 4.1/4.2) | executable plan (`dom` recursion) → fn-elim | `P1^exp ⊆ Q2` via the type fixpoint, then a bounded witness search on failure |
+//!
+//! The per-disjunct routes stop at the first refuted disjunct (the
+//! witness), can resume from the disjuncts an interrupted run proved, and
+//! report those as a sound partial plan when a guard limit trips. The
+//! surfaces' adapters — [`relatively_contained`],
+//! [`relatively_contained_witness`], [`explain_containment`] — are a few
+//! lines over [`decide`]; [`relatively_contained_by_plans`] is the
+//! independent Thm 3.1 reference the tests compare it with.
 //!
 //! Cases the paper leaves open (arbitrary comparisons in *both* queries,
 //! complete sources) are reported as [`RelativeError::Unsupported`].
@@ -21,12 +30,13 @@ use std::fmt;
 
 use qc_containment::canonical::ucq_contained_in_datalog;
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, DatalogUcqError, FixpointBudget};
-use qc_containment::ucq_contained;
+use qc_containment::witness::{find_counterexample_expansion, WitnessBudget};
+use qc_containment::{cq_contained_in_ucq, ucq_contained};
 use qc_datalog::eval::{EvalError, EvalOptions};
-use qc_datalog::{Program, Symbol, Ucq, UnfoldError};
+use qc_datalog::{ConjunctiveQuery, Program, Symbol, Ucq, UnfoldError};
 
-use crate::catalog::{extend_footprint, CompiledCatalog, CompiledView};
-use crate::expansion::{expand_cq, expand_program, expand_ucq};
+use crate::catalog::{CompiledCatalog, CompiledView};
+use crate::expansion::{expand_cq, expand_program};
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
 use crate::inverse_rules::max_contained_plan;
 use crate::minicon::semi_interval_plan;
@@ -48,7 +58,6 @@ use crate::schema::LavSetting;
 enum Planner<'a> {
     Views(&'a LavSetting),
     Catalog {
-        catalog: &'a CompiledCatalog,
         scope: Vec<&'a CompiledView>,
         views: LavSetting,
     },
@@ -56,29 +65,15 @@ enum Planner<'a> {
 
 impl<'a> Planner<'a> {
     fn catalog(catalog: &'a CompiledCatalog, q1: &Program) -> Planner<'a> {
-        let mut preds = Vec::new();
-        extend_footprint(&mut preds, q1);
-        let scope = catalog.scope(&preds);
+        let scope = catalog.scope(q1);
         let views = LavSetting {
             sources: scope.iter().map(|e| e.source.clone()).collect(),
         };
-        Planner::Catalog {
-            catalog,
-            scope,
-            views,
-        }
+        Planner::Catalog { scope, views }
     }
 
-    /// Every view: the route checks that still read the whole catalog
-    /// (semi-interval views, the recursive route) look here.
-    fn all_views(&self) -> &LavSetting {
-        match self {
-            Planner::Views(v) => v,
-            Planner::Catalog { catalog, .. } => catalog.views(),
-        }
-    }
-
-    /// The views a plan can mention: source lookups go here.
+    /// The views a plan can mention: source lookups and route checks read
+    /// these.
     fn views(&self) -> &LavSetting {
         match self {
             Planner::Views(v) => v,
@@ -313,7 +308,7 @@ fn max_contained_ucq_plan_inner(
         } else {
             Ok(qc_containment::minimize_union(&ucq))
         }
-    } else if ucq_is_semi_interval(&unfolded) && planner.all_views().is_semi_interval() {
+    } else if ucq_is_semi_interval(&unfolded) && views.is_semi_interval() {
         // Theorem 5.1's construction, per disjunct.
         let mut disjuncts = Vec::new();
         for d in &unfolded.disjuncts {
@@ -334,89 +329,65 @@ fn max_contained_ucq_plan_inner(
     }
 }
 
-/// Decides relative containment `Q1 ⊑_V Q2` (Definition 2.4).
-///
-/// `q1`/`q2` are datalog programs with answer predicates `ans1`/`ans2`
-/// of equal arity; `views` are the (incomplete, conjunctive) sources.
-/// Dispatches to the decision procedure for the query class — see the
-/// module docs for the case table.
-pub fn relatively_contained(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-) -> Result<bool, RelativeError> {
-    let _span = qc_obs::span("relative_containment");
-    let q1_recursive = q1.dependency_graph().pred_in_cycle_reachable_from(ans1);
-    let q2_recursive = q2.dependency_graph().pred_in_cycle_reachable_from(ans2);
+/// Where a decision's views come from.
+#[derive(Debug, Clone, Copy)]
+pub enum Sources<'a> {
+    /// A plain setting: inverse rules are generated per decision.
+    Views(&'a LavSetting),
+    /// A compiled catalog. The plan draws the cached inverse rules of the
+    /// views whose footprint meets Q1's predicates, and every route check
+    /// reads only those views, so the decision is a function of what a
+    /// `qc-serve` request fingerprint hashes. The binding-pattern route is
+    /// the exception: its `dom` rules draw constants from every source, so
+    /// it plans from the whole catalog.
+    Catalog(&'a CompiledCatalog),
+}
 
-    match (q1_recursive, q2_recursive) {
-        (false, false) => {
-            let p1 = max_contained_ucq_plan(q1, ans1, views)?;
-            let p1_exp = {
-                let _s = qc_obs::span("expansion");
-                expand_ucq(&p1, views)
-            };
-            let u2 = q2.unfold(ans2)?;
-            let _s = qc_obs::span("containment_check");
-            Ok(ucq_contained(&p1_exp, &u2))
+/// A relative-containment question: `Q1 ⊑_V Q2` (Definition 2.4), or
+/// `Q1 ⊑_{V,B} Q2` (Definition 4.5) with binding patterns.
+#[derive(Debug, Clone, Copy)]
+pub struct Question<'a> {
+    /// The contained query.
+    pub q1: &'a Program,
+    /// Q1's answer predicate.
+    pub ans1: Symbol,
+    /// The containing query.
+    pub q2: &'a Program,
+    /// Q2's answer predicate, of Q1's arity.
+    pub ans2: Symbol,
+    /// Decide under the sources' [`crate::schema::Adornment`]s (absent
+    /// adornments mean all-free).
+    pub binding_patterns: bool,
+    /// Progress an earlier, interrupted decision of the same question
+    /// made.
+    pub resume: Option<Resume<'a>>,
+}
+
+impl<'a> Question<'a> {
+    /// The plain question `Q1 ⊑_V Q2`: no binding patterns, no resume
+    /// state.
+    pub fn new(q1: &'a Program, ans1: &Symbol, q2: &'a Program, ans2: &Symbol) -> Question<'a> {
+        Question {
+            q1,
+            ans1: *ans1,
+            q2,
+            ans2: *ans2,
+            binding_patterns: false,
+            resume: None,
         }
-        (true, false) => {
-            // Theorem 3.2 (and the Thm 4.1 analogue): P1^exp ⊆ Q2 via the
-            // type fixpoint — requires comparison-free inputs.
-            if q1.has_comparisons() || q2.has_comparisons() || !views.is_comparison_free() {
-                return Err(RelativeError::Unsupported(
-                    "recursive relative containment requires comparison-free queries and views"
-                        .into(),
-                ));
-            }
-            let (p1, ans1_renamed) = {
-                let _s = qc_obs::span("plan_construction");
-                let p1 = eliminate_function_terms(&max_contained_plan(q1, views))?;
-                sanitize_datalog_plan(&p1, views, ans1)
-            };
-            let p1_exp = {
-                let _s = qc_obs::span("expansion");
-                expand_program(&p1, views)
-            };
-            let u2 = q2.unfold(ans2)?;
-            let _s = qc_obs::span("containment_check");
-            Ok(datalog_contained_in_ucq(
-                &p1_exp,
-                &ans1_renamed,
-                &u2,
-                &FixpointBudget::default(),
-            )?)
-        }
-        (false, true) => {
-            // Theorem 3.2, other side: P1 is a UCQ over the sources;
-            // freeze each disjunct and evaluate P2.
-            if q1.has_comparisons() || q2.has_comparisons() || !views.is_comparison_free() {
-                return Err(RelativeError::Unsupported(
-                    "recursive relative containment requires comparison-free queries and views"
-                        .into(),
-                ));
-            }
-            let p1 = max_contained_ucq_plan(q1, ans1, views)?;
-            let p2 = {
-                let _s = qc_obs::span("plan_construction");
-                eliminate_function_terms(&max_contained_plan(q2, views))?
-            };
-            let _s = qc_obs::span("containment_check");
-            Ok(ucq_contained_in_datalog(
-                &p1,
-                &p2,
-                ans2,
-                &EvalOptions::default(),
-            )?)
-        }
-        (true, true) => Err(RelativeError::Unsupported(
-            "relative containment with two recursive queries reduces to containment of two \
-             recursive datalog programs, which is undecidable [36]"
-                .into(),
-        )),
     }
+}
+
+/// A checkpoint to resume from: what an earlier run's [`Partial`]
+/// recorded.
+#[derive(Debug, Clone, Copy)]
+pub struct Resume<'a> {
+    /// Plan disjuncts already proven contained
+    /// ([`Partial::disjuncts_proven`]).
+    pub proven: &'a [usize],
+    /// The plan size those indices were cut against
+    /// ([`Partial::disjuncts_total`]).
+    pub disjuncts_total: usize,
 }
 
 /// What was proven before a resource limit cut a decision short.
@@ -438,7 +409,7 @@ pub struct Partial {
     /// predicates, all of which a `qc-serve` request fingerprint hashes.
     /// Recording the *indices* rather than a count is what makes a
     /// `Partial` a well-defined checkpoint: a retry can skip exactly these
-    /// disjuncts (see [`relatively_contained_verdict_resume`]).
+    /// disjuncts (see [`Question::resume`]).
     pub disjuncts_proven: Vec<usize>,
     /// Total plan disjuncts (0 when the plan itself was never built).
     pub disjuncts_total: usize,
@@ -489,66 +460,10 @@ impl fmt::Display for Verdict {
     }
 }
 
-fn unknown(resource: qc_guard::ResourceError) -> Verdict {
-    Verdict::Unknown(Partial {
-        resource,
-        disjuncts_proven: Vec::new(),
-        disjuncts_total: 0,
-        partial_plan: None,
-    })
-}
-
-/// Anytime version of [`relatively_contained`]: runs the same decision
-/// procedures under the installed [`qc_guard::Guard`] (if any) and turns
-/// resource exhaustion into [`Verdict::Unknown`] carrying the sound
-/// partial progress instead of an error. Genuine input/class errors still
-/// surface as `Err`.
-///
-/// For nonrecursive `Q1`/`Q2` the per-disjunct containment checks run
-/// individually, so a limit hitting midway still reports every disjunct
-/// proven so far (and the corresponding partial contained plan). A
-/// disjunct proven *not* contained is a definite refutation regardless of
-/// any later exhaustion, so [`Verdict::NotContained`] is exact.
-pub fn relatively_contained_verdict(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-) -> Result<Verdict, RelativeError> {
-    relatively_contained_verdict_resume(q1, ans1, q2, ans2, views, &[])
-}
-
-/// [`relatively_contained_verdict`] resumed from a checkpoint: the plan
-/// disjuncts whose indices appear in `proven_before` (as recorded by an
-/// earlier run's [`Partial::disjuncts_proven`]) are taken as already
-/// proven contained and skipped, so a retried request with a fresh budget
-/// continues where it stopped instead of recomputing.
-///
-/// The maximally-contained plan's disjunct order is deterministic for a
-/// fixed input, which is what makes the indices meaningful across runs.
-/// Indices out of range for the rebuilt plan are ignored, so a stale or
-/// foreign checkpoint degrades to extra work, never to unsoundness — but
-/// callers are expected to key checkpoints by request (see `qc-serve`).
-/// For recursive inputs the decision is monolithic and `proven_before` is
-/// ignored.
-pub fn relatively_contained_verdict_resume(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-    proven_before: &[usize],
-) -> Result<Verdict, RelativeError> {
-    relatively_contained_verdict_resume_checked(q1, ans1, q2, ans2, views, proven_before, None)
-        .map(|(v, _)| v)
-}
-
-/// How a resume checkpoint fared against the rebuilt plan (see
-/// [`relatively_contained_verdict_resume_checked`]).
+/// How a question's resume state fared against the rebuilt plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeState {
-    /// No checkpoint was supplied: a fresh run.
+    /// Nothing was resumed: no checkpoint, or one with nothing proven.
     Fresh,
     /// The checkpoint was applied; `skipped` disjuncts were taken as
     /// already proven.
@@ -565,230 +480,9 @@ pub enum ResumeState {
         /// Disjunct count of the plan rebuilt for this run.
         actual: usize,
     },
-    /// The input is recursive: the decision is monolithic, so per-disjunct
-    /// checkpoints do not apply.
+    /// The route is recursive or binding-pattern: the decision is one
+    /// fixpoint, so per-disjunct checkpoints do not apply.
     Monolithic,
-}
-
-/// [`relatively_contained_verdict_resume`] with explicit checkpoint
-/// validation: when `expected_total` is given and disagrees with the
-/// rebuilt plan's disjunct count, the checkpoint is *rejected* — the
-/// proven set is discarded, the run recomputes everything, and the
-/// returned [`ResumeState::Rejected`] carries both counts so the caller
-/// can surface the stale checkpoint instead of silently eating it.
-///
-/// The plan's disjunct order is deterministic for a fixed input, so a
-/// total mismatch can only mean the checkpoint was cut against different
-/// inputs (or a different engine version) than this run — exactly the
-/// case where trusting its indices would silently skip the wrong
-/// disjuncts' work (still sound, but no longer the progress the caller
-/// thinks it has).
-#[allow(clippy::too_many_arguments)]
-pub fn relatively_contained_verdict_resume_checked(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-    proven_before: &[usize],
-    expected_total: Option<usize>,
-) -> Result<(Verdict, ResumeState), RelativeError> {
-    relatively_contained_verdict_resume_impl(
-        q1,
-        ans1,
-        q2,
-        ans2,
-        &Planner::Views(views),
-        proven_before,
-        expected_total,
-    )
-}
-
-/// [`relatively_contained_verdict_resume_checked`] against a compiled
-/// catalog: the maximally-contained plan draws its inverse rules from the
-/// cached per-view blocks of the views whose footprint meets Q1's
-/// predicates, so only the query-dependent stages (fn-elim, unfolding,
-/// per-disjunct containment) run per call, over those views alone. The
-/// verdict is identical to the plain route for the same setting; the plan
-/// is equivalent, and its disjunct order depends only on the views it
-/// draws from. Two route checks still read every view: whether all views
-/// are semi-interval (for a Q1 with comparisons), and the recursive route.
-#[allow(clippy::too_many_arguments)]
-pub fn relatively_contained_verdict_resume_checked_catalog(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    catalog: &CompiledCatalog,
-    proven_before: &[usize],
-    expected_total: Option<usize>,
-) -> Result<(Verdict, ResumeState), RelativeError> {
-    relatively_contained_verdict_resume_impl(
-        q1,
-        ans1,
-        q2,
-        ans2,
-        &Planner::catalog(catalog, q1),
-        proven_before,
-        expected_total,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn relatively_contained_verdict_resume_impl(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    planner: &Planner<'_>,
-    proven_before: &[usize],
-    expected_total: Option<usize>,
-) -> Result<(Verdict, ResumeState), RelativeError> {
-    let _span = qc_obs::span("relative_containment_verdict");
-    let q1_recursive = q1.dependency_graph().pred_in_cycle_reachable_from(ans1);
-    let q2_recursive = q2.dependency_graph().pred_in_cycle_reachable_from(ans2);
-
-    if q1_recursive || q2_recursive {
-        // The recursive routes decide through one monolithic fixpoint or
-        // evaluation; exhaustion cannot be attributed to individual
-        // disjuncts, so the anytime answer carries no partial plan.
-        let views = planner.all_views();
-        return match run_guarded(|| relatively_contained(q1, ans1, q2, ans2, views)) {
-            Ok(true) => Ok((Verdict::Contained, ResumeState::Monolithic)),
-            Ok(false) => Ok((Verdict::NotContained, ResumeState::Monolithic)),
-            Err(e) => match e.resource() {
-                Some(r) => Ok((unknown(r.clone()), ResumeState::Monolithic)),
-                None => Err(e),
-            },
-        };
-    }
-
-    let u2 = q2.unfold(ans2)?;
-    let p1 = match run_guarded(|| max_contained_ucq_plan_with(q1, ans1, planner)) {
-        Ok(p) => p,
-        Err(e) => {
-            return match e.resource() {
-                // The plan never got built, so checkpoint validity is
-                // unknowable this run; report Fresh (nothing was skipped).
-                Some(r) => Ok((unknown(r.clone()), ResumeState::Fresh)),
-                None => Err(e),
-            };
-        }
-    };
-    let total = p1.disjuncts.len();
-    let (proven_before, state) = match expected_total {
-        Some(expected) if expected != total => (
-            // A shape mismatch means the indices were cut against a
-            // different plan: discard them (recompute; sound either way)
-            // and tell the caller the checkpoint was rejected.
-            &[][..],
-            ResumeState::Rejected {
-                expected,
-                actual: total,
-            },
-        ),
-        _ if proven_before.is_empty() => (proven_before, ResumeState::Fresh),
-        _ => (
-            proven_before,
-            ResumeState::Applied {
-                skipped: proven_before.iter().filter(|&&i| i < total).count(),
-            },
-        ),
-    };
-    let mut proven: Vec<qc_datalog::ConjunctiveQuery> = Vec::new();
-    let mut proven_ix: Vec<usize> = Vec::new();
-    for (ix, d) in p1.disjuncts.iter().enumerate() {
-        if proven_before.contains(&ix) {
-            proven.push(d.clone());
-            proven_ix.push(ix);
-            continue;
-        }
-        let exp = {
-            let _s = qc_obs::span("expansion");
-            expand_cq(d, planner.views())
-        }
-        .ok_or_else(|| RelativeError::Unsupported("plan disjunct does not expand".into()))?;
-        let _s = qc_obs::span("containment_check");
-        match qc_guard::guarded(|| qc_containment::cq_contained_in_ucq(&exp, &u2)) {
-            Ok(true) => {
-                // Fresh proof work (checkpoint-skipped disjuncts are not
-                // counted): the churn suite's measure that a one-view
-                // delta re-proves only affected disjuncts.
-                qc_obs::count(qc_obs::Counter::PlanDisjunctsProved, 1);
-                proven.push(d.clone());
-                proven_ix.push(ix);
-            }
-            Ok(false) => return Ok((Verdict::NotContained, state)),
-            Err(r) => {
-                let partial_plan = (!proven.is_empty())
-                    .then(|| Ucq::new(proven).expect("disjuncts share the query head"));
-                return Ok((
-                    Verdict::Unknown(Partial {
-                        resource: r,
-                        disjuncts_proven: proven_ix,
-                        disjuncts_total: total,
-                        partial_plan,
-                    }),
-                    state,
-                ));
-            }
-        }
-    }
-    Ok((Verdict::Contained, state))
-}
-
-/// Decides relative containment with binding patterns, `Q1 ⊑_{V,B} Q2`
-/// (Definition 4.5, Theorems 4.1/4.2): `P1` is the recursive executable
-/// plan, and `P1^exp ⊆ Q2` is decided by the type fixpoint.
-///
-/// Adornments are taken from the sources' [`crate::schema::Adornment`]s
-/// (absent adornments mean all-free).
-pub fn relatively_contained_bp(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-) -> Result<bool, RelativeError> {
-    let _span = qc_obs::span("relative_containment_bp");
-    if q1.has_comparisons() || q2.has_comparisons() || !views.is_comparison_free() {
-        return Err(RelativeError::Unsupported(
-            "binding-pattern relative containment requires comparison-free queries and views"
-                .into(),
-        ));
-    }
-    let q2_recursive = q2.dependency_graph().pred_in_cycle_reachable_from(ans2);
-    if q2_recursive {
-        return Err(RelativeError::Unsupported(
-            "Theorem 4.2 requires the containing query to be nonrecursive".into(),
-        ));
-    }
-    // Definition 4.5 precondition.
-    let mut lhs_consts = q1.consts();
-    lhs_consts.extend(views.consts());
-    let mut rhs_consts = q2.consts();
-    rhs_consts.extend(views.consts());
-    if !lhs_consts.is_subset(&rhs_consts) {
-        return Err(RelativeError::ConstantsPrecondition);
-    }
-
-    let (p1, ans1_renamed) = {
-        let _s = qc_obs::span("plan_construction");
-        let p1 = eliminate_function_terms(&crate::binding::executable_plan(q1, views))?;
-        sanitize_datalog_plan(&p1, views, ans1)
-    };
-    let p1_exp = {
-        let _s = qc_obs::span("expansion");
-        expand_program(&p1, views)
-    };
-    let u2 = q2.unfold(ans2)?;
-    let _s = qc_obs::span("containment_check");
-    Ok(datalog_contained_in_ucq(
-        &p1_exp,
-        &ans1_renamed,
-        &u2,
-        &FixpointBudget::default(),
-    )?)
 }
 
 /// A witness explaining why `Q1 ⋢_V Q2`: a conjunctive query plan over
@@ -799,9 +493,9 @@ pub fn relatively_contained_bp(
 pub struct NonContainmentWitness {
     /// The offending conjunctive plan (a disjunct of `Q1`'s
     /// maximally-contained plan).
-    pub plan: qc_datalog::ConjunctiveQuery,
+    pub plan: ConjunctiveQuery,
     /// Its expansion over the mediated schema.
-    pub expansion: qc_datalog::ConjunctiveQuery,
+    pub expansion: ConjunctiveQuery,
 }
 
 impl fmt::Display for NonContainmentWitness {
@@ -815,6 +509,308 @@ impl fmt::Display for NonContainmentWitness {
     }
 }
 
+/// Why a [`Decision`] is [`Verdict::NotContained`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Witness {
+    /// The refuted disjunct of the maximally-contained plan, with its
+    /// expansion (nonrecursive `Q1`).
+    Disjunct(NonContainmentWitness),
+    /// An expansion of the executable plan, over the mediated schema, that
+    /// escapes `Q2`: a concrete proof tree found by the bounded search of
+    /// [`qc_containment::witness`] (binding-pattern route).
+    Expansion(ConjunctiveQuery),
+}
+
+impl fmt::Display for Witness {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Witness::Disjunct(w) => w.fmt(f),
+            Witness::Expansion(e) => write!(
+                f,
+                "witness expansion: {}  (not contained in the second query)",
+                e.tidy_names().to_rule()
+            ),
+        }
+    }
+}
+
+/// What [`decide`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decision {
+    /// The anytime verdict.
+    pub verdict: Verdict,
+    /// How the question's resume state fared.
+    pub resume: ResumeState,
+    /// On [`Verdict::NotContained`], the refutation, when one was found:
+    /// always on the per-disjunct routes; on the binding-pattern route
+    /// only if the bounded search finds one before its budget, or a guard
+    /// limit, runs out. The other routes give none.
+    pub witness: Option<Witness>,
+}
+
+impl Decision {
+    /// The definite answer. An [`Verdict::Unknown`] becomes the
+    /// [`RelativeError::Resource`] that stopped it.
+    pub fn holds(&self) -> Result<bool, RelativeError> {
+        match &self.verdict {
+            Verdict::Contained => Ok(true),
+            Verdict::NotContained => Ok(false),
+            Verdict::Unknown(p) => Err(RelativeError::Resource(p.resource.clone())),
+        }
+    }
+}
+
+/// Decides a [`Question`]: the one decision procedure behind every
+/// surface. It builds Q1's maximally-contained plan `P1` once and checks
+/// `P1^exp ⊆ Q2`, on the route the module docs' case table gives for the
+/// question's class.
+///
+/// The decision runs under the installed [`qc_guard::Guard`], if any. A
+/// limit that trips becomes [`Verdict::Unknown`] carrying the sound
+/// partial progress; input and class errors stay `Err`.
+///
+/// For a nonrecursive `Q1` the plan's disjuncts are expanded and checked
+/// one at a time, in the plan's deterministic order, and the first refuted
+/// one is the witness. A [`Question::resume`] state skips the disjuncts it
+/// lists as proven; indices out of range are ignored. If its plan size
+/// disagrees with the rebuilt plan it was cut against other inputs, so it
+/// is discarded and everything is rechecked ([`ResumeState::Rejected`]).
+/// A recursive `Q1` and the binding-pattern route decide through one type
+/// fixpoint and ignore resume state ([`ResumeState::Monolithic`]).
+pub fn decide(question: &Question<'_>, sources: Sources<'_>) -> Result<Decision, RelativeError> {
+    let _span = qc_obs::span("relative_containment");
+    let (q1, q2) = (question.q1, question.q2);
+    let q1_recursive = q1
+        .dependency_graph()
+        .pred_in_cycle_reachable_from(&question.ans1);
+    let q2_recursive = q2
+        .dependency_graph()
+        .pred_in_cycle_reachable_from(&question.ans2);
+    if q1_recursive && q2_recursive && !question.binding_patterns {
+        return Err(RelativeError::Unsupported(
+            "relative containment with two recursive queries reduces to containment of two \
+             recursive datalog programs, which is undecidable [36]"
+                .into(),
+        ));
+    }
+    let planner = match sources {
+        Sources::Views(v) => Planner::Views(v),
+        Sources::Catalog(c) if question.binding_patterns => Planner::Views(c.views()),
+        Sources::Catalog(c) => Planner::catalog(c, q1),
+    };
+    let datalog = question.binding_patterns || q1_recursive;
+    if (datalog || q2_recursive)
+        && (q1.has_comparisons() || q2.has_comparisons() || !planner.views().is_comparison_free())
+    {
+        let route = if question.binding_patterns {
+            "binding-pattern"
+        } else {
+            "recursive"
+        };
+        return Err(RelativeError::Unsupported(format!(
+            "{route} relative containment requires comparison-free queries and views"
+        )));
+    }
+    if datalog {
+        run_guarded(|| decide_datalog(question, &planner, q2_recursive))
+            .or_else(|e| stopped(e, ResumeState::Monolithic))
+    } else {
+        decide_disjuncts(question, &planner, q2_recursive)
+    }
+}
+
+/// A decision a guard limit stopped before any disjunct was proven; other
+/// errors pass through.
+fn stopped(e: RelativeError, resume: ResumeState) -> Result<Decision, RelativeError> {
+    let resource = e.resource().cloned().ok_or(e)?;
+    let partial = Partial {
+        resource,
+        disjuncts_proven: Vec::new(),
+        disjuncts_total: 0,
+        partial_plan: None,
+    };
+    Ok(Decision {
+        verdict: Verdict::Unknown(partial),
+        resume,
+        witness: None,
+    })
+}
+
+/// The nonrecursive-`Q1` routes (Thms 3.1, 3.2, 5.1, 5.2): each disjunct
+/// of `P1` is expanded and checked against `Q2`'s unfolding, or, when `Q2`
+/// is recursive, by evaluating `Q2` over the expansion's canonical
+/// database.
+fn decide_disjuncts(
+    q: &Question<'_>,
+    planner: &Planner<'_>,
+    q2_recursive: bool,
+) -> Result<Decision, RelativeError> {
+    let views = planner.views();
+    let u2 = (!q2_recursive).then(|| q.q2.unfold(&q.ans2)).transpose()?;
+    let p1 = match run_guarded(|| max_contained_ucq_plan_with(q.q1, &q.ans1, planner)) {
+        Ok(p) => p,
+        // The plan never got built, so checkpoint validity is unknowable
+        // this run; report Fresh (nothing was skipped).
+        Err(e) => return stopped(e, ResumeState::Fresh),
+    };
+    let total = p1.disjuncts.len();
+    let (skip, resume) = match q.resume {
+        Some(r) if r.disjuncts_total != total => (
+            &[][..],
+            ResumeState::Rejected {
+                expected: r.disjuncts_total,
+                actual: total,
+            },
+        ),
+        Some(r) if !r.proven.is_empty() => (
+            r.proven,
+            ResumeState::Applied {
+                skipped: r.proven.iter().filter(|&&i| i < total).count(),
+            },
+        ),
+        _ => (&[][..], ResumeState::Fresh),
+    };
+    let mut proven: Vec<usize> = Vec::new();
+    let (verdict, witness) = 'check: {
+        for (ix, d) in p1.disjuncts.iter().enumerate() {
+            if !skip.contains(&ix) {
+                let exp = {
+                    let _s = qc_obs::span("expansion");
+                    expand_cq(d, views)
+                }
+                .ok_or_else(|| {
+                    RelativeError::Unsupported("plan disjunct does not expand".into())
+                })?;
+                let _s = qc_obs::span("containment_check");
+                let contained = run_guarded(|| match &u2 {
+                    Some(u2) => Ok(cq_contained_in_ucq(&exp, u2)),
+                    None => Ok(ucq_contained_in_datalog(
+                        &Ucq::single(exp.clone()),
+                        q.q2,
+                        &q.ans2,
+                        &EvalOptions::default(),
+                    )?),
+                });
+                match contained {
+                    // Fresh proof work (checkpoint-skipped disjuncts are not
+                    // counted): the churn suite's measure that a one-view
+                    // delta re-proves only affected disjuncts.
+                    Ok(true) => qc_obs::count(qc_obs::Counter::PlanDisjunctsProved, 1),
+                    Ok(false) => {
+                        let plan = d.clone();
+                        let w = NonContainmentWitness {
+                            plan,
+                            expansion: exp,
+                        };
+                        break 'check (Verdict::NotContained, Some(Witness::Disjunct(w)));
+                    }
+                    Err(e) => {
+                        let resource = e.resource().cloned().ok_or(e)?;
+                        let partial_plan = (!proven.is_empty()).then(|| {
+                            Ucq::new(proven.iter().map(|&i| p1.disjuncts[i].clone()).collect())
+                                .expect("disjuncts share the query head")
+                        });
+                        let partial = Partial {
+                            resource,
+                            disjuncts_proven: proven,
+                            disjuncts_total: total,
+                            partial_plan,
+                        };
+                        break 'check (Verdict::Unknown(partial), None);
+                    }
+                }
+            }
+            proven.push(ix);
+        }
+        (Verdict::Contained, None)
+    };
+    Ok(Decision {
+        verdict,
+        resume,
+        witness,
+    })
+}
+
+/// The datalog routes: a recursive `Q1` (Thm 3.2) and binding patterns
+/// (Thms 4.1/4.2). `P1` is recursive — `Q1` with the views' inverse rules,
+/// or the executable plan with its `dom` rules — and `P1^exp ⊆ Q2` is
+/// decided by the type fixpoint.
+fn decide_datalog(
+    q: &Question<'_>,
+    planner: &Planner<'_>,
+    q2_recursive: bool,
+) -> Result<Decision, RelativeError> {
+    let views = planner.views();
+    if q.binding_patterns {
+        if q2_recursive {
+            return Err(RelativeError::Unsupported(
+                "Theorem 4.2 requires the containing query to be nonrecursive".into(),
+            ));
+        }
+        // Definition 4.5 precondition.
+        let mut lhs_consts = q.q1.consts();
+        lhs_consts.extend(views.consts());
+        let mut rhs_consts = q.q2.consts();
+        rhs_consts.extend(views.consts());
+        if !lhs_consts.is_subset(&rhs_consts) {
+            return Err(RelativeError::ConstantsPrecondition);
+        }
+    }
+    let (p1, ans1) = {
+        let _s = qc_obs::span("plan_construction");
+        let plan = if q.binding_patterns {
+            crate::binding::executable_plan(q.q1, views)
+        } else {
+            planner.inverse_plan(q.q1)
+        };
+        sanitize_datalog_plan(&eliminate_function_terms(&plan)?, views, &q.ans1)
+    };
+    let p1_exp = {
+        let _s = qc_obs::span("expansion");
+        expand_program(&p1, views)
+    };
+    let u2 = q.q2.unfold(&q.ans2)?;
+    let contained = {
+        let _s = qc_obs::span("containment_check");
+        datalog_contained_in_ucq(&p1_exp, &ans1, &u2, &FixpointBudget::default())?
+    };
+    // The search is a semi-decision: running out of budget, or tripping a
+    // guard limit, leaves the verdict standing without a witness.
+    let witness = (!contained && q.binding_patterns)
+        .then(|| {
+            qc_guard::guarded(|| {
+                find_counterexample_expansion(&p1_exp, &ans1, &u2, &WitnessBudget::default())
+            })
+        })
+        .and_then(Result::ok)
+        .flatten()
+        .map(|mut e| {
+            e.head.pred = q.ans1; // undo the plan's `plan__` renaming
+            Witness::Expansion(e)
+        });
+    Ok(Decision {
+        verdict: if contained {
+            Verdict::Contained
+        } else {
+            Verdict::NotContained
+        },
+        resume: ResumeState::Monolithic,
+        witness,
+    })
+}
+
+/// Decides relative containment `Q1 ⊑_V Q2` (Definition 2.4): [`decide`]
+/// on a plain question over `views`.
+pub fn relatively_contained(
+    q1: &Program,
+    ans1: &Symbol,
+    q2: &Program,
+    ans2: &Symbol,
+    views: &LavSetting,
+) -> Result<bool, RelativeError> {
+    decide(&Question::new(q1, ans1, q2, ans2), Sources::Views(views))?.holds()
+}
+
 /// Like [`relatively_contained`] for nonrecursive queries, but on failure
 /// returns the witness plan disjunct — the paper's §1 use case of
 /// "familiarizing a user with the coverage and limitations" of the
@@ -826,47 +822,14 @@ pub fn relatively_contained_witness(
     ans2: &Symbol,
     views: &LavSetting,
 ) -> Result<Result<(), NonContainmentWitness>, RelativeError> {
-    let p1 = max_contained_ucq_plan(q1, ans1, views)?;
-    let u2 = q2.unfold(ans2)?;
-    for d in &p1.disjuncts {
-        let exp = crate::expansion::expand_cq(d, views)
-            .ok_or_else(|| RelativeError::Unsupported("plan disjunct does not expand".into()))?;
-        if !qc_containment::cq_contained_in_ucq(&exp, &u2) {
-            return Ok(Err(NonContainmentWitness {
-                plan: d.clone(),
-                expansion: exp,
-            }));
-        }
+    let decision = decide(&Question::new(q1, ans1, q2, ans2), Sources::Views(views))?;
+    match (decision.holds()?, decision.witness) {
+        (true, _) => Ok(Ok(())),
+        (false, Some(Witness::Disjunct(w))) => Ok(Err(w)),
+        (false, _) => Err(RelativeError::Unsupported(
+            "a recursive plan has no witness disjunct".into(),
+        )),
     }
-    Ok(Ok(()))
-}
-
-/// Like [`relatively_contained_bp`], but on failure additionally searches
-/// (bounded) for a counterexample *expansion*: a concrete proof tree of
-/// `Q1`'s executable plan whose conjunctive reading is not contained in
-/// `Q2`. Returns `Ok(Err(None))` when the containment fails but the
-/// witness search exhausted its budget.
-pub fn relatively_contained_bp_witness(
-    q1: &Program,
-    ans1: &Symbol,
-    q2: &Program,
-    ans2: &Symbol,
-    views: &LavSetting,
-) -> Result<Result<(), Option<qc_datalog::ConjunctiveQuery>>, RelativeError> {
-    if relatively_contained_bp(q1, ans1, q2, ans2, views)? {
-        return Ok(Ok(()));
-    }
-    let p1 = eliminate_function_terms(&crate::binding::executable_plan(q1, views))?;
-    let (p1, ans1_renamed) = sanitize_datalog_plan(&p1, views, ans1);
-    let p1_exp = expand_program(&p1, views);
-    let u2 = q2.unfold(ans2)?;
-    let witness = qc_containment::witness::find_counterexample_expansion(
-        &p1_exp,
-        &ans1_renamed,
-        &u2,
-        &qc_containment::witness::WitnessBudget::default(),
-    );
-    Ok(Err(witness))
 }
 
 /// Decides relative equivalence `Q1 ≡_V Q2` (both containments).
@@ -908,11 +871,35 @@ impl std::fmt::Display for ContainmentKind {
     }
 }
 
-/// Classifies the containment of `Q1` in `Q2` relative to `views`.
-///
-/// Both queries must be nonrecursive (classical containment of the
-/// unfoldings is checked first; the relative check runs only when the
-/// classical one fails).
+/// Classifies a question: classical containment of the unfoldings first,
+/// then, only when that fails, one [`decide`], whose [`Decision`] (with
+/// its witness) comes back too. Both queries must be nonrecursive. A
+/// resource trip is an `Err`.
+pub fn explain(
+    question: &Question<'_>,
+    sources: Sources<'_>,
+) -> Result<(ContainmentKind, Option<Decision>), RelativeError> {
+    let _span = qc_obs::span("explain_containment");
+    let classical = {
+        let _s = qc_obs::span("classical_check");
+        let u1 = question.q1.unfold(&question.ans1)?;
+        let u2 = question.q2.unfold(&question.ans2)?;
+        ucq_contained(&u1, &u2)
+    };
+    if classical {
+        return Ok((ContainmentKind::Classical, None));
+    }
+    let decision = decide(question, sources)?;
+    let kind = if decision.holds()? {
+        ContainmentKind::OnlyRelative
+    } else {
+        ContainmentKind::No
+    };
+    Ok((kind, Some(decision)))
+}
+
+/// Classifies the containment of `Q1` in `Q2` relative to `views`
+/// ([`explain`] without the decision).
 pub fn explain_containment(
     q1: &Program,
     ans1: &Symbol,
@@ -920,28 +907,14 @@ pub fn explain_containment(
     ans2: &Symbol,
     views: &LavSetting,
 ) -> Result<ContainmentKind, RelativeError> {
-    let _span = qc_obs::span("explain_containment");
-    let classical = {
-        let _s = qc_obs::span("classical_check");
-        let u1 = q1.unfold(ans1)?;
-        let u2 = q2.unfold(ans2)?;
-        ucq_contained(&u1, &u2)
-    };
-    if classical {
-        return Ok(ContainmentKind::Classical);
-    }
-    if relatively_contained(q1, ans1, q2, ans2, views)? {
-        Ok(ContainmentKind::OnlyRelative)
-    } else {
-        Ok(ContainmentKind::No)
-    }
+    explain(&Question::new(q1, ans1, q2, ans2), Sources::Views(views)).map(|(kind, _)| kind)
 }
 
 /// The alternative decision route of Theorem 3.1's statement: compare the
 /// two maximally-contained UCQ plans directly over the source vocabulary.
-/// Valid for nonrecursive queries; exposed for cross-validation (the
-/// property tests check it agrees with [`relatively_contained`]) and for
-/// the E4/E9 benchmarks.
+/// Valid for nonrecursive queries. It shares no code with [`decide`]
+/// past plan construction, so the tests use it as the reference that
+/// [`decide`] must agree with; the E4/E9 benchmarks time it.
 pub fn relatively_contained_by_plans(
     q1: &Program,
     ans1: &Symbol,
@@ -1056,7 +1029,8 @@ mod tests {
         let ok =
             relatively_contained_witness(&q1(), &sym("q1"), &q2(), &sym("q2"), &views).unwrap();
         assert!(ok.is_ok());
-        // Witness agrees with the decision on random workloads.
+        // Witness agrees with the plan-comparison reference on random
+        // workloads.
         use crate::workloads::{query_program, random_query, random_views, Shape};
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
@@ -1064,7 +1038,7 @@ mod tests {
             let a = random_query(Shape::Chain, 2, 2, &mut rng);
             let b = random_query(Shape::Chain, 2, 2, &mut rng);
             let v = random_views(3, 2, &mut rng);
-            let dec = relatively_contained(
+            let dec = relatively_contained_by_plans(
                 &query_program(&a),
                 &sym("q"),
                 &query_program(&b),
@@ -1131,6 +1105,33 @@ mod tests {
         let two = prog("w(X, Z) :- edge(X, Y), edge(Y, Z).");
         assert!(relatively_contained(&two, &sym("w"), &tc, &sym("t"), &views).unwrap());
         assert!(!relatively_contained(&direct, &sym("d"), &two, &sym("w"), &views).unwrap());
+        let rev = prog("r(X, Y) :- edge(Y, X).");
+        let got = relatively_contained_witness(&rev, &sym("r"), &tc, &sym("t"), &views).unwrap();
+        let w = got.expect_err("a reversed edge is no path");
+        assert!(w.plan.subgoals.iter().all(|a| a.pred == "V"), "{w}");
+    }
+
+    #[test]
+    fn recursive_container_agrees_with_freezing_the_plans() {
+        // Reference for a recursive Q2: freeze each disjunct of P1 and
+        // evaluate Q2's own maximally-contained plan P2 over it.
+        let views = LavSetting::parse(&["V(X, Y) :- edge(X, Y).", "S(X) :- edge(X, X)."]).unwrap();
+        let tc = prog("t(X, Y) :- edge(X, Y). t(X, Z) :- t(X, Y), edge(Y, Z).");
+        let p2 = eliminate_function_terms(&max_contained_plan(&tc, &views)).unwrap();
+        for q in [
+            "a(X, Z) :- edge(X, Y), edge(Y, Z).",
+            "a(X, Y) :- edge(Y, X).",
+            "a(X, X) :- edge(X, X).",
+            "a(X, Y) :- edge(X, Y), edge(Y, Y).",
+            "a(X, Y) :- edge(X, A), edge(B, Y).",
+        ] {
+            let q1 = prog(q);
+            let p1 = max_contained_ucq_plan(&q1, &sym("a"), &views).unwrap();
+            let reference =
+                ucq_contained_in_datalog(&p1, &p2, &sym("t"), &EvalOptions::default()).unwrap();
+            let got = relatively_contained(&q1, &sym("a"), &tc, &sym("t"), &views).unwrap();
+            assert_eq!(got, reference, "{q}");
+        }
     }
 
     #[test]

@@ -142,9 +142,16 @@ proptest! {
         let b2 = bodies[rng.gen_range(0..bodies.len())];
         let q1 = qc_datalog::parse_program(&format!("q(X) :- {b1}.")).unwrap();
         let q2 = qc_datalog::parse_program(&format!("q(X) :- {b2}.")).unwrap();
-        let decided = match qc_mediator::relative::relatively_contained_bp(
-            &q1, &s("q"), &q2, &s("q"), &views,
-        ) {
+        let question = qc_mediator::relative::Question {
+            binding_patterns: true,
+            ..qc_mediator::relative::Question::new(&q1, &s("q"), &q2, &s("q"))
+        };
+        let decided = match qc_mediator::relative::decide(
+            &question,
+            qc_mediator::relative::Sources::Views(&views),
+        )
+        .and_then(|d| d.holds())
+        {
             Ok(d) => d,
             Err(_) => return Ok(()), // e.g. constants precondition
         };

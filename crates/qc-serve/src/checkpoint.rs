@@ -4,9 +4,8 @@
 //! disjuncts were proven contained before a resource limit hit. A
 //! [`Checkpoint`] packages those indices with a fingerprint of the request
 //! that produced them, so a retried request with fresh budget can hand
-//! the proven set back to
-//! [`qc_mediator::relative::relatively_contained_verdict_resume`] and
-//! continue where it stopped instead of recomputing — the differential
+//! the proven set back to [`qc_mediator::relative::decide`] (as a
+//! [`qc_mediator::relative::Resume`]) and continue where it stopped instead of recomputing — the differential
 //! guarantee is that the resumed run reaches exactly the verdict an
 //! unlimited one-shot run would.
 //!

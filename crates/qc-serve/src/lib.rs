@@ -46,8 +46,7 @@ use qc_mediator::catalog::{extend_footprint, CompiledCatalog};
 use qc_mediator::expansion::expand_cq;
 use qc_mediator::minicon::minicon_rewritings_catalog;
 use qc_mediator::relative::{
-    relatively_contained_verdict_resume_checked_catalog, Partial, RelativeError, ResumeState,
-    Verdict,
+    decide, Partial, Question, RelativeError, Resume, ResumeState, Sources, Verdict,
 };
 use qc_mediator::schema::LavSetting;
 use qc_obs::{Counter, Counters, Hist, Histograms};
@@ -1079,15 +1078,21 @@ impl ServeCore {
     }
 
     /// Whether the MiniCon tier's soundness argument applies to this
-    /// request: both queries nonrecursive and everything comparison-free
-    /// (the semi-interval MiniCon variant exists, but its soundness story
-    /// under *relative* containment is exactly what the full tiers are
-    /// for). Unsupported requests run with [`Tier::Bounded`] semantics
-    /// instead.
+    /// request: both queries nonrecursive, and both queries and the views
+    /// Q1 can reach comparison-free (the semi-interval MiniCon variant
+    /// exists, but its soundness story under *relative* containment is
+    /// exactly what the full tiers are for). Views outside Q1's scope
+    /// cannot enter a rewriting, and reading only the scope keeps the
+    /// answer a function of what the request fingerprint hashes.
+    /// Unsupported requests run with [`Tier::Bounded`] semantics instead.
     fn minicon_supported(&self, req: &Request, snap: &CatalogSnapshot) -> bool {
         !req.q1.has_comparisons()
             && !req.q2.has_comparisons()
-            && snap.views().is_comparison_free()
+            && snap
+                .catalog()
+                .scope(&req.q1)
+                .iter()
+                .all(|e| e.source.view.is_comparison_free())
             && !req
                 .q1
                 .dependency_graph()
@@ -1162,7 +1167,7 @@ impl ServeCore {
                     .add(Counter::InvalidationStaleEpochRejected, 1);
             } else if cp.fingerprint == fingerprint {
                 // The disjunct count is validated against the rebuilt
-                // plan inside the resume call; a mismatch surfaces as
+                // plan inside `decide`; a mismatch surfaces as
                 // `ResumeState::Rejected` below.
                 proven_before = cp.proven.clone();
                 expected_total = Some(cp.disjuncts_total);
@@ -1189,7 +1194,7 @@ impl ServeCore {
                 self.counters
                     .add(Counter::InvalidationStaleEpochRejected, 1);
             } else if !cp.proven.is_empty() {
-                proven_before = cp.proven.clone();
+                proven_before = cp.proven;
                 expected_total = Some(cp.disjuncts_total);
                 resumed = true;
             }
@@ -1278,21 +1283,20 @@ impl ServeCore {
                 qc_guard::with_guard(&guard, || self.minicon_verdict(req, grant, snap))
             })
         } else {
+            let question = Question {
+                resume: expected_total.map(|disjuncts_total| Resume {
+                    proven: &proven_before,
+                    disjuncts_total,
+                }),
+                ..Question::new(&req.q1, &req.ans1, &req.q2, &req.ans2)
+            };
             engine::with_options(EngineOptions::sequential(), || {
                 qc_guard::with_guard(&guard, || {
-                    relatively_contained_verdict_resume_checked_catalog(
-                        &req.q1,
-                        &req.ans1,
-                        &req.q2,
-                        &req.ans2,
-                        snap.catalog(),
-                        &proven_before,
-                        expected_total,
-                    )
+                    decide(&question, Sources::Catalog(snap.catalog()))
                 })
             })
-            .map(|(v, state)| {
-                if let ResumeState::Rejected { expected, actual } = state {
+            .map(|decision| {
+                if let ResumeState::Rejected { expected, actual } = decision.resume {
                     checkpoint_rejected = Some(CheckpointRejected {
                         kind: RejectReason::PlanShapeMismatch,
                         reason: format!(
@@ -1302,7 +1306,7 @@ impl ServeCore {
                     self.counters.add(Counter::ServeCheckpointRejected, 1);
                     resumed = false;
                 }
-                v
+                decision.verdict
             })
         };
         let consumed = guard.consumed();

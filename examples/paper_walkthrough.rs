@@ -18,7 +18,7 @@ use relcont::mediator::inverse_rules::{inverse_rules, max_contained_plan};
 use relcont::mediator::minicon::semi_interval_plan;
 use relcont::mediator::reductions::{thm33_reduction, Cnf3, CnfVar, Lit};
 use relcont::mediator::relative::{
-    explain_containment, relatively_contained, relatively_contained_bp,
+    decide, explain_containment, relatively_contained, Question, Sources,
 };
 use relcont::mediator::schema::LavSetting;
 
@@ -136,9 +136,15 @@ fn main() {
             .collect::<Vec<_>>()
     );
     let q_all = parse_program("qa(P) :- price(I, P).").unwrap();
+    let question = Question {
+        binding_patterns: true,
+        ..Question::new(&q_all, &s("qa"), &q_eco, &s("qe"))
+    };
     println!(
         "Thm 4.2 decision  Q_all \u{2291}_V,B Q_eco: {}",
-        relatively_contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &adorned).unwrap()
+        decide(&question, Sources::Views(&adorned))
+            .and_then(|d| d.holds())
+            .unwrap()
     );
 
     // ----------------------------------------------------------------- §5

@@ -14,7 +14,7 @@
 use relcont::datalog::eval::EvalOptions;
 use relcont::datalog::{parse_program, parse_rule, Database, Symbol};
 use relcont::mediator::binding::{executable_plan, is_executable_rule, reachable_certain_answers};
-use relcont::mediator::relative::relatively_contained_bp;
+use relcont::mediator::relative::{decide, Question, RelativeError, Sources};
 use relcont::mediator::schema::LavSetting;
 
 fn main() {
@@ -104,48 +104,28 @@ fn main() {
     // no constant to start calling sources with, so its reachable certain
     // answers are always empty and the containment holds vacuously.
     println!("\n== Relative containment with binding patterns ==");
+    let contained_bp = |q1, a1: &str, q2, a2: &str| -> Result<bool, RelativeError> {
+        let question = Question {
+            binding_patterns: true,
+            ..Question::new(q1, &Symbol::new(a1), q2, &Symbol::new(a2))
+        };
+        decide(&question, Sources::Views(&views))?.holds()
+    };
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
     let q_all = parse_program("qa(P) :- price(I, P).").unwrap();
-    let c1 = relatively_contained_bp(
-        &q_all,
-        &Symbol::new("qa"),
-        &q_eco,
-        &Symbol::new("qe"),
-        &views,
-    )
-    .unwrap();
+    let c1 = contained_bp(&q_all, "qa", &q_eco, "qe").unwrap();
     println!("  Q_all_prices \u{2291}_V,B Q_eco: {c1}  (no reachable answers at all)");
     // The reverse direction violates Definition 4.5's precondition: the
     // contained side may only use constants that also appear on the
     // containing side (here `eco` does not).
-    match relatively_contained_bp(
-        &q_eco,
-        &Symbol::new("qe"),
-        &q_all,
-        &Symbol::new("qa"),
-        &views,
-    ) {
+    match contained_bp(&q_eco, "qe", &q_all, "qa") {
         Ok(c2) => println!("  Q_eco \u{2291}_V,B Q_all_prices: {c2}"),
         Err(e) => println!("  Q_eco \u{2291}_V,B Q_all_prices: n/a ({e})"),
     }
     // Against a query that shares the constant, the check runs — and the
     // redundant extra subgoal keeps the two queries relatively equivalent.
     let q_eco2 = parse_program("qf(P) :- authored(I, eco), price(I, P), authored(I, A).").unwrap();
-    let both = relatively_contained_bp(
-        &q_eco,
-        &Symbol::new("qe"),
-        &q_eco2,
-        &Symbol::new("qf"),
-        &views,
-    )
-    .unwrap()
-        && relatively_contained_bp(
-            &q_eco2,
-            &Symbol::new("qf"),
-            &q_eco,
-            &Symbol::new("qe"),
-            &views,
-        )
-        .unwrap();
+    let both = contained_bp(&q_eco, "qe", &q_eco2, "qf").unwrap()
+        && contained_bp(&q_eco2, "qf", &q_eco, "qe").unwrap();
     println!("  Q_eco \u{2261}_V,B Q_eco': {both}");
 }

@@ -27,8 +27,8 @@ use relcont::mediator::analysis::{is_lossless, source_coverage, unused_sources};
 use relcont::mediator::binding::reachable_certain_answers;
 use relcont::mediator::certain::{certain_answer_support, certain_answers};
 use relcont::mediator::relative::{
-    explain_containment, max_contained_ucq_plan, relatively_contained_bp,
-    relatively_contained_witness, Verdict,
+    decide, explain_containment, max_contained_ucq_plan, relatively_contained_witness, Question,
+    Sources, Verdict,
 };
 use relcont::mediator::schema::{LavSetting, SourceDescription};
 
@@ -237,20 +237,36 @@ impl Session {
                 self.facts.insert_atom(&rule.head);
                 Ok(Some(format!("{} fact(s) total", self.facts.total_len())))
             }
-            "check" | "checkbp" => {
+            "check" | "checkbp" | "why" => {
                 let mut parts = rest.split_whitespace();
                 let (Some(n1), Some(n2)) = (parts.next(), parts.next()) else {
                     return Err(format!("usage: {cmd} <q1> <q2>"));
                 };
                 let (q1, a1) = self.query(n1)?;
                 let (q2, a2) = self.query(n2)?;
-                if cmd == "checkbp" {
-                    let holds = relatively_contained_bp(q1, &a1, q2, &a2, &self.views)
+                if cmd == "why" {
+                    match relatively_contained_witness(q1, &a1, q2, &a2, &self.views)
+                        .map_err(|e| e.to_string())?
+                    {
+                        Ok(()) => Ok(Some(format!("{n1} \u{2291} {n2}: no witness exists"))),
+                        Err(w) => Ok(Some(w.to_string())),
+                    }
+                } else if cmd == "checkbp" {
+                    let question = Question {
+                        binding_patterns: true,
+                        ..Question::new(q1, &a1, q2, &a2)
+                    };
+                    let decision = decide(&question, Sources::Views(&self.views))
                         .map_err(|e| e.to_string())?;
-                    Ok(Some(format!(
+                    let holds = decision.holds().map_err(|e| e.to_string())?;
+                    let mut out = format!(
                         "{n1} {} {n2} under the binding patterns",
                         if holds { "\u{2291}" } else { "\u{22e2}" }
-                    )))
+                    );
+                    if let Some(w) = decision.witness {
+                        out.push_str(&format!("\n{w}"));
+                    }
+                    Ok(Some(out))
                 } else if self.limited() {
                     // Anytime path, routed through the embedded serve
                     // core: the session's `:limit` values become the
@@ -315,20 +331,6 @@ impl Session {
                     let kind = explain_containment(q1, &a1, q2, &a2, &self.views)
                         .map_err(|e| e.to_string())?;
                     Ok(Some(format!("{n1} vs {n2}: {kind}")))
-                }
-            }
-            "why" => {
-                let mut parts = rest.split_whitespace();
-                let (Some(n1), Some(n2)) = (parts.next(), parts.next()) else {
-                    return Err("usage: why <q1> <q2>".into());
-                };
-                let (q1, a1) = self.query(n1)?;
-                let (q2, a2) = self.query(n2)?;
-                match relatively_contained_witness(q1, &a1, q2, &a2, &self.views)
-                    .map_err(|e| e.to_string())?
-                {
-                    Ok(()) => Ok(Some(format!("{n1} \u{2291} {n2}: no witness exists"))),
-                    Err(w) => Ok(Some(w.to_string())),
                 }
             }
             "plan" => {

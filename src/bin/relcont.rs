@@ -48,8 +48,7 @@ use relcont::guard::Guard;
 use relcont::mediator::binding::reachable_certain_answers;
 use relcont::mediator::certain::certain_answers;
 use relcont::mediator::relative::{
-    explain_containment, max_contained_ucq_plan, relatively_contained_bp,
-    relatively_contained_verdict, relatively_contained_witness, ContainmentKind, Verdict,
+    decide, explain, max_contained_ucq_plan, Question, Sources, Verdict,
 };
 use relcont::mediator::schema::LavSetting;
 
@@ -224,8 +223,8 @@ impl Flags {
         self.values.get(key).map(String::as_str)
     }
 
-    /// True when a resource limit was requested, i.e. the run should use the
-    /// anytime verdict path rather than the plain decision procedures.
+    /// True when a resource limit was requested: `check` then reports the
+    /// anytime verdict instead of the classical-vs-relative kind.
     fn limited(&self) -> bool {
         self.optional("timeout").is_some() || self.optional("budget").is_some()
     }
@@ -328,9 +327,22 @@ fn load_views(path: &str) -> Result<LavSetting, String> {
     Ok(views)
 }
 
+/// Parses a rule file. A predicate used at two arities is an input error:
+/// evaluation keeps one relation, of one arity, per predicate.
+fn parse_rules(label: &str, text: &str) -> Result<Program, String> {
+    let program = parse_program(text).map_err(|e| format!("{label}: {e}"))?;
+    if let Err(preds) = program.arities() {
+        return Err(format!(
+            "{label}: predicate {} is used with more than one arity",
+            preds[0]
+        ));
+    }
+    Ok(program)
+}
+
 fn load_query(path: &str, ans: Option<&str>) -> Result<(Program, Symbol), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = parse_program(&text).map_err(|e| format!("{path}: {e}"))?;
+    let program = parse_rules(path, &text)?;
     let ans = match ans {
         Some(a) => Symbol::new(a),
         None => program
@@ -346,52 +358,51 @@ fn cmd_check(flags: &Flags) -> Result<Outcome, String> {
     let views = load_views(flags.required("views")?)?;
     let (q1, ans1) = load_query(flags.required("q1")?, flags.optional("ans1"))?;
     let (q2, ans2) = load_query(flags.required("q2")?, flags.optional("ans2"))?;
-    if flags.bp {
-        let holds =
-            relatively_contained_bp(&q1, &ans1, &q2, &ans2, &views).map_err(|e| e.to_string())?;
-        println!(
-            "{ans1} {} {ans2} relative to {} adorned source(s)",
-            if holds { "\u{2291}" } else { "\u{22e2}" },
-            views.sources.len()
-        );
-        return Ok(outcome_of(holds));
-    }
-    if flags.limited() {
-        // Under a resource limit, take the anytime path: it reports how far
-        // the decision got instead of failing with a bare resource error.
-        let verdict = relatively_contained_verdict(&q1, &ans1, &q2, &ans2, &views)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "{ans1} vs {ans2} relative to {} source(s): {verdict}",
-            views.sources.len()
-        );
-        return Ok(match verdict {
-            Verdict::Contained => Outcome::True,
-            Verdict::NotContained => Outcome::False,
-            Verdict::Unknown(partial) => {
-                if let Some(plan) = &partial.partial_plan {
-                    println!("% partial plan proven contained so far:");
-                    for d in &plan.disjuncts {
-                        println!("{}", d.tidy_names().to_rule());
-                    }
-                }
-                Outcome::Unknown(partial.resource.to_string())
-            }
-        });
-    }
-    let kind = explain_containment(&q1, &ans1, &q2, &ans2, &views).map_err(|e| e.to_string())?;
-    println!(
-        "{ans1} vs {ans2} relative to {} source(s): {kind}",
-        views.sources.len()
-    );
-    if matches!(kind, ContainmentKind::No) {
-        if let Ok(Err(w)) =
-            relatively_contained_witness(&q1, &ans1, &q2, &ans2, &views).map_err(|e| e.to_string())
-        {
-            println!("{w}");
+    let question = Question {
+        binding_patterns: flags.bp,
+        ..Question::new(&q1, &ans1, &q2, &ans2)
+    };
+    let n = views.sources.len();
+    let decision = if flags.bp || flags.limited() {
+        decide(&question, Sources::Views(&views)).map_err(|e| e.to_string())?
+    } else {
+        let (kind, decision) =
+            explain(&question, Sources::Views(&views)).map_err(|e| e.to_string())?;
+        println!("{ans1} vs {ans2} relative to {n} source(s): {kind}");
+        match decision {
+            Some(decision) => decision,
+            None => return Ok(Outcome::True), // classically contained
         }
+    };
+    let verdict = &decision.verdict;
+    match verdict {
+        Verdict::Unknown(_) if flags.bp => {}
+        _ if flags.bp => println!(
+            "{ans1} {} {ans2} relative to {n} adorned source(s)",
+            if *verdict == Verdict::Contained {
+                "\u{2291}"
+            } else {
+                "\u{22e2}"
+            }
+        ),
+        // Under a resource limit, report how far the decision got instead
+        // of failing with a bare resource error.
+        _ if flags.limited() => println!("{ans1} vs {ans2} relative to {n} source(s): {verdict}"),
+        _ => {}
     }
-    Ok(outcome_of(!matches!(kind, ContainmentKind::No)))
+    if let Verdict::Unknown(partial) = verdict {
+        if let Some(plan) = &partial.partial_plan {
+            println!("% partial plan proven contained so far:");
+            for d in &plan.disjuncts {
+                println!("{}", d.tidy_names().to_rule());
+            }
+        }
+        return Ok(Outcome::Unknown(partial.resource.to_string()));
+    }
+    if let Some(w) = &decision.witness {
+        println!("{w}");
+    }
+    Ok(outcome_of(*verdict == Verdict::Contained))
 }
 
 fn cmd_plan(flags: &Flags) -> Result<Outcome, String> {
@@ -506,7 +517,7 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
     let views = load_views(flags.required("views")?)?;
     let qpath = flags.required("queries")?;
     let qtext = std::fs::read_to_string(qpath).map_err(|e| format!("{qpath}: {e}"))?;
-    let program = parse_program(&qtext).map_err(|e| format!("{qpath}: {e}"))?;
+    let program = parse_rules(qpath, &qtext)?;
     let jpath = flags.required("jobs")?;
     let jtext = std::fs::read_to_string(jpath).map_err(|e| format!("{jpath}: {e}"))?;
 
@@ -774,7 +785,7 @@ fn load_csv_specs(db: &mut Database, specs: &str) -> Result<(), String> {
 fn cmd_eval(flags: &Flags) -> Result<Outcome, String> {
     let text =
         std::fs::read_to_string(flags.required("program")?).map_err(|e| format!("program: {e}"))?;
-    let program = parse_program(&text).map_err(|e| format!("program: {e}"))?;
+    let program = parse_rules("program", &text)?;
     let data =
         std::fs::read_to_string(flags.required("data")?).map_err(|e| format!("data: {e}"))?;
     let db = Database::parse(&data).map_err(|e| format!("data: {e}"))?;

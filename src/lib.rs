@@ -11,10 +11,14 @@
 //! * [`serve`] — supervised containment service: admission control,
 //!   degradation ladder, resumable verdicts.
 //!
-//! The headline API is re-exported at the top level:
+//! The headline API is re-exported at the top level: the boolean
+//! [`relatively_contained`], and [`decide`], the one decision procedure
+//! behind it, the CLI, the REPL and the service:
 //!
 //! ```
-//! use relcont::{parse_program, relatively_contained, LavSetting, Symbol};
+//! use relcont::{
+//!     decide, parse_program, relatively_contained, LavSetting, Question, Sources, Symbol, Verdict,
+//! };
 //!
 //! let views = LavSetting::parse(&[
 //!     "CarAndDriver(M, R) :- Review(M, R, 10).",
@@ -23,6 +27,14 @@
 //! let top = parse_program("qt(M, R) :- Review(M, R, 10).").unwrap();
 //! assert!(relatively_contained(
 //!     &any, &Symbol::new("qa"), &top, &Symbol::new("qt"), &views).unwrap());
+//!
+//! // No source guarantees a rating of 9: the decision names the plan
+//! // disjunct whose expansion escapes.
+//! let nine = parse_program("q9(M, R) :- Review(M, R, 9).").unwrap();
+//! let (qa, q9) = (Symbol::new("qa"), Symbol::new("q9"));
+//! let d = decide(&Question::new(&any, &qa, &nine, &q9), Sources::Views(&views)).unwrap();
+//! assert_eq!(d.verdict, Verdict::NotContained);
+//! assert!(d.witness.unwrap().to_string().contains("CarAndDriver"));
 //! ```
 
 pub use qc_constraints as constraints;
@@ -39,7 +51,7 @@ pub use qc_datalog::{parse_program, parse_query, Database, Program, Symbol};
 pub use qc_mediator::analysis::{is_lossless, source_coverage, unused_sources};
 pub use qc_mediator::certain::certain_answers;
 pub use qc_mediator::relative::{
-    explain_containment, relatively_contained, relatively_contained_bp, relatively_equivalent,
-    ContainmentKind,
+    decide, explain_containment, relatively_contained, relatively_equivalent, ContainmentKind,
+    Decision, Question, Sources, Verdict,
 };
 pub use qc_mediator::schema::LavSetting;

@@ -7,11 +7,38 @@ use relcont::datalog::{parse_program, parse_rule, Database, Program, Symbol, Ter
 use relcont::mediator::binding::{
     executable_plan, is_executable_program, is_executable_rule, reachable_certain_answers,
 };
-use relcont::mediator::relative::{relatively_contained, relatively_contained_bp};
+use relcont::mediator::relative::{
+    decide, relatively_contained, Decision, Question, RelativeError, Sources, Verdict, Witness,
+};
 use relcont::mediator::schema::LavSetting;
 
 fn s(n: &str) -> Symbol {
     Symbol::new(n)
+}
+
+/// `Q1 ⊑_{V,B} Q2` (Definition 4.5).
+fn decide_bp(
+    q1: &Program,
+    a1: &Symbol,
+    q2: &Program,
+    a2: &Symbol,
+    v: &LavSetting,
+) -> Result<Decision, RelativeError> {
+    let question = Question {
+        binding_patterns: true,
+        ..Question::new(q1, a1, q2, a2)
+    };
+    decide(&question, Sources::Views(v))
+}
+
+fn contained_bp(
+    q1: &Program,
+    a1: &Symbol,
+    q2: &Program,
+    a2: &Symbol,
+    v: &LavSetting,
+) -> Result<bool, RelativeError> {
+    decide_bp(q1, a1, q2, a2, v)?.holds()
 }
 
 /// The paper's §4.1 example: RedCars now requires the model as input.
@@ -96,8 +123,8 @@ fn theorem_4_1_4_2_decisions() {
     // Adding a redundant subgoal keeps relative equivalence.
     let q_eco_red =
         parse_program("qf(P) :- authored(I, eco), price(I, P), authored(I, A).").unwrap();
-    assert!(relatively_contained_bp(&q_eco, &s("qe"), &q_eco_red, &s("qf"), &v).unwrap());
-    assert!(relatively_contained_bp(&q_eco_red, &s("qf"), &q_eco, &s("qe"), &v).unwrap());
+    assert!(contained_bp(&q_eco, &s("qe"), &q_eco_red, &s("qf"), &v).unwrap());
+    assert!(contained_bp(&q_eco_red, &s("qf"), &q_eco, &s("qe"), &v).unwrap());
 
     // A genuinely stronger query is not relatively contained in: prices
     // of eco's books are not always prices of kafka's books... with eco
@@ -106,20 +133,19 @@ fn theorem_4_1_4_2_decisions() {
         parse_program("qt(P) :- authored(I, eco), price(I, P), authored(I2, kafka), price(I2, P).")
             .unwrap();
     // qe ⋢ qt (qt requires a kafka-priced match too).
-    assert!(!relatively_contained_bp(&q_eco, &s("qe"), &q_two, &s("qt"), &v).unwrap());
+    assert!(!contained_bp(&q_eco, &s("qe"), &q_two, &s("qt"), &v).unwrap());
     // qt ⊑ qe... qt's constants include kafka which qe lacks — the
     // Definition 4.5 precondition fails.
-    assert!(relatively_contained_bp(&q_two, &s("qt"), &q_eco, &s("qe"), &v).is_err());
+    assert!(contained_bp(&q_two, &s("qt"), &q_eco, &s("qe"), &v).is_err());
 
     // A broad query with no constants is vacuously contained (its sound
     // plans retrieve nothing).
     let q_all = parse_program("qa(P) :- price(I, P).").unwrap();
-    assert!(relatively_contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &v).unwrap());
+    assert!(contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &v).unwrap());
 }
 
 #[test]
 fn bp_witness_expansion_explains_failure() {
-    use relcont::mediator::relative::relatively_contained_bp_witness;
     let mut v = LavSetting::parse(&[
         "Catalog(Author, Isbn) :- authored(Isbn, Author).",
         "PriceOf(Isbn, Price) :- price(Isbn, Price).",
@@ -134,14 +160,17 @@ fn bp_witness_expansion_explains_failure() {
     .unwrap();
     // qe ⋢ qs (the citation atom is never guaranteed); the witness is a
     // concrete expansion over the mediated schema.
-    let got = relatively_contained_bp_witness(&q_eco, &s("qe"), &q_strong, &s("qs"), &v).unwrap();
-    let w = got.expect_err("not contained");
-    let w = w.expect("witness found within budget");
+    let got = decide_bp(&q_eco, &s("qe"), &q_strong, &s("qs"), &v).unwrap();
+    assert_eq!(got.verdict, Verdict::NotContained);
+    let Some(Witness::Expansion(w)) = got.witness else {
+        panic!("witness found within budget: {:?}", got.witness);
+    };
     assert!(w.subgoals.iter().any(|a| a.pred == "authored"), "{w}");
     assert!(w.subgoals.iter().all(|a| a.pred != "cites"), "{w}");
-    // A holding containment reports Ok.
-    let ok = relatively_contained_bp_witness(&q_eco, &s("qe"), &q_eco, &s("qe"), &v).unwrap();
-    assert!(ok.is_ok());
+    // A holding containment has no witness.
+    let ok = decide_bp(&q_eco, &s("qe"), &q_eco, &s("qe"), &v).unwrap();
+    assert_eq!(ok.verdict, Verdict::Contained);
+    assert!(ok.witness.is_none());
 }
 
 #[test]
@@ -160,7 +189,7 @@ fn binding_patterns_vs_unrestricted_relative_containment() {
     let mut v_bound = v_free.clone();
     v_bound.sources[0] = v_bound.sources[0].clone().with_adornment("bf");
     v_bound.sources[1] = v_bound.sources[1].clone().with_adornment("bf");
-    assert!(relatively_contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &v_bound).unwrap());
+    assert!(contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &v_bound).unwrap());
 }
 
 #[test]

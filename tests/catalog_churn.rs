@@ -313,6 +313,55 @@ fn unrelated_delta_cannot_reorder_a_resumed_plan() {
     assert_eq!(resp.verdict, Verdict::NotContained);
 }
 
+/// Every catalog route reads only the views Q1 reaches, which the request
+/// fingerprint hashes: adding a view over other predicates can change
+/// neither the verdict the cache keeps nor what a fresh core with the same
+/// fingerprint decides. The two questions take the recursive route and
+/// Theorem 5.1's semi-interval route; each added view carries a
+/// comparison that would refuse the route if the decision read it.
+#[test]
+fn decisions_read_only_the_views_the_fingerprint_covers() {
+    let cfg = || ServeConfig {
+        trip_threshold: u32::MAX,
+        ..ServeConfig::default()
+    };
+    let cases = [
+        (
+            "V(X, Y) :- edge(X, Y).",
+            request(
+                "t(X, Y) :- edge(X, Y). t(X, Z) :- t(X, Y), edge(Y, Z).",
+                "t",
+                "s(X, Y) :- edge(X, A), edge(B, Y).",
+                "s",
+            ),
+            "add W(X) :- other(X), X < 3.",
+        ),
+        (
+            "A(X, Y) :- r(X, Y), Y < 5.",
+            request("qa(X) :- r(X, Y), Y < 3.", "qa", "qb(X) :- r(X, Y).", "qb"),
+            "add B(X, Y) :- s(X, Y), X < Y.",
+        ),
+    ];
+    for (view, req, add) in cases {
+        let core = ServeCore::new(LavSetting::parse(&[view]).unwrap(), cfg());
+        assert_eq!(core.handle(&req, 0).unwrap().verdict, Verdict::Contained);
+        core.apply_delta(&CatalogDelta::one(CatalogOp::parse(add).unwrap()))
+            .unwrap();
+        let cached = core.handle(&req, 0).unwrap();
+        assert_eq!(cached.verdict, Verdict::Contained, "{add}");
+        let fresh = ServeCore::new(core.snapshot().views().clone(), cfg());
+        assert_eq!(
+            req.fingerprint(&fresh.snapshot()),
+            req.fingerprint(&core.snapshot()),
+            "{add}"
+        );
+        let decided = fresh
+            .handle(&req, 0)
+            .expect("the added view is out of scope");
+        assert_eq!(decided.verdict, cached.verdict, "{add}");
+    }
+}
+
 /// The fingerprint formula journals and client checkpoints were written
 /// with, recomputed from resolved strings alone: the rendered programs and
 /// answer names, then `(rendered source, version)` for each view in

@@ -94,6 +94,61 @@ fn cli_check_and_plan_and_certain() {
     assert!(stdout.contains("q1(c1, nice)."), "{stdout}");
 }
 
+/// A NotContained `check` builds Q1's plan once: the classical check, then
+/// one decision whose refuted disjunct is the printed witness.
+#[test]
+fn cli_check_builds_the_plan_once() {
+    let dir = tmpdir("plan-once");
+    let views = write_tmp(
+        &dir,
+        "views.dl",
+        "RedCars(CarNo, Model, Year) :- CarDesc(CarNo, Model, red, Year).
+         AntiqueCars(CarNo, Model, Year) :- CarDesc(CarNo, Model, Color, Year), Year < 1970.
+         CarAndDriver(Model, Review) :- Review(Model, Review, 10).",
+    );
+    let q1 = write_tmp(
+        &dir,
+        "q1.dl",
+        "q1(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, Rating).",
+    );
+    let q3 = write_tmp(
+        &dir,
+        "q3.dl",
+        "q3(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, 10), Y < 1970.",
+    );
+    let metrics = dir.join("metrics.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_relcont"))
+        .args(["check", "--views"])
+        .arg(&views)
+        .args(["--q1"])
+        .arg(&q1)
+        .args(["--q2"])
+        .arg(&q3)
+        .args(["--metrics-json"])
+        .arg(&metrics)
+        .output()
+        .expect("run relcont");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("not contained"), "{stdout}");
+    assert!(
+        stdout.contains("witness plan:      q1(A, B) :- RedCars("),
+        "{stdout}"
+    );
+    let json = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert_eq!(
+        json.matches("\"name\": \"plan_construction\"").count(),
+        1,
+        "{json}"
+    );
+    // The root report's counters come first.
+    let root = json
+        .split("\"plan_disjuncts\": ")
+        .nth(1)
+        .expect("plan_disjuncts");
+    assert!(root.starts_with("2\n") || root.starts_with("2,"), "{json}");
+}
+
 #[test]
 fn cli_binding_patterns_via_directives() {
     let dir = tmpdir("bp");
@@ -125,6 +180,38 @@ fn cli_binding_patterns_via_directives() {
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
+
+    // A failing BP containment prints the counterexample expansion.
+    let q_strong = write_tmp(
+        &dir,
+        "qs.dl",
+        "qs(P) :- authored(I, eco), price(I, P), cites(I, I).",
+    );
+    let out = Command::new(bin)
+        .args(["check", "--bp", "--views"])
+        .arg(&views)
+        .args(["--q1"])
+        .arg(&q_eco)
+        .args(["--q2"])
+        .arg(&q_strong)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("qe \u{22e2} qs"), "{stdout}");
+    assert!(stdout.contains("witness expansion: "), "{stdout}");
+    // A budget that trips the type fixpoint leaves it undecided (exit 3).
+    let out = Command::new(bin)
+        .args(["check", "--bp", "--budget", "1", "--views"])
+        .arg(&views)
+        .args(["--q1"])
+        .arg(&q_eco)
+        .args(["--q2"])
+        .arg(&q_strong)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("undecided"));
 
     // Reachable certain answers exclude the unreachable price.
     let out = Command::new(bin)
@@ -385,6 +472,42 @@ fn cli_rejects_facts_of_two_arities() {
             .unwrap();
         expect_usage_error(out, &format!("eval --data {facts}"));
     }
+    // A program or query that uses one predicate at two arities.
+    let two = write_tmp(&dir, "two.dl", "p(X) :- e(X). p(X, Y) :- f(X, Y).");
+    let data = write_tmp(&dir, "two_data.dl", "e(1). f(1, 2).");
+    let out = Command::new(bin)
+        .args(["eval", "--program"])
+        .arg(&two)
+        .arg("--data")
+        .arg(&data)
+        .args(["--ans", "p"])
+        .output()
+        .unwrap();
+    expect_usage_error(out, "eval --program with p at two arities");
+    let views1 = write_tmp(&dir, "views1.dl", "V(X) :- e(X).");
+    let query2 = write_tmp(&dir, "q2.dl", "q(X) :- e(X). q(X, Y) :- e(X), e(Y).");
+    let inst = write_tmp(&dir, "inst_v.dl", "V(1).");
+    let out = Command::new(bin)
+        .args(["certain", "--views"])
+        .arg(&views1)
+        .arg("--query")
+        .arg(&query2)
+        .arg("--instance")
+        .arg(&inst)
+        .output()
+        .unwrap();
+    expect_usage_error(out, "certain --query with q at two arities");
+    let jobs = write_tmp(&dir, "jobs.txt", "q q");
+    let out = Command::new(bin)
+        .args(["serve", "--views"])
+        .arg(&views1)
+        .arg("--queries")
+        .arg(&query2)
+        .arg("--jobs")
+        .arg(&jobs)
+        .output()
+        .unwrap();
+    expect_usage_error(out, "serve --queries with q at two arities");
     // An instance and a CSV file that disagree on one source's arity.
     let data = write_tmp(&dir, "inst.dl", "v(1, 2).");
     let csv = write_tmp(&dir, "v.csv", "3\n4\n");

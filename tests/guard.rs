@@ -16,11 +16,29 @@ use relcont::guard::{self, FaultKind, FaultPlan, Guard, ResourceKind};
 use relcont::mediator::enumerate::{enumerated_plan, EnumerationLimits};
 use relcont::mediator::fn_elim::{eliminate_function_terms, FnElimError};
 use relcont::mediator::minicon::minicon_rewritings;
-use relcont::mediator::relative::{relatively_contained, relatively_contained_verdict, Verdict};
+use relcont::mediator::relative::{
+    decide, relatively_contained, relatively_contained_by_plans, Question, Sources, Verdict,
+};
 use relcont::mediator::schema::{example1_sources, LavSetting};
 
 fn sym(s: &str) -> Symbol {
     Symbol::new(s)
+}
+
+/// The anytime verdict of a plain question over `views`.
+fn verdict(
+    q1: &relcont::datalog::Program,
+    ans1: &str,
+    q2: &relcont::datalog::Program,
+    ans2: &str,
+    views: &LavSetting,
+) -> Verdict {
+    decide(
+        &Question::new(q1, &sym(ans1), q2, &sym(ans2)),
+        Sources::Views(views),
+    )
+    .unwrap()
+    .verdict
 }
 
 fn q1_prog() -> relcont::datalog::Program {
@@ -201,8 +219,9 @@ fn witness_guard_provenance() {
     assert_eq!(e.kind, ResourceKind::Budget);
 }
 
-/// The anytime verdict agrees with the boolean decision when no limit is
-/// in play (with and without an unlimited guard installed).
+/// The anytime verdict agrees with the plan-comparison reference
+/// (Theorem 3.1's statement) when no limit is in play, with and without an
+/// unlimited guard installed.
 #[test]
 fn verdict_agrees_with_decision_when_unlimited() {
     let views = example1_sources();
@@ -213,12 +232,9 @@ fn verdict_agrees_with_decision_when_unlimited() {
         (q3_prog(), "q3", q1_prog(), "q1"),
     ];
     for (a, an, b, bn) in cases {
-        let expect = relatively_contained(&a, &sym(an), &b, &sym(bn), &views).unwrap();
-        let bare = relatively_contained_verdict(&a, &sym(an), &b, &sym(bn), &views).unwrap();
-        let under = guard::with_guard(&Guard::unlimited(), || {
-            relatively_contained_verdict(&a, &sym(an), &b, &sym(bn), &views)
-        })
-        .unwrap();
+        let expect = relatively_contained_by_plans(&a, &sym(an), &b, &sym(bn), &views).unwrap();
+        let bare = verdict(&a, an, &b, bn, &views);
+        let under = guard::with_guard(&Guard::unlimited(), || verdict(&a, an, &b, bn, &views));
         let want = if expect {
             Verdict::Contained
         } else {
@@ -245,10 +261,7 @@ fn verdict_budget_sweep_is_anytime_and_sound() {
     let mut best_partial = 0usize;
     for budget in 0..5_000 {
         let g = Guard::unlimited().with_budget(budget);
-        let v = guard::with_guard(&g, || {
-            relatively_contained_verdict(&a, &sym("q1"), &b, &sym("q2"), &views)
-        })
-        .unwrap();
+        let v = guard::with_guard(&g, || verdict(&a, "q1", &b, "q2", &views));
         match v {
             Verdict::Contained => {
                 reached_contained = true;
@@ -296,10 +309,7 @@ fn cancellation_yields_unknown() {
     let views = example1_sources();
     let g = Guard::unlimited();
     g.cancel_token().cancel();
-    let v = guard::with_guard(&g, || {
-        relatively_contained_verdict(&q1_prog(), &sym("q1"), &q2_prog(), &sym("q2"), &views)
-    })
-    .unwrap();
+    let v = guard::with_guard(&g, || verdict(&q1_prog(), "q1", &q2_prog(), "q2", &views));
     match v {
         Verdict::Unknown(p) => assert_eq!(p.resource.kind, ResourceKind::Cancelled),
         other => panic!("expected Unknown, got {other:?}"),

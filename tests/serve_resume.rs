@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use relcont::datalog::{parse_program, Program, Symbol};
 use relcont::guard::stage;
-use relcont::mediator::relative::{relatively_contained_verdict, Verdict};
+use relcont::mediator::relative::{relatively_contained_by_plans, Verdict};
 use relcont::mediator::schema::{example1_sources, LavSetting};
 use relcont::mediator::workloads::{query_program, random_query, random_views, Shape};
 use relcont::serve::{Checkpoint, Request, ServeConfig, ServeCore, Tier};
@@ -160,17 +160,19 @@ fn trip_inside_minicon_before_any_disjunct_then_retry() {
     );
 }
 
-/// The one-shot unlimited verdict for a workload, if definite.
+/// The verdict of Theorem 3.1's plan comparison, which shares no decision
+/// code with the serve route, if it decides the workload.
 fn oracle_verdict(req: &Request, core: &ServeCore) -> Option<Verdict> {
-    match relatively_contained_verdict(
+    match relatively_contained_by_plans(
         &req.q1,
         &req.ans1,
         &req.q2,
         &req.ans2,
         core.snapshot().views(),
     ) {
-        Ok(v @ (Verdict::Contained | Verdict::NotContained)) => Some(v),
-        _ => None,
+        Ok(true) => Some(Verdict::Contained),
+        Ok(false) => Some(Verdict::NotContained),
+        Err(_) => None,
     }
 }
 
