@@ -1,11 +1,9 @@
 //! E10 — ablation: engine design choices. Naive vs semi-naive evaluation
 //! on transitive closure (chains are semi-naive's best case), and the
-//! sound uniform-containment fast path vs the complete type-fixpoint
-//! procedure for datalog ⊆ UCQ.
+//! complete type-fixpoint procedure for datalog ⊆ UCQ.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
-use qc_containment::uniform::uniformly_contained;
 use qc_datalog::eval::{evaluate, EvalOptions, Strategy};
 use qc_datalog::{parse_program, parse_query, Symbol, Ucq};
 use qc_mediator::workloads::chain_edb;
@@ -38,14 +36,9 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // Uniform containment (sound fast path) vs the complete fixpoint on a
-    // datalog ⊆ UCQ instance where both apply.
+    // The complete type fixpoint on a datalog ⊆ UCQ instance.
     let p = parse_program("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).").unwrap();
-    let q_prog = parse_program("t(X, Y) :- e(X, A), e(B, Y).").unwrap();
     let q_ucq = Ucq::single(parse_query("t(X, Y) :- e(X, A), e(B, Y).").unwrap());
-    g.bench_function("uniform_fast_path", |b| {
-        b.iter(|| uniformly_contained(&p, &q_prog, &EvalOptions::default()).unwrap())
-    });
     g.bench_function("type_fixpoint_complete", |b| {
         b.iter(|| {
             datalog_contained_in_ucq(&p, &Symbol::new("t"), &q_ucq, &FixpointBudget::default())

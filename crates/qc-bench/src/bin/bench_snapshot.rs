@@ -11,7 +11,10 @@
 //! scenarios differ between the two configurations.
 //!
 //! ```sh
-//! # Regenerate the committed snapshot.
+//! # Regenerate the committed snapshot: every scenario's counters are
+//! # recomputed; a scenario the file already holds keeps its committed
+//! # wall-clock minima, so only new scenarios are timed. To re-time a
+//! # scenario, delete its entry first.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --out BENCH_PR2.json
 //! # CI smoke: recompute counters and fail when one leaves the 2x band
 //! # around the committed snapshot (either way, or between zero and
@@ -308,8 +311,10 @@ fn scenarios() -> Vec<Scenario> {
     // Serve — queue-throughput counters: Example 1 pairs through the
     // admission layer. Each pair starts with a budget of 1 work unit and
     // doubles it until the verdict is definite, carrying checkpoints
-    // between rounds, so the serve_* counters (completed, resumed, tier
-    // churn) enter the committed snapshot with deterministic values. The
+    // between rounds, so the serve_* counters (completed, degraded runs,
+    // tier churn) enter the committed snapshot with deterministic values.
+    // (A run resumes only if a doubling lands in the few units between
+    // the two disjuncts of an Example 1 plan; none does at present.) The
     // service's own counter bank is folded into the installed recorder
     // at the end.
     let (views, queries) = qc_bench::example1();
@@ -427,12 +432,30 @@ fn paired_best_ns(s: &Scenario, a: &Cfg, b: &Cfg) -> (u64, u64) {
     (best(ta), best(tb))
 }
 
-fn snapshot() -> Value {
+/// The committed baseline and optimized `min_ns` of scenario `name`, when
+/// `committed` (a snapshot, or `Value::Null`) holds both.
+fn committed_minima(committed: &Value, name: &str) -> Option<(u64, u64)> {
+    let row = committed
+        .get_field("scenarios")
+        .as_array()?
+        .iter()
+        .find(|r| r.get_field("name").as_str() == Some(name))?;
+    let [base, opt] = configs().map(|c| as_u64(row.get_field(c.name).get_field("min_ns")));
+    Some((base?, opt?))
+}
+
+/// A fresh snapshot: every scenario's counters, with the minima
+/// `committed` holds for it ([`committed_minima`]) or, for a scenario new
+/// to it, measured ones. One timing run on a shared 2-core host moved the
+/// minima of scenarios a change did not touch by up to 1.7x, so re-timing
+/// them would loosen or tighten their gates at random.
+fn snapshot(committed: &Value) -> Value {
     let mut rows = Vec::new();
     for s in scenarios() {
         let mut row = vec![("name".to_string(), Value::Str(s.name.to_string()))];
         let cfgs = configs();
-        let (base_ns, opt_ns) = paired_best_ns(&s, &cfgs[0], &cfgs[1]);
+        let (base_ns, opt_ns) = committed_minima(committed, s.name)
+            .unwrap_or_else(|| paired_best_ns(&s, &cfgs[0], &cfgs[1]));
         for (cfg, ns) in cfgs.iter().zip([base_ns, opt_ns]) {
             let counters = counters_of(&s, cfg);
             eprintln!("{:<44} {:<10} {:>12} ns", s.name, cfg.name, ns);
@@ -805,7 +828,21 @@ fn main() -> ExitCode {
         return check(&path, time_factor, inject_slowdown);
     }
     let path = out.unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let value = snapshot();
+    let committed = match std::fs::read_to_string(&path) {
+        Ok(text) => match serde_json::from_str(&text) {
+            Ok(v) => v,
+            Err(e) => {
+                eprintln!("cannot parse {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Value::Null,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let value = snapshot(&committed);
     match serde_json::to_string_pretty(&value) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&path, json + "\n") {
@@ -883,6 +920,26 @@ mod tests {
         // Sub-noise scenarios live inside the flat slack.
         assert!(!live_gate_trips(9_000, 100));
         assert!(live_gate_trips(25_000, 100));
+    }
+
+    #[test]
+    fn regeneration_keeps_committed_minima_and_times_new_scenarios() {
+        let committed = serde_json::from_str::<Value>(
+            r#"{"scenarios": [
+                {"name": "kept",
+                 "baseline": {"min_ns": 10, "counters": {}},
+                 "optimized": {"min_ns": 20, "counters": {}}},
+                {"name": "half",
+                 "optimized": {"min_ns": 30, "counters": {}}}
+            ]}"#,
+        )
+        .unwrap();
+        assert_eq!(committed_minima(&committed, "kept"), Some((10, 20)));
+        // A scenario the file lacks, or holds only in part, is timed.
+        assert_eq!(committed_minima(&committed, "new"), None);
+        assert_eq!(committed_minima(&committed, "half"), None);
+        // No file yet: everything is timed.
+        assert_eq!(committed_minima(&Value::Null, "kept"), None);
     }
 
     #[test]

@@ -121,25 +121,6 @@ fn catalog0(case: &Case) -> LavSetting {
     views
 }
 
-/// A core whose ladder never steps down: deliberate budget starvation
-/// would otherwise degrade to the MiniCon-only tier, which cannot prove
-/// `Contained` at any budget.
-fn pinned_core(views: &LavSetting) -> ServeCore {
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    ServeCore::new(views.clone(), cfg)
-}
-
-fn pinned_core_with_store(views: &LavSetting, store: Arc<FileJournal>) -> ServeCore {
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    ServeCore::with_store(views.clone(), cfg, store)
-}
-
 /// Starves `req` on `core` with a gentle budget climb until an `Unknown`
 /// checkpoints partial progress. Returns `None` if the workload finishes
 /// before ever checkpointing (cheap workloads do).
@@ -191,7 +172,6 @@ fn check_epoch_flip(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tal
         workers: 2,
         queue_capacity: 16,
         start_paused: true,
-        trip_threshold: u32::MAX,
         ..ServeConfig::default()
     };
     let svc = Service::start(cat0, cfg);
@@ -267,7 +247,7 @@ fn check_epoch_flip(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tal
 /// the current epoch first; the core then accepts the resume and the
 /// rejection assertions below fail, which is the self-test's job.
 fn check_stale_storm(trial: usize, case: &Case, tally: &mut Tally) {
-    let core = pinned_core(&catalog0(case));
+    let core = ServeCore::new(catalog0(case), ServeConfig::default());
     let Some((_, cp)) = starve_to_checkpoint(&core, &case.req) else {
         return;
     };
@@ -359,7 +339,7 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
                 return;
             }
         };
-        let core = pinned_core_with_store(&cat0, Arc::clone(&journal));
+        let core = ServeCore::with_store(cat0.clone(), ServeConfig::default(), journal.clone());
         let Some((b_star, cp)) = starve_to_checkpoint(&core, &case.req) else {
             let _ = std::fs::remove_file(&path);
             return; // workload too cheap to checkpoint; nothing at stake
@@ -414,7 +394,7 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
             return;
         }
     };
-    let core = pinned_core_with_store(&cat1, Arc::clone(&journal));
+    let core = ServeCore::with_store(cat1.clone(), ServeConfig::default(), journal.clone());
     let epoch_b = core.epoch();
     if epoch_b == 0 {
         tally.fail(trial, "changed catalog did not bump the epoch at restart");
@@ -485,7 +465,7 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
             return;
         }
     };
-    let core = pinned_core_with_store(&cat1, journal);
+    let core = ServeCore::with_store(cat1, ServeConfig::default(), journal);
     if core.epoch() != epoch_b {
         tally.fail(
             trial,
@@ -503,7 +483,7 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
 /// fresh disjunct proofs — while a from-scratch rebuild of the same
 /// catalog re-proves the full plan.
 fn check_precise_invalidation(trial: usize, case: &Case, tally: &mut Tally) {
-    let warm = pinned_core(&catalog0(case));
+    let warm = ServeCore::new(catalog0(case), ServeConfig::default());
     let _sink = qc_obs::install(Arc::new(CounterSink(Arc::clone(warm.counters()))));
     let resp = match warm.handle(&case.req, 0) {
         Ok(r) => r,
@@ -568,7 +548,7 @@ fn check_precise_invalidation(trial: usize, case: &Case, tally: &mut Tally) {
     let mut cat1 = catalog0(case);
     cat1.sources.retain(|s| s.name.as_str() != "ZzAux");
     cat1.sources.push(aux_view(0));
-    let cold = pinned_core(&cat1);
+    let cold = ServeCore::new(cat1, ServeConfig::default());
     let _sink = qc_obs::install(Arc::new(CounterSink(Arc::clone(cold.counters()))));
     if cold.handle(&case.req, 0).is_err() {
         tally.fail(trial, "cold rebuild request errored");

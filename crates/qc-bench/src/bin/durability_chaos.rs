@@ -107,17 +107,6 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
     })
 }
 
-/// A core whose ladder never steps down: the deliberate budget starvation
-/// below would otherwise degrade to the MiniCon-only tier, which cannot
-/// prove `Contained` at any budget.
-fn pinned_core(views: &LavSetting, store: Arc<FileJournal>) -> ServeCore {
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    ServeCore::with_store(views.clone(), cfg, store)
-}
-
 /// Ways a trial damages the journal file between generations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Damage {
@@ -250,7 +239,8 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
                 return;
             }
         };
-        let core = pinned_core(&case.views, Arc::clone(&journal));
+        let core =
+            ServeCore::with_store(case.views.clone(), ServeConfig::default(), journal.clone());
         gen_a = core.generation();
         fingerprint = case.req.fingerprint(&core.snapshot());
         let mut req = case.req.clone();
@@ -314,7 +304,8 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
         // `stage::JOURNAL` panic fault fires between the two halves of
         // the record write: the mid-append kill.
         if let (Some((b_star, cp)), true) = (&first_cp, rng.gen_bool(0.5)) {
-            let kill_core = pinned_core(&case.views, Arc::clone(&journal));
+            let kill_core =
+                ServeCore::with_store(case.views.clone(), ServeConfig::default(), journal.clone());
             let mut replay = case.req.clone();
             replay.checkpoint = Some(Checkpoint {
                 fingerprint: cp.fingerprint,
@@ -409,7 +400,7 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
         }
     };
     let report = journal.replay_report();
-    let core = pinned_core(&case.views, Arc::clone(&journal));
+    let core = ServeCore::with_store(case.views.clone(), ServeConfig::default(), journal.clone());
 
     // Generation advance (and with it trace-ID uniqueness) is guaranteed
     // whenever the journal's generation header survived; direct damage

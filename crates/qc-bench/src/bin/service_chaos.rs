@@ -20,9 +20,9 @@
 //! * resume differential: run under a tiny budget, escalate and resume
 //!   from each returned checkpoint; the final definite verdict must match
 //!   the one-shot unlimited run;
-//! * degradation ladder: trip the core down to the MiniCon-only tier and
-//!   check degraded answers stay sound (never `Contained` at the bottom
-//!   tier);
+//! * degradation ladder: trip the core down to the bottom tier, check
+//!   degraded answers stay sound, and escalate-and-resume there until
+//!   definite;
 //! * guard faults: inject budget/cancel trips mid-run through the core;
 //! * supervised faults: inject panics through a threaded [`Service`] and
 //!   require a reply for every ticket (periodically — thread spin-up is
@@ -105,31 +105,34 @@ fn soundness_violation(got: &Verdict, oracle: &Verdict) -> Option<String> {
     }
 }
 
-/// Scenario 1: tiny budget, then escalate-and-resume until definite. The
-/// end state must equal the oracle, and progress must be monotone.
-fn check_resume(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) {
-    // Pin the tier: the deliberate budget trips below would otherwise walk
-    // the ladder down to minicon-only, which cannot prove `Contained` at
-    // any budget and would stall the escalation.
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    let core = ServeCore::new(case.views.clone(), cfg);
+/// Runs `case`'s request on `core` from `budget`, doubling the budget and
+/// handing back each returned checkpoint until a definite verdict, which
+/// must equal the oracle; progress must be monotone. `what` names the
+/// scenario in failure reports.
+fn escalate(
+    trial: usize,
+    case: &Case,
+    core: &ServeCore,
+    mut budget: u64,
+    what: &str,
+    tally: &mut Tally,
+) {
     let mut req = case.req.clone();
-    let mut budget = 1 + rng.gen_range(0..64) as u64;
     let mut proven_so_far = 0usize;
     for round in 0..40 {
         req.budget = Some(budget);
         let resp = match core.handle(&req, 0) {
             Ok(r) => r,
             Err(e) => {
-                tally.fail(trial, &format!("resume round {round} errored: {e}"));
+                tally.fail(trial, &format!("{what} round {round} errored: {e}"));
                 return;
             }
         };
         if req.checkpoint.is_some() && !resp.resumed {
-            tally.fail(trial, "checkpointed request was not marked resumed");
+            tally.fail(
+                trial,
+                &format!("{what}: checkpointed request was not marked resumed"),
+            );
             return;
         }
         if resp.resumed {
@@ -140,7 +143,7 @@ fn check_resume(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) 
                 tally.unknowns += 1;
                 if let Some(cp) = &resp.checkpoint {
                     if cp.proven.len() < proven_so_far {
-                        tally.fail(trial, "checkpoint lost previously proven disjuncts");
+                        tally.fail(trial, &format!("{what}: checkpoint lost proven disjuncts"));
                         return;
                     }
                     proven_so_far = cp.proven.len();
@@ -151,18 +154,30 @@ fn check_resume(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) 
             v => {
                 tally.answered += 1;
                 if let Some(msg) = soundness_violation(&v, &case.oracle) {
-                    tally.fail(trial, &format!("resumed run: {msg}"));
+                    tally.fail(trial, &format!("{what}: {msg}"));
                 }
                 return;
             }
         }
     }
-    tally.fail(trial, "resume escalation never reached a definite verdict");
+    tally.fail(
+        trial,
+        &format!("{what}: escalation never reached a definite verdict"),
+    );
 }
 
-/// Scenario 2: force the ladder to the bottom tier, then check degraded
-/// answers stay sound. The MiniCon-only tier must never claim
-/// `Contained`, and its `NotContained` must agree with the oracle.
+/// Scenario 1: tiny budget, then escalate-and-resume until definite. The
+/// starved runs walk the ladder down, so the escalation crosses a tier
+/// step with its checkpoint.
+fn check_resume(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) {
+    let core = ServeCore::new(case.views.clone(), ServeConfig::default());
+    let budget = 1 + rng.gen_range(0..64) as u64;
+    escalate(trial, case, &core, budget, "resume", tally);
+}
+
+/// Scenario 2: force the ladder to the bottom tier, then check that a
+/// plain run there agrees with the oracle when it is definite, and that
+/// escalate-and-resume there still reaches a definite verdict.
 fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
     let cfg = ServeConfig {
         trip_threshold: 1,
@@ -176,7 +191,7 @@ fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
     // Degenerate drawings can finish before the first tick; those cannot
     // be starved, so the scenario does not apply to them.
     for _ in 0..4 {
-        if core.tier() == Tier::MiniconOnly {
+        if core.tier() == Tier::Bounded {
             break;
         }
         match core.handle(&starved, 0) {
@@ -188,21 +203,19 @@ fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
             Err(e) => tally.fail(trial, &format!("starved run errored: {e}")),
         }
     }
-    if core.tier() != Tier::MiniconOnly {
+    if core.tier() != Tier::Bounded {
         return;
     }
     match core.handle(&case.req, 0) {
         Ok(r) => {
             tally.answered += 1;
-            if r.tier == Tier::MiniconOnly && matches!(r.verdict, Verdict::Contained) {
-                tally.fail(trial, "minicon-only tier claimed Contained");
-            }
             if let Some(msg) = soundness_violation(&r.verdict, &case.oracle) {
                 tally.fail(trial, &format!("degraded run: {msg}"));
             }
         }
         Err(e) => tally.fail(trial, &format!("degraded run errored: {e}")),
     }
+    escalate(trial, case, &core, 1, "bottom-tier escalation", tally);
 }
 
 /// Scenario 3: budget/cancel faults injected mid-run through the core.

@@ -27,16 +27,13 @@ use serde_json::Value;
 
 /// Serve-side latency histograms the metrics export must always carry
 /// (empty or not) — `Histograms::to_json` emits the full schema.
-const SERVE_HISTS: [&str; 9] = [
+const SERVE_HISTS: [&str; 6] = [
     "serve_queue_wait_full_ns",
     "serve_queue_wait_bounded_ns",
-    "serve_queue_wait_minicon_ns",
     "serve_execute_full_ns",
     "serve_execute_bounded_ns",
-    "serve_execute_minicon_ns",
     "serve_e2e_full_ns",
     "serve_e2e_bounded_ns",
-    "serve_e2e_minicon_ns",
 ];
 
 const QUANTILES: [&str; 4] = ["p50", "p90", "p99", "p999"];
@@ -239,7 +236,7 @@ mod tests {
 
     #[test]
     fn metrics_schema_accepts_full_and_rejects_partial() {
-        assert_eq!(check_metrics(&metrics_with_all()).unwrap(), 9);
+        assert_eq!(check_metrics(&metrics_with_all()).unwrap(), 6);
         let missing: Value = serde_json::from_str("{\"histograms\": {}}").unwrap();
         assert!(check_metrics(&missing).unwrap_err().contains("missing"));
         let no_key: Value = serde_json::from_str("{}").unwrap();
@@ -302,7 +299,7 @@ mod tests {
             let f = format!("relcont_{name}");
             text.push_str(&format!("# TYPE {f} counter\n{f} 0\n"));
         }
-        assert_eq!(check_prom(&text).unwrap(), 22);
+        assert_eq!(check_prom(&text).unwrap(), 19);
         assert!(check_prom("").unwrap_err().contains("TYPE"));
     }
 }

@@ -18,8 +18,6 @@
 //!   (containment of a recursive program in a nonrecursive one,
 //!   Chaudhuri–Vardi \[11\]), implemented as a least fixpoint over finite
 //!   "coverage types" — the engine behind Theorems 3.2 and 4.2;
-//! * [`uniform`] — Sagiv's uniform containment, a sound (incomplete) fast
-//!   path for datalog ⊆ datalog, used by ablation experiment E10;
 //! * [`witness`] — bounded search for counterexample expansions, the
 //!   concrete refutations behind a failed datalog ⊆ UCQ containment.
 //!
@@ -47,7 +45,6 @@ pub mod datalog_ucq;
 pub mod engine;
 pub mod homomorphism;
 pub mod memo;
-pub mod uniform;
 pub mod witness;
 
 pub use comparisons::cq_contained_in_ucq;

@@ -114,6 +114,9 @@ pub enum EvalError {
     UnboundComparison(String),
     /// A head variable was unbound at emission (the rule is unsafe).
     NonGroundHead(String),
+    /// The program uses this predicate at two arities; a relation holds
+    /// rows of one arity only.
+    ArityMismatch(Symbol),
     /// An installed [`qc_guard::Guard`] limit tripped (budget, deadline,
     /// or cancellation) during evaluation.
     Resource(qc_guard::ResourceError),
@@ -129,6 +132,9 @@ impl fmt::Display for EvalError {
             }
             EvalError::UnboundComparison(c) => write!(f, "comparison never grounded: {c}"),
             EvalError::NonGroundHead(r) => write!(f, "non-ground head at emission: {r}"),
+            EvalError::ArityMismatch(p) => {
+                write!(f, "predicate {p} is used with more than one arity")
+            }
             EvalError::Resource(e) => write!(f, "{e}"),
         }
     }
@@ -168,8 +174,26 @@ fn use_ra(program: &Program, edb: &Database, opts: &EvalOptions) -> bool {
     want && crate::ra::supports(program)
 }
 
+/// Refuses a program that uses one predicate at two arities, before any
+/// tuple is derived.
+fn check_arities(program: &Program) -> Result<(), EvalError> {
+    match program.arities() {
+        Ok(_) => Ok(()),
+        Err(bad) => Err(EvalError::ArityMismatch(bad[0])),
+    }
+}
+
 /// Evaluates `program` over `edb`, returning the derived IDB relations.
 pub fn evaluate(
+    program: &Program,
+    edb: &Database,
+    opts: &EvalOptions,
+) -> Result<Database, EvalError> {
+    check_arities(program)?;
+    evaluate_checked(program, edb, opts)
+}
+
+fn evaluate_checked(
     program: &Program,
     edb: &Database,
     opts: &EvalOptions,
@@ -200,12 +224,13 @@ pub fn answers(
     answer: &Symbol,
     opts: &EvalOptions,
 ) -> Result<Relation, EvalError> {
+    check_arities(program)?;
     if use_ra(program, edb, opts) {
         let _span = qc_obs::span("datalog_eval");
         qc_obs::count(qc_obs::Counter::EvalTierRa, 1);
         return crate::ra::answers(program, edb, answer, opts);
     }
-    Ok(evaluate(program, edb, opts)?.into_relation(answer))
+    Ok(evaluate_checked(program, edb, opts)?.into_relation(answer))
 }
 
 /// One recorded derivation step: the rule that first derived a tuple and
@@ -300,6 +325,7 @@ pub fn evaluate_traced(
     edb: &Database,
     opts: &EvalOptions,
 ) -> Result<(Database, Trace), EvalError> {
+    check_arities(program)?;
     let opts = EvalOptions {
         trace: true,
         ..*opts
@@ -1171,6 +1197,22 @@ mod tests {
         assert_eq!(idb.len_of(&Symbol::new("q")), 1);
         let idb2 = eval_str("q() :- e(X, Y), X != Y.", "e(1, 1).", Strategy::SemiNaive);
         assert_eq!(idb2.len_of(&Symbol::new("q")), 0);
+    }
+
+    #[test]
+    fn a_predicate_at_two_arities_is_an_error_not_a_panic() {
+        let p = parse_program("t(X, Y) :- e(X, Y). t(X) :- e(X, X).").unwrap();
+        let db = Database::parse("e(1, 1).").unwrap();
+        let opts = EvalOptions::default();
+        let t = Symbol::new("t");
+        let want = EvalError::ArityMismatch(t);
+        assert_eq!(evaluate(&p, &db, &opts).unwrap_err(), want);
+        assert_eq!(answers(&p, &db, &t, &opts).unwrap_err(), want);
+        assert_eq!(evaluate_traced(&p, &db, &opts).unwrap_err(), want);
+        assert_eq!(
+            want.to_string(),
+            "predicate t is used with more than one arity"
+        );
     }
 
     #[test]

@@ -3,16 +3,12 @@
 //! The paper's data-integration setting assumes sources come and go
 //! constantly; recomputing every compiled artifact from scratch on each
 //! change throws away exactly the work the per-view structure of the
-//! algorithms makes reusable:
+//! algorithms makes reusable: **inverse rules**
+//! ([`crate::inverse_rules`](mod@crate::inverse_rules)) are generated per
+//! source with no cross-view state, so the rules of an untouched view are
+//! byte-identical before and after a delta.
 //!
-//! * **inverse rules** ([`crate::inverse_rules`](mod@crate::inverse_rules)) are generated
-//!   per source with no cross-view state, so the rules of an untouched
-//!   view are byte-identical before and after a delta;
-//! * **MiniCon** spends a large share of its per-call work renaming each
-//!   view apart and classifying its variables as distinguished vs
-//!   existential — both functions of the view alone.
-//!
-//! A [`CompiledCatalog`] caches both per view, each view behind an
+//! A [`CompiledCatalog`] caches them per view, each view behind an
 //! [`Arc`] so a copy of the catalog shares every view's artifacts.
 //! [`CompiledCatalog::apply`] recompiles only the views an op touches and
 //! stamps them with the new catalog version; everything else is reused
@@ -31,22 +27,12 @@
 //! compiled view keeps its footprint as interned symbols, so the test is
 //! integer comparisons, and the catalog planner in [`crate::relative`]
 //! draws only on the views a query meets.
-//!
-//! ## Deterministic renaming
-//!
-//! The stock MiniCon path renames views apart with a process-global
-//! fresh-variable counter, so its variable names depend on process
-//! history. Cached preparations must instead be *deterministic*: each
-//! view's variables are renamed `v ↦ _C<view>_<v>`, which is injective
-//! per view, collision-free across views (source names are unique in a
-//! catalog), and stable across processes. The `_C` prefix marks the names
-//! as machine-generated for `tidy_names`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use qc_datalog::{ConjunctiveQuery, Program, Rule, Subst, Symbol, Term, Var};
+use qc_datalog::{Program, Rule, Symbol};
 
 use crate::inverse_rules::inverse_rules_for_source;
 use crate::schema::{LavSetting, SourceDescription};
@@ -169,35 +155,6 @@ pub struct DeltaReport {
     pub views_reused: usize,
 }
 
-/// A view renamed apart deterministically, with its variable
-/// classification precomputed — everything MiniCon's MCD formation needs
-/// that depends on the view alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedView {
-    /// The view definition under the `_C<view>_<v>` renaming.
-    pub view: ConjunctiveQuery,
-    /// Variables existential in the renamed view (body-only).
-    pub existential: BTreeSet<Var>,
-}
-
-fn prepare_view(source: &SourceDescription) -> PreparedView {
-    let mut sigma = Subst::new();
-    for v in source.view.vars() {
-        let fresh = Var::new(format!("_C{}_{}", source.name, v.name()));
-        let bound = sigma.bind(v, Term::Var(fresh));
-        debug_assert!(bound, "renaming to a fresh variable cannot fail");
-    }
-    let view = source.view.substitute(&sigma);
-    let head_vars = view.head.vars();
-    let existential = view
-        .subgoals
-        .iter()
-        .flat_map(|a| a.vars())
-        .filter(|v| !head_vars.contains(v))
-        .collect();
-    PreparedView { view, existential }
-}
-
 fn add_preds(out: &mut Vec<Symbol>, preds: impl IntoIterator<Item = Symbol>) {
     for p in preds {
         if !out.contains(&p) {
@@ -231,8 +188,6 @@ pub struct CompiledView {
     /// The view's inverse-rule block (identical to what
     /// [`crate::inverse_rules::inverse_rules_for_source`] returns).
     pub inverse: Vec<Rule>,
-    /// The view's MiniCon preparation.
-    pub prepared: PreparedView,
     // Both derived from `source` once at compile time; private so they
     // cannot drift from it.
     footprint: Vec<Symbol>,
@@ -242,7 +197,6 @@ pub struct CompiledView {
 impl CompiledView {
     fn compile(source: SourceDescription, version: u64) -> CompiledView {
         let inverse = inverse_rules_for_source(&source);
-        let prepared = prepare_view(&source);
         let mut footprint = Vec::new();
         add_preds(
             &mut footprint,
@@ -253,7 +207,6 @@ impl CompiledView {
             source,
             version,
             inverse,
-            prepared,
             footprint,
             rendered,
         }

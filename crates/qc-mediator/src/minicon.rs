@@ -69,64 +69,21 @@ pub fn minicon_rewritings(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
             mcds.extend(form_mcds(query, source, i, &mut gen));
         }
     }
-    assemble_rewritings(query, mcds, views)
-}
-
-/// [`minicon_rewritings`] against a
-/// [`CompiledCatalog`](crate::catalog::CompiledCatalog): per-view
-/// renaming and variable classification come from the cached
-/// [`crate::catalog::PreparedView`]s instead of being redone per call.
-///
-/// The cached renaming is deterministic (`_C<view>_<v>`), so rewritings
-/// are stable across processes — unlike the stock path, whose fresh names
-/// depend on the process-global variable counter. If a query's own
-/// variables collide with the prepared namespace (only possible when the
-/// query literally uses `_C`-prefixed names), the call falls back to the
-/// stock fresh-renaming path; soundness never depends on the cache.
-pub fn minicon_rewritings_catalog(
-    query: &ConjunctiveQuery,
-    catalog: &crate::catalog::CompiledCatalog,
-) -> Ucq {
-    let qvars = query.vars();
-    let collides = catalog
-        .entries()
-        .iter()
-        .any(|e| e.prepared.view.vars().iter().any(|v| qvars.contains(v)));
-    if collides {
-        return minicon_rewritings(query, catalog.views());
-    }
-    let _t = qc_obs::time(qc_obs::Hist::MiniconNs);
-    let mut mcds: Vec<Mcd> = Vec::new();
-    for (i, _) in query.subgoals.iter().enumerate() {
-        for e in catalog.entries() {
-            mcds.extend(form_mcds_in(
-                query,
-                &e.source,
-                &e.prepared.view,
-                &e.prepared.existential,
-                i,
-            ));
-        }
-    }
-    assemble_rewritings(query, mcds, catalog.views())
-}
-
-/// Combines formed MCDs into full covers, then soundness-filters,
-/// minimizes and dedups — the tail shared by both rewriting entry points.
-fn assemble_rewritings(query: &ConjunctiveQuery, mcds: Vec<Mcd>, views: &LavSetting) -> Ucq {
     qc_obs::count(qc_obs::Counter::MiniconMcdsFormed, mcds.len() as u64);
-    // Combine MCDs with disjoint coverage into full covers.
-    let n = query.subgoals.len();
-    let mut rewritings: Vec<ConjunctiveQuery> = Vec::new();
+    // Combine MCDs with disjoint coverage into full covers, in the
+    // lexicographic order of their MCD indexes.
+    let mut covers: Vec<Vec<usize>> = Vec::new();
     combine(
-        query,
         &mcds,
-        0,
-        &BTreeSet::new(),
+        &mut vec![false; query.subgoals.len()],
         &mut Vec::new(),
-        n,
-        &mut rewritings,
+        &mut covers,
     );
+    covers.sort_unstable();
+    let rewritings: Vec<ConjunctiveQuery> = covers
+        .iter()
+        .filter_map(|cover| rewriting(query, &mcds, cover))
+        .collect();
     // Soundness check + minimization + dedup. The per-candidate checks
     // are independent: each expansion's containment in the query goes
     // through the canonical memo and the batch fans out across worker
@@ -168,20 +125,6 @@ fn form_mcds(
         .flat_map(|a| a.vars())
         .filter(|v| !head_vars.contains(v))
         .collect();
-    form_mcds_in(query, source, &view, &existential, seed)
-}
-
-/// MCD formation against an already-renamed view with a precomputed
-/// existential set — the shared core of [`form_mcds`] (fresh rename per
-/// call) and the compiled-catalog path (deterministic rename cached per
-/// view in [`crate::catalog::PreparedView`]).
-fn form_mcds_in(
-    query: &ConjunctiveQuery,
-    source: &SourceDescription,
-    view: &ConjunctiveQuery,
-    existential: &BTreeSet<Var>,
-    seed: usize,
-) -> Vec<Mcd> {
     let mut out = Vec::new();
     for (si, _) in view.subgoals.iter().enumerate() {
         let mut state = MapState {
@@ -189,11 +132,11 @@ fn form_mcds_in(
             theta: Subst::new(),
             covered: BTreeSet::new(),
         };
-        if map_subgoal(query, view, existential, seed, si, &mut state) {
+        if map_subgoal(query, &view, &existential, seed, si, &mut state) {
             // Closure: existential-mapped variables drag their subgoals in.
             // Every way of closing yields a (potentially different) MCD.
-            for closed in close_all(query, view, existential, state) {
-                if let Some(mcd) = finalize(query, source, view, existential, &closed) {
+            for closed in close_all(query, &view, &existential, state) {
+                if let Some(mcd) = finalize(query, source, &view, &existential, &closed) {
                     // One work unit per MCD formed (the `MiniconMcdsFormed`
                     // granularity); `trip` unwinds to the nearest
                     // `qc_guard::guarded` boundary because rewriting
@@ -393,46 +336,62 @@ fn finalize(
     })
 }
 
-/// Recursively combines MCDs with disjoint coverage into full covers.
+/// Collects into `covers` every set of pairwise-disjoint MCDs that covers
+/// every query subgoal (`covered` marks those already covered), each set
+/// once, as sorted MCD indexes. Every cover holds exactly one MCD
+/// covering the lowest subgoal `covered` leaves open, so the search
+/// branches only on those MCDs and never walks partial sets that cannot
+/// grow into a cover. One work unit per search node: the number of
+/// covers can grow exponentially with the query, and without the charge
+/// a deadline would not stop the search.
 fn combine(
-    query: &ConjunctiveQuery,
     mcds: &[Mcd],
-    from: usize,
-    covered: &BTreeSet<usize>,
+    covered: &mut [bool],
     picked: &mut Vec<usize>,
-    n: usize,
-    out: &mut Vec<ConjunctiveQuery>,
+    covers: &mut Vec<Vec<usize>>,
 ) {
-    if covered.len() == n {
-        // Build the rewriting.
-        let mut rho = Subst::new();
-        let mut body: Vec<Atom> = Vec::new();
-        for &i in picked.iter() {
-            body.push(mcds[i].atom.clone());
-            for v in mcds[i].rho.domain() {
-                let t = mcds[i].rho.get(v).expect("domain var").clone();
-                // Unify rather than bind: two MCDs may constrain the same
-                // query variable (e.g. one equates it with a representative
-                // and another with a constant), which must merge, not
-                // overwrite.
-                if !qc_datalog::unify_terms_with(&mut rho, &Term::Var(*v), &t) {
-                    return;
-                }
+    qc_guard::trip(qc_guard::stage::MINICON, 1);
+    let Some(open) = covered.iter().position(|c| !c) else {
+        let mut cover = picked.clone();
+        cover.sort_unstable();
+        covers.push(cover);
+        return;
+    };
+    for (i, mcd) in mcds.iter().enumerate() {
+        if mcd.covered.contains(&open) && mcd.covered.iter().all(|&g| !covered[g]) {
+            for &g in &mcd.covered {
+                covered[g] = true;
+            }
+            picked.push(i);
+            combine(mcds, covered, picked, covers);
+            picked.pop();
+            for &g in &mcd.covered {
+                covered[g] = false;
             }
         }
-        let cq = ConjunctiveQuery::new(query.head.clone(), body, Vec::new()).substitute(&rho);
-        out.push(cq);
-        return;
     }
-    for i in from..mcds.len() {
-        if mcds[i].covered.is_disjoint(covered) {
-            let mut c2 = covered.clone();
-            c2.extend(mcds[i].covered.iter().copied());
-            picked.push(i);
-            combine(query, mcds, i + 1, &c2, picked, n, out);
-            picked.pop();
+}
+
+/// The rewriting a cover stands for: its MCDs' atoms, under the merge of
+/// their query-variable substitutions. `None` when two MCDs bind one
+/// query variable to distinct constants.
+fn rewriting(query: &ConjunctiveQuery, mcds: &[Mcd], cover: &[usize]) -> Option<ConjunctiveQuery> {
+    let mut rho = Subst::new();
+    let mut body: Vec<Atom> = Vec::new();
+    for &i in cover {
+        body.push(mcds[i].atom.clone());
+        for v in mcds[i].rho.domain() {
+            let t = mcds[i].rho.get(v).expect("domain var").clone();
+            // Unify rather than bind: two MCDs may constrain the same
+            // query variable (e.g. one equates it with a representative
+            // and another with a constant), which must merge, not
+            // overwrite.
+            if !qc_datalog::unify_terms_with(&mut rho, &Term::Var(*v), &t) {
+                return None;
+            }
         }
     }
+    Some(ConjunctiveQuery::new(query.head.clone(), body, Vec::new()).substitute(&rho))
 }
 
 /// Maximally-contained plan for queries/views with semi-interval

@@ -83,20 +83,14 @@ hists! {
     ServeQueueWaitFullNs => "serve_queue_wait_full_ns",
     /// Queue wait before a worker picked the job up, Bounded tier.
     ServeQueueWaitBoundedNs => "serve_queue_wait_bounded_ns",
-    /// Queue wait before a worker picked the job up, MiniconOnly tier.
-    ServeQueueWaitMiniconNs => "serve_queue_wait_minicon_ns",
     /// Engine execution time (admission to verdict), Full tier.
     ServeExecuteFullNs => "serve_execute_full_ns",
     /// Engine execution time (admission to verdict), Bounded tier.
     ServeExecuteBoundedNs => "serve_execute_bounded_ns",
-    /// Engine execution time (admission to verdict), MiniconOnly tier.
-    ServeExecuteMiniconNs => "serve_execute_minicon_ns",
     /// End-to-end latency (enqueue to reply), Full tier.
     ServeE2eFullNs => "serve_e2e_full_ns",
     /// End-to-end latency (enqueue to reply), Bounded tier.
     ServeE2eBoundedNs => "serve_e2e_bounded_ns",
-    /// End-to-end latency (enqueue to reply), MiniconOnly tier.
-    ServeE2eMiniconNs => "serve_e2e_minicon_ns",
     /// Latency of one checkpoint-journal append (serialize + write +
     /// fsync per policy).
     JournalAppendNs => "journal_append_ns",

@@ -1,30 +1,27 @@
-//! The degradation ladder: which decision procedure a request gets.
+//! The degradation ladder: how much of the budget pool a request gets.
 //!
 //! Relative containment is Π₂ᵖ-hard (Thm 3.3), so under sustained
-//! resource pressure the service steps down to cheaper — but still
-//! *sound* — procedures instead of burning its budget pool on requests
-//! that keep tripping. Repeated definite answers step it back up.
+//! resource pressure the service stops granting each request the whole
+//! pool instead of burning it on requests that keep tripping. Repeated
+//! definite answers step it back up. Every tier runs the same
+//! [`qc_mediator::relative::decide`] on the sequential engine, so a
+//! definite answer at either tier is exact, and a checkpoint cut at one
+//! tier resumes at the other.
 //!
-//! | tier | procedure | answers |
-//! |------|-----------|---------|
-//! | [`Tier::Full`] | Thm 3.1 enumeration, configured engine | exact |
-//! | [`Tier::Bounded`] | same per-disjunct loop, sequential engine, capped budget | exact when it finishes, `Unknown` otherwise |
-//! | [`Tier::MiniconOnly`] | MiniCon sound under-approximation | `NotContained` definite, everything else `Unknown` |
+//! | tier | grant | answers |
+//! |------|-------|---------|
+//! | [`Tier::Full`] | the capacity model's grant | exact when it finishes, `Unknown` otherwise |
+//! | [`Tier::Bounded`] | that grant ÷ `bounded_divisor`, floored at `min_budget` | exact when it finishes, `Unknown` otherwise |
 //!
-//! The soundness argument for the bottom tier lives with
-//! [`crate::ServeCore`]; this module is only the state machine.
+//! A request's explicit budget overrides the grant at both tiers.
 
 /// A rung of the degradation ladder, cheapest last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// Full Thm 3.1 enumeration with the service's configured engine.
+    /// The capacity model's whole grant.
     Full,
-    /// The same anytime per-disjunct loop, pinned to the sequential
-    /// engine with a capped work budget.
+    /// A capped grant: the same decision with less budget.
     Bounded,
-    /// MiniCon-only sound under-approximation: refutations are definite,
-    /// but containment is never claimed.
-    MiniconOnly,
 }
 
 impl Tier {
@@ -33,7 +30,6 @@ impl Tier {
         match self {
             Tier::Full => "full",
             Tier::Bounded => "bounded",
-            Tier::MiniconOnly => "minicon-only",
         }
     }
 
@@ -45,8 +41,7 @@ impl Tier {
     fn down(self) -> Option<Tier> {
         match self {
             Tier::Full => Some(Tier::Bounded),
-            Tier::Bounded => Some(Tier::MiniconOnly),
-            Tier::MiniconOnly => None,
+            Tier::Bounded => None,
         }
     }
 
@@ -54,7 +49,6 @@ impl Tier {
         match self {
             Tier::Full => None,
             Tier::Bounded => Some(Tier::Full),
-            Tier::MiniconOnly => Some(Tier::Bounded),
         }
     }
 }
@@ -140,12 +134,10 @@ mod tests {
         assert_eq!(c.tier(), Tier::Full);
         assert_eq!(c.on_resource_trip(), None);
         assert_eq!(c.on_resource_trip(), Some(Tier::Bounded));
-        assert_eq!(c.on_resource_trip(), None);
-        assert_eq!(c.on_resource_trip(), Some(Tier::MiniconOnly));
         // At the bottom the ladder holds.
         for _ in 0..10 {
             assert_eq!(c.on_resource_trip(), None);
-            assert_eq!(c.tier(), Tier::MiniconOnly);
+            assert_eq!(c.tier(), Tier::Bounded);
         }
     }
 
@@ -154,10 +146,7 @@ mod tests {
         let mut c = DegradationController::new(1, 3);
         c.on_resource_trip();
         c.on_resource_trip();
-        assert_eq!(c.tier(), Tier::MiniconOnly);
-        assert_eq!(c.on_definite(), None);
-        assert_eq!(c.on_definite(), None);
-        assert_eq!(c.on_definite(), Some(Tier::Bounded));
+        assert_eq!(c.tier(), Tier::Bounded);
         assert_eq!(c.on_definite(), None);
         assert_eq!(c.on_definite(), None);
         assert_eq!(c.on_definite(), Some(Tier::Full));

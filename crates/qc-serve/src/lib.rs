@@ -11,10 +11,10 @@
 //!   a [`CapacityModel`] deriving each request's work-unit grant from the
 //!   queue depth and a global budget pool.
 //! * **Degradation ladder** ([`ladder`]) — repeated resource trips step
-//!   the service down from full Thm 3.1 enumeration to a budget-capped
-//!   sequential run to a MiniCon-only sound under-approximation; definite
-//!   answers step it back up. The active [`ladder::Tier`] is reported in
-//!   every [`Response`].
+//!   the service down from the capacity model's full grant to a capped
+//!   one; definite answers step it back up. Both tiers run the same
+//!   decision, and the active [`ladder::Tier`] is reported in every
+//!   [`Response`].
 //! * **Resumable verdicts** ([`checkpoint`]) — an `Unknown` response
 //!   carries a [`checkpoint::Checkpoint`] of the disjuncts already
 //!   proven, and a retry hands it back so the per-disjunct loop continues
@@ -40,14 +40,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use qc_containment::engine::{self, EngineOptions};
-use qc_datalog::{ConjunctiveQuery, Program, Symbol, Ucq};
-use qc_guard::{FaultPlan, Guard, ResourceError};
+use qc_datalog::{Program, Symbol};
+use qc_guard::{FaultPlan, Guard};
 use qc_mediator::catalog::{extend_footprint, CompiledCatalog};
-use qc_mediator::expansion::expand_cq;
-use qc_mediator::minicon::minicon_rewritings_catalog;
-use qc_mediator::relative::{
-    decide, Partial, Question, RelativeError, Resume, ResumeState, Sources, Verdict,
-};
+use qc_mediator::relative::{decide, Question, Resume, ResumeState, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
 use qc_obs::{Counter, Counters, Hist, Histograms};
 
@@ -90,10 +86,6 @@ impl std::fmt::Display for TraceId {
         write!(f, "t-{:08x}", self.0)
     }
 }
-
-/// Guard stage name for limits imposed by the service itself (synthetic
-/// resource provenance on under-approximated answers).
-pub const STAGE: &str = "serve";
 
 // ---------------------------------------------------------------------------
 // Errors, requests, responses
@@ -197,8 +189,7 @@ impl CatalogSnapshot {
         self.compiled.views()
     }
 
-    /// The compiled catalog (cached inverse rules and MiniCon
-    /// preparations).
+    /// The compiled catalog (cached inverse rules and footprints).
     pub fn catalog(&self) -> &CompiledCatalog {
         &self.compiled
     }
@@ -321,9 +312,9 @@ impl Request {
 pub struct Response {
     /// The anytime answer.
     pub verdict: Verdict,
-    /// The ladder tier that produced it. Degraded tiers are still sound:
-    /// `Contained`/`NotContained` at any tier agree with the unlimited
-    /// oracle (see the module docs of [`ladder`]).
+    /// The ladder tier that produced it. Every tier runs the same
+    /// decision, so `Contained`/`NotContained` at any tier agree with the
+    /// unlimited oracle (see the module docs of [`ladder`]).
     pub tier: Tier,
     /// Whether the run continued from a request checkpoint.
     pub resumed: bool,
@@ -444,14 +435,15 @@ pub struct ServeConfig {
     /// Per-request grant floor.
     pub min_budget: u64,
     /// At [`Tier::Bounded`], grants are divided by this (still floored at
-    /// `min_budget`).
+    /// `min_budget`); a request's explicit budget is not.
     pub bounded_divisor: u64,
     /// Default per-run wall-clock limit (requests may override).
     pub default_timeout: Option<Duration>,
     /// How long a request may wait in the queue before it is answered
     /// with [`ServiceError::Timeout`] instead of running.
     pub queue_timeout: Option<Duration>,
-    /// Consecutive resource trips before the ladder steps down.
+    /// Consecutive resource trips before the ladder steps down from
+    /// [`Tier::Full`] to [`Tier::Bounded`].
     pub trip_threshold: u32,
     /// Consecutive definite answers before it steps back up.
     pub recover_threshold: u32,
@@ -591,7 +583,6 @@ fn queue_wait_hist(tier: Tier) -> Hist {
     match tier {
         Tier::Full => Hist::ServeQueueWaitFullNs,
         Tier::Bounded => Hist::ServeQueueWaitBoundedNs,
-        Tier::MiniconOnly => Hist::ServeQueueWaitMiniconNs,
     }
 }
 
@@ -600,7 +591,6 @@ fn execute_hist(tier: Tier) -> Hist {
     match tier {
         Tier::Full => Hist::ServeExecuteFullNs,
         Tier::Bounded => Hist::ServeExecuteBoundedNs,
-        Tier::MiniconOnly => Hist::ServeExecuteMiniconNs,
     }
 }
 
@@ -609,7 +599,6 @@ fn e2e_hist(tier: Tier) -> Hist {
     match tier {
         Tier::Full => Hist::ServeE2eFullNs,
         Tier::Bounded => Hist::ServeE2eBoundedNs,
-        Tier::MiniconOnly => Hist::ServeE2eMiniconNs,
     }
 }
 
@@ -747,8 +736,8 @@ impl std::fmt::Display for ServeStats {
 }
 
 /// The deterministic heart of the service: capacity model, degradation
-/// ladder, resumption, and the per-tier decision procedures — everything
-/// except threads and queues. The REPL and benchmarks drive a bare core;
+/// ladder, resumption, and the decision — everything except threads and
+/// queues. The REPL and benchmarks drive a bare core;
 /// [`Service`] drives one from supervised workers.
 pub struct ServeCore {
     catalog: Mutex<Arc<CatalogSnapshot>>,
@@ -1050,21 +1039,21 @@ impl ServeCore {
             epoch: self.epoch(),
             epoch_bumps: c(Counter::CatalogEpochBumps),
             verdict_cache_hits: c(Counter::ServeVerdictCacheHits),
-            queue_wait: LatencySummary::of(&self.hists.merged(&[
-                Hist::ServeQueueWaitFullNs,
-                Hist::ServeQueueWaitBoundedNs,
-                Hist::ServeQueueWaitMiniconNs,
-            ])),
-            execute: LatencySummary::of(&self.hists.merged(&[
-                Hist::ServeExecuteFullNs,
-                Hist::ServeExecuteBoundedNs,
-                Hist::ServeExecuteMiniconNs,
-            ])),
-            e2e: LatencySummary::of(&self.hists.merged(&[
-                Hist::ServeE2eFullNs,
-                Hist::ServeE2eBoundedNs,
-                Hist::ServeE2eMiniconNs,
-            ])),
+            queue_wait: LatencySummary::of(
+                &self
+                    .hists
+                    .merged(&[Hist::ServeQueueWaitFullNs, Hist::ServeQueueWaitBoundedNs]),
+            ),
+            execute: LatencySummary::of(
+                &self
+                    .hists
+                    .merged(&[Hist::ServeExecuteFullNs, Hist::ServeExecuteBoundedNs]),
+            ),
+            e2e: LatencySummary::of(
+                &self
+                    .hists
+                    .merged(&[Hist::ServeE2eFullNs, Hist::ServeE2eBoundedNs]),
+            ),
         }
     }
 
@@ -1075,32 +1064,6 @@ impl ServeCore {
         self.ladder
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Whether the MiniCon tier's soundness argument applies to this
-    /// request: both queries nonrecursive, and both queries and the views
-    /// Q1 can reach comparison-free (the semi-interval MiniCon variant
-    /// exists, but its soundness story under *relative* containment is
-    /// exactly what the full tiers are for). Views outside Q1's scope
-    /// cannot enter a rewriting, and reading only the scope keeps the
-    /// answer a function of what the request fingerprint hashes.
-    /// Unsupported requests run with [`Tier::Bounded`] semantics instead.
-    fn minicon_supported(&self, req: &Request, snap: &CatalogSnapshot) -> bool {
-        !req.q1.has_comparisons()
-            && !req.q2.has_comparisons()
-            && snap
-                .catalog()
-                .scope(&req.q1)
-                .iter()
-                .all(|e| e.source.view.is_comparison_free())
-            && !req
-                .q1
-                .dependency_graph()
-                .pred_in_cycle_reachable_from(&req.ans1)
-            && !req
-                .q2
-                .dependency_graph()
-                .pred_in_cycle_reachable_from(&req.ans2)
     }
 
     /// Decides one request at the active tier. `depth` is the number of
@@ -1278,37 +1241,31 @@ impl ServeCore {
         // Every tier runs the sequential engine: service-level parallelism
         // comes from workers, and sequential runs keep verdicts (and
         // checkpoints) deterministic per request.
-        let outcome = if tier == Tier::MiniconOnly && self.minicon_supported(req, snap) {
-            engine::with_options(EngineOptions::sequential(), || {
-                qc_guard::with_guard(&guard, || self.minicon_verdict(req, grant, snap))
-            })
-        } else {
-            let question = Question {
-                resume: expected_total.map(|disjuncts_total| Resume {
-                    proven: &proven_before,
-                    disjuncts_total,
-                }),
-                ..Question::new(&req.q1, &req.ans1, &req.q2, &req.ans2)
-            };
-            engine::with_options(EngineOptions::sequential(), || {
-                qc_guard::with_guard(&guard, || {
-                    decide(&question, Sources::Catalog(snap.catalog()))
-                })
-            })
-            .map(|decision| {
-                if let ResumeState::Rejected { expected, actual } = decision.resume {
-                    checkpoint_rejected = Some(CheckpointRejected {
-                        kind: RejectReason::PlanShapeMismatch,
-                        reason: format!(
-                            "plan shape mismatch: checkpoint expects {expected} disjuncts, plan has {actual}"
-                        ),
-                    });
-                    self.counters.add(Counter::ServeCheckpointRejected, 1);
-                    resumed = false;
-                }
-                decision.verdict
-            })
+        let question = Question {
+            resume: expected_total.map(|disjuncts_total| Resume {
+                proven: &proven_before,
+                disjuncts_total,
+            }),
+            ..Question::new(&req.q1, &req.ans1, &req.q2, &req.ans2)
         };
+        let outcome = engine::with_options(EngineOptions::sequential(), || {
+            qc_guard::with_guard(&guard, || {
+                decide(&question, Sources::Catalog(snap.catalog()))
+            })
+        })
+        .map(|decision| {
+            if let ResumeState::Rejected { expected, actual } = decision.resume {
+                checkpoint_rejected = Some(CheckpointRejected {
+                    kind: RejectReason::PlanShapeMismatch,
+                    reason: format!(
+                        "plan shape mismatch: checkpoint expects {expected} disjuncts, plan has {actual}"
+                    ),
+                });
+                self.counters.add(Counter::ServeCheckpointRejected, 1);
+                resumed = false;
+            }
+            decision.verdict
+        });
         let consumed = guard.consumed();
         self.capacity.settle(consumed);
         // Counted after the run so a shape-rejected checkpoint (resumed
@@ -1364,9 +1321,8 @@ impl ServeCore {
         }
 
         let checkpoint = match &verdict {
-            // The MiniCon tier reports `disjuncts_total: 0` (its indices
-            // live in a different space than the plan's), so this arm
-            // only fires for resumable per-disjunct progress.
+            // A run that tripped before its plan existed has no
+            // per-disjunct progress to resume (`disjuncts_total: 0`).
             Verdict::Unknown(p) if p.disjuncts_total > 0 => Some(Checkpoint {
                 fingerprint,
                 disjuncts_total: p.disjuncts_total,
@@ -1461,69 +1417,6 @@ impl ServeCore {
             queue_wait_ns,
             epoch,
         })
-    }
-
-    /// The bottom-tier procedure: MiniCon rewritings as a sound
-    /// under-approximation of the maximally-contained plan.
-    ///
-    /// Soundness of `NotContained`: each surviving rewriting `rw` is
-    /// sound (`rw^exp ⊆ Q1` — MiniCon's own filter), hence contained in
-    /// the maximally-contained plan `MCP`, and expansion preserves
-    /// containment, so `rw^exp ⊆ MCP^exp`. If some `rw^exp ⊄ Q2` then
-    /// `MCP^exp ⊄ Q2`, which by Thm 3.1 is exactly `Q1 ⋢_V Q2`.
-    ///
-    /// Incompleteness: all rewritings passing proves nothing — the
-    /// under-approximation may simply be missing the disjunct that
-    /// escapes `Q2` — so the answer is `Unknown` (with the checked
-    /// rewritings as the sound partial plan), never `Contained`.
-    fn minicon_verdict(
-        &self,
-        req: &Request,
-        grant: u64,
-        snap: &CatalogSnapshot,
-    ) -> Result<Verdict, RelativeError> {
-        let u1 = req.q1.unfold(&req.ans1)?;
-        let u2 = req.q2.unfold(&req.ans2)?;
-        let mut sound: Vec<ConjunctiveQuery> = Vec::new();
-        let run = qc_guard::guarded(|| -> Result<bool, RelativeError> {
-            for d in &u1.disjuncts {
-                let rewritings = minicon_rewritings_catalog(d, snap.catalog());
-                for rw in rewritings.disjuncts {
-                    let exp = expand_cq(&rw, snap.views()).ok_or_else(|| {
-                        RelativeError::Unsupported("rewriting does not expand".into())
-                    })?;
-                    if !qc_containment::cq_contained_in_ucq(&exp, &u2) {
-                        return Ok(false);
-                    }
-                    sound.push(rw);
-                }
-            }
-            Ok(true)
-        });
-        let resource = match run {
-            Ok(Ok(false)) => return Ok(Verdict::NotContained),
-            Ok(Err(e)) => return Err(e),
-            // Exhausted without a refutation: synthesize "the service's
-            // under-approximation stopped here" provenance.
-            Ok(Ok(true)) => ResourceError::budget(
-                STAGE,
-                qc_guard::current().map_or(0, |g| g.consumed()),
-                grant,
-            ),
-            // A genuine limit tripped mid-scan.
-            Err(r) => r,
-        };
-        let partial_plan = if sound.is_empty() {
-            None
-        } else {
-            Ucq::new(sound).ok()
-        };
-        Ok(Verdict::Unknown(Partial {
-            resource,
-            disjuncts_proven: Vec::new(),
-            disjuncts_total: 0,
-            partial_plan,
-        }))
     }
 }
 
@@ -2075,15 +1968,6 @@ mod tests {
         Request::new(q1_prog(), sym("q1"), q2_prog(), sym("q2"))
     }
 
-    /// Comparison-free setting where the MiniCon tier applies: one view
-    /// exposes edges, q_far needs a 2-hop path, q_near a 1-hop one.
-    fn chain_setting() -> (LavSetting, Request) {
-        let views = LavSetting::parse(&["v(X, Y) :- e(X, Y)."]).unwrap();
-        let far = parse_program("qf(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
-        let near = parse_program("qn(X, Z) :- e(X, Z).").unwrap();
-        (views, Request::new(far, sym("qf"), near, sym("qn")))
-    }
-
     #[test]
     fn capacity_grant_divides_and_floors() {
         let cap = CapacityModel::new(1000, 10);
@@ -2212,75 +2096,49 @@ mod tests {
         assert_eq!(core.tier(), Tier::Bounded);
         let r2 = core.handle(&starved, 0).unwrap();
         assert_eq!(r2.tier, Tier::Bounded);
-        assert_eq!(core.tier(), Tier::MiniconOnly);
+        assert_eq!(core.tier(), Tier::Bounded, "the ladder holds at its bottom");
         let stats = core.stats();
-        assert_eq!(stats.tier_downgrades, 2);
+        assert_eq!(stats.tier_downgrades, 1);
         assert_eq!(stats.degraded_runs, 1);
         assert_eq!(stats.health, Health::Degraded);
 
         // Definite answers at the degraded tier climb back up.
         let ok = contained_request();
-        for _ in 0..4 {
+        for _ in 0..2 {
             core.handle(&ok, 0).unwrap();
         }
         assert_eq!(core.tier(), Tier::Full);
-        assert!(core.stats().tier_upgrades >= 2);
+        assert_eq!(core.stats().tier_upgrades, 1);
     }
 
+    /// Theorem 5.1's plan for a semi-interval chain of 28 subgoals: MiniCon
+    /// finds 2^28 sets of disjoint MCDs, and a cover search that visited
+    /// them all would hold the worker for minutes past the deadline.
     #[test]
-    fn minicon_tier_is_sound_never_contained() {
-        let cfg = ServeConfig {
-            trip_threshold: 1,
-            ..ServeConfig::default()
-        };
-        let (views, not_contained_req) = chain_setting();
-        let core = ServeCore::new(views, cfg);
-        // Drive the ladder to the bottom.
-        let mut starved = not_contained_req.clone();
-        starved.budget = Some(1);
-        core.handle(&starved, 0).unwrap();
-        core.handle(&starved, 0).unwrap();
-        assert_eq!(core.tier(), Tier::MiniconOnly);
-
-        // A true refutation is definite even at the bottom tier: the far
-        // query's sound plan (two view hops) expands outside the one-hop
-        // query.
-        let resp = core.handle(&not_contained_req, 0).unwrap();
-        assert_eq!(resp.tier, Tier::MiniconOnly);
-        assert_eq!(resp.verdict, Verdict::NotContained);
-
-        // A true containment is *not* claimed by the under-approximation:
-        // it answers Unknown with serve-stage provenance. (Reset the
-        // ladder first — the definite answer above started recovery.)
-        let (views, _) = chain_setting();
-        let core = ServeCore::new(
-            views,
-            ServeConfig {
-                trip_threshold: 1,
-                ..ServeConfig::default()
-            },
+    fn minicon_chain_answers_within_its_timeout() {
+        let n = 28;
+        let body = (0..n)
+            .map(|i| format!("r(X{i}, X{})", i + 1))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let views = LavSetting::parse(&["v(A, B) :- r(A, B)."]).unwrap();
+        let q1 = parse_program(&format!("q(X0, X{n}) :- {body}, X0 < 3.")).unwrap();
+        let q2 = parse_program(&format!("q(X0, X{n}) :- {body}, X0 < 2.")).unwrap();
+        let core = ServeCore::new(views, ServeConfig::default());
+        let mut req = Request::new(q1, sym("q"), q2, sym("q"));
+        req.timeout = Some(Duration::from_millis(50));
+        let started = Instant::now();
+        let resp = core.handle(&req, 0).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(resp.verdict, Verdict::NotContained | Verdict::Unknown(_)),
+            "{:?}",
+            resp.verdict
         );
-        let same = parse_program("qs(X, Y) :- e(X, Y).").unwrap();
-        let same2 = parse_program("qt(X, Y) :- e(X, Y).").unwrap();
-        let mut starved = Request::new(same.clone(), sym("qs"), same2.clone(), sym("qt"));
-        starved.budget = Some(1);
-        core.handle(&starved, 0).unwrap();
-        core.handle(&starved, 0).unwrap();
-        assert_eq!(core.tier(), Tier::MiniconOnly);
-        let resp = core
-            .handle(&Request::new(same, sym("qs"), same2, sym("qt")), 0)
-            .unwrap();
-        match resp.verdict {
-            Verdict::Unknown(p) => {
-                assert_eq!(p.resource.stage, STAGE);
-                assert!(p.partial_plan.is_some(), "sound rewritings are reported");
-                assert!(
-                    resp.checkpoint.is_none(),
-                    "minicon progress is not a checkpoint"
-                );
-            }
-            other => panic!("under-approximation must not decide {other:?}"),
-        }
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "took {elapsed:?} under a 50 ms timeout"
+        );
     }
 
     #[test]

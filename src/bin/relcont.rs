@@ -70,9 +70,10 @@ fn outcome_of(holds: bool) -> Outcome {
     }
 }
 
-/// The fixpoint options implied by the ambient [`engine::EngineOptions`]:
-/// one configuration source decides both the containment kernels and the
-/// datalog evaluation tier (tuple-at-a-time, compiled RA, or adaptive).
+/// The fixpoint options every datalog evaluation here runs with: the
+/// evaluator defaults, which route each fixpoint between the
+/// tuple-at-a-time kernel and compiled RA by the program and the instance
+/// size ([`engine::EngineOptions::eval_options`]).
 fn engine_eval_options() -> EvalOptions {
     engine::current().eval_options()
 }

@@ -497,6 +497,27 @@ fn cli_rejects_facts_of_two_arities() {
         .output()
         .unwrap();
     expect_usage_error(out, "certain --query with q at two arities");
+    // Views that use one mediated predicate at two arities: their inverse
+    // rules define `edge` twice, which the evaluator refuses.
+    let views2 = write_tmp(
+        &dir,
+        "views2.dl",
+        "V(X, Y) :- edge(X, Y).\nW(X) :- edge(X).",
+    );
+    let query1 = write_tmp(&dir, "q_edge.dl", "q(X) :- edge(X).");
+    let inst = write_tmp(&dir, "inst_vw.dl", "V(1, 2). W(3).");
+    let out = Command::new(bin)
+        .args(["certain", "--views"])
+        .arg(&views2)
+        .arg("--query")
+        .arg(&query1)
+        .arg("--instance")
+        .arg(&inst)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    expect_usage_error(out, "certain over views with edge at two arities");
+    assert!(stderr.contains("predicate edge"), "{stderr}");
     let jobs = write_tmp(&dir, "jobs.txt", "q q");
     let out = Command::new(bin)
         .args(["serve", "--views"])
@@ -542,6 +563,75 @@ fn cli_rejects_facts_of_two_arities() {
     assert!(out.status.success(), "{out:?}");
     assert!(stdout.contains("has arity 2"), "{stdout}");
     assert!(stdout.contains("2 fact(s) total"), "{stdout}");
+
+    // A query defined at two arities: `certain` reports it on the error
+    // line, like any failed command, and the session carries on.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_relcont-repl"))
+        .env("NO_PROMPT", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repl");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(
+            b"view V(X, Y) :- edge(X, Y).
+query t(X, Y) :- edge(X, Y).
+query t(X, Z) :- t(X, Y), edge(Y, Z).
+query t(X) :- edge(X, X).
+fact V(1, 1).
+certain t
+fact V(2, 2).
+quit
+",
+        )
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        stdout.contains("error: evaluation: predicate t is used with more than one arity"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("2 fact(s) total"), "{stdout}");
+}
+
+/// MiniCon's cover search under a deadline (Theorem 5.1's plan for a
+/// semi-interval chain): the n = 28 chain has 2^28 sets of disjoint MCDs,
+/// so a search that enumerated them all would run for minutes.
+#[test]
+fn cli_minicon_chain_respects_its_deadline() {
+    let dir = tmpdir("minicon-chain");
+    let n = 28;
+    let body = (0..n)
+        .map(|i| format!("r(X{i}, X{})", i + 1))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let views = write_tmp(&dir, "views.dl", "v(A, B) :- r(A, B).");
+    let q1 = write_tmp(&dir, "q1.dl", &format!("q(X0, X{n}) :- {body}, X0 < 3."));
+    let q2 = write_tmp(&dir, "q2.dl", &format!("q(X0, X{n}) :- {body}, X0 < 2."));
+    let started = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_relcont"))
+        .args(["check", "--timeout", "50", "--views"])
+        .arg(&views)
+        .args(["--q1"])
+        .arg(&q1)
+        .args(["--q2"])
+        .arg(&q2)
+        .output()
+        .expect("run relcont");
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(out.status.code(), Some(1 | 3)),
+        "answers or reports undecided: {out:?}"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "took {elapsed:?} under a 50 ms deadline"
+    );
 }
 
 #[test]

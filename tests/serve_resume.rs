@@ -1,19 +1,18 @@
 //! Resumable-verdict differential tests: a run continued from a
 //! checkpoint must reach exactly the verdict a one-shot unlimited run
 //! would, wherever the original run stopped — before the first disjunct,
-//! mid-plan, after the last disjunct, or inside MiniCon planning before
-//! the per-disjunct loop even starts.
+//! mid-plan, or after the last disjunct — and at whichever ladder tier
+//! the starved runs left the service.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use relcont::datalog::{parse_program, Program, Symbol};
-use relcont::guard::stage;
 use relcont::mediator::relative::{relatively_contained_by_plans, Verdict};
 use relcont::mediator::schema::{example1_sources, LavSetting};
 use relcont::mediator::workloads::{query_program, random_query, random_views, Shape};
-use relcont::serve::{Checkpoint, Request, ServeConfig, ServeCore, Tier};
+use relcont::serve::{Checkpoint, Request, ServeConfig, ServeCore};
 
 fn sym(s: &str) -> Symbol {
     Symbol::new(s)
@@ -34,16 +33,6 @@ fn q2_prog() -> Program {
 /// The Example 1 request whose one-shot unlimited verdict is `Contained`.
 fn contained_request() -> Request {
     Request::new(q1_prog(), sym("q1"), q2_prog(), sym("q2"))
-}
-
-/// A core whose ladder never degrades: these tests starve runs on
-/// purpose, and a tier walk would change which procedure answers.
-fn pinned_core() -> ServeCore {
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    ServeCore::new(example1_sources(), cfg)
 }
 
 /// Sweeps budgets until a starved run checkpoints with the requested
@@ -71,7 +60,7 @@ fn starved_checkpoint(core: &ServeCore, want_proven: bool) -> (Checkpoint, u64) 
 /// still reach the one-shot verdict.
 #[test]
 fn resume_from_checkpoint_at_disjunct_zero() {
-    let core = pinned_core();
+    let core = ServeCore::new(example1_sources(), ServeConfig::default());
     let (cp, _) = starved_checkpoint(&core, false);
     assert!(cp.proven.is_empty());
     assert!(cp.disjuncts_total > 0);
@@ -88,7 +77,7 @@ fn resume_from_checkpoint_at_disjunct_zero() {
 /// loop and must report `Contained` immediately.
 #[test]
 fn resume_from_checkpoint_after_last_disjunct() {
-    let core = pinned_core();
+    let core = ServeCore::new(example1_sources(), ServeConfig::default());
     // `starve_budget` is big enough to finish planning but too small to
     // prove even one disjunct: any verdict it reaches below must come
     // from the checkpoint, not from re-proving.
@@ -109,55 +98,53 @@ fn resume_from_checkpoint_after_last_disjunct() {
     assert_eq!(resp.verdict, Verdict::Contained);
 }
 
-/// Budget 1 at the MiniCon-only tier trips inside `minicon_rewritings`
-/// before any disjunct is examined: no progress, no checkpoint — and the
-/// plain retry with an adequate budget still reaches the one-shot
-/// verdict (`NotContained`, which this tier may prove).
+/// Starved runs drive the ladder to its bottom tier; escalating the
+/// budget there and handing back each checkpoint must still reach the
+/// one-shot verdict, `Contained`. A bottom tier that never claims
+/// containment would answer `Unknown` at every budget.
 #[test]
-fn trip_inside_minicon_before_any_disjunct_then_retry() {
+fn escalation_at_the_bottom_tier_reaches_contained() {
     let views = LavSetting::parse(&["v(X, Y) :- e(X, Y)."]).unwrap();
-    let far = parse_program("qf(X, Z) :- e(X, Y), e(Y, Z).").unwrap();
-    let near = parse_program("qn(X, Z) :- e(X, Z).").unwrap();
-    let cfg = ServeConfig {
-        trip_threshold: 1,
-        recover_threshold: 100,
-        ..ServeConfig::default()
-    };
-    let core = ServeCore::new(views, cfg);
-    let req = Request::new(far, sym("qf"), near, sym("qn"));
-
-    // Two starved runs walk the ladder to the bottom tier.
+    let mut req = Request::new(
+        parse_program("qs(X, Y) :- e(X, Y).").unwrap(),
+        sym("qs"),
+        parse_program("qt(X, Y) :- e(X, Y).").unwrap(),
+        sym("qt"),
+    );
+    let core = ServeCore::new(views, ServeConfig::default());
     let mut starved = req.clone();
     starved.budget = Some(1);
-    for _ in 0..2 {
-        core.handle(&starved, 0).expect("starved run");
+    for _ in 0..6 {
+        let resp = core.handle(&starved, 0).expect("starved run");
+        assert!(
+            matches!(resp.verdict, Verdict::Unknown(_)),
+            "budget 1 trips"
+        );
     }
-    assert_eq!(core.tier(), Tier::MiniconOnly);
+    let bottom = core.tier();
+    assert!(bottom.degraded(), "six trips step the ladder down");
 
-    let resp = core.handle(&starved, 0).expect("minicon-tier starved run");
-    assert_eq!(resp.tier, Tier::MiniconOnly);
-    match &resp.verdict {
-        Verdict::Unknown(p) => {
-            assert_eq!(
-                p.resource.stage,
-                stage::MINICON,
-                "tripped forming the first MCD"
-            );
-            assert!(p.disjuncts_proven.is_empty());
-            assert_eq!(p.disjuncts_total, 0, "no disjunct was examined");
-            assert!(resp.checkpoint.is_none(), "nothing worth resuming from");
+    let mut budget = 1u64;
+    let verdict = loop {
+        req.budget = Some(budget);
+        let resp = core.handle(&req, 0).expect("escalation run");
+        assert_eq!(resp.tier, bottom, "escalation runs at the bottom tier");
+        match resp.verdict {
+            Verdict::Unknown(p) => {
+                assert!(
+                    budget < 1 << 28,
+                    "stalled at budget {budget}: {}",
+                    p.resource
+                );
+                if resp.checkpoint.is_some() {
+                    req.checkpoint = resp.checkpoint;
+                }
+                budget *= 2;
+            }
+            v => break v,
         }
-        other => panic!("budget 1 finished?! {other:?}"),
-    }
-
-    let resp = core.handle(&req, 0).expect("full-grant retry");
-    assert_eq!(resp.tier, Tier::MiniconOnly);
-    assert!(!resp.resumed);
-    assert_eq!(
-        resp.verdict,
-        Verdict::NotContained,
-        "retry matches the one-shot unlimited verdict"
-    );
+    };
+    assert_eq!(verdict, Verdict::Contained);
 }
 
 /// The verdict of Theorem 3.1's plan comparison, which shares no decision
@@ -189,8 +176,7 @@ proptest! {
         let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, &mut rng);
         let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, &mut rng);
         let views = random_views(3, 2, &mut rng);
-        let cfg = ServeConfig { trip_threshold: u32::MAX, ..ServeConfig::default() };
-        let core = ServeCore::new(views, cfg);
+        let core = ServeCore::new(views, ServeConfig::default());
         let mut req = Request::new(
             query_program(&cq1), q, query_program(&cq2), q,
         );
@@ -205,7 +191,6 @@ proptest! {
             prop_assert!(rounds <= 64, "escalation failed to converge");
             req.budget = Some(budget);
             let resp = core.handle(&req, 0).expect("escalation run");
-            prop_assert_eq!(resp.tier, Tier::Full, "pinned ladder must not move");
             match resp.verdict {
                 Verdict::Unknown(_) => {
                     if resp.checkpoint.is_some() {

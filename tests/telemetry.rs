@@ -141,8 +141,8 @@ fn latency_histograms_populate_per_tier() {
         hists.get(Hist::ServeE2eFullNs).sum() >= hists.get(Hist::ServeExecuteFullNs).sum(),
         "end-to-end dominates execute"
     );
-    // Degraded tiers have their own slots, untouched so far.
-    assert!(hists.get(Hist::ServeExecuteMiniconNs).is_empty());
+    // The degraded tier has its own slots, untouched so far.
+    assert!(hists.get(Hist::ServeExecuteBoundedNs).is_empty());
 
     let stats = core.stats();
     assert_eq!(stats.execute.count, n);
