@@ -58,6 +58,7 @@ use qc_datalog::{parse_program, parse_query, ConjunctiveQuery, Symbol, Ucq};
 use qc_mediator::minicon::minicon_rewritings;
 use qc_mediator::reductions::{asu_reduction, random_cnf3, thm33_reduction};
 use qc_mediator::relative::relatively_contained;
+use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{chain_edb, random_query, random_views, Shape};
 use qc_serve::{Request, ServeConfig, ServeCore};
 use rand::rngs::StdRng;
@@ -308,38 +309,46 @@ fn scenarios() -> Vec<Scenario> {
         }),
     });
 
-    // Serve — queue-throughput counters: Example 1 pairs through the
-    // admission layer. Each pair starts with a budget of 1 work unit and
-    // doubles it until the verdict is definite, carrying checkpoints
-    // between rounds, so the serve_* counters (completed, degraded runs,
-    // tier churn) enter the committed snapshot with deterministic values.
-    // (A run resumes only if a doubling lands in the few units between
-    // the two disjuncts of an Example 1 plan; none does at present.) The
-    // service's own counter bank is folded into the installed recorder
-    // at the end.
-    let (views, queries) = qc_bench::example1();
+    // Serve — admission, checkpoints, resume and the journal, on one
+    // question with eight plan disjuncts. Each e{j} of Q1 is reachable
+    // only through two constant views, so the plan has 2^3 = 8 disjuncts.
+    // Q2 repeats Q1's body eight times with fresh variables (equivalent to
+    // one copy), so checking one disjunct searches a mapping for 24
+    // subgoals and the per-disjunct loop costs more work units than
+    // planning (about 200 against 135). The budget starts at 1 and
+    // doubles, carrying checkpoints, until the verdict is definite. The
+    // first budget that covers planning is less than twice the planning
+    // cost (half of it did not cover planning), so it is less than
+    // planning plus the loop: that run always trips inside the loop and
+    // leaves a checkpoint (`journal_appends`), the next run resumes from
+    // it (`serve_resumed`), and a definite verdict retires the journal
+    // entry (`journal_retired`). The service's own counter bank is folded
+    // into the installed recorder at the end.
+    let views: Vec<String> = (0..3)
+        .flat_map(|j| (0..2).map(move |b| format!("w{j}_{b}() :- e{j}({b}).")))
+        .collect();
+    let views = LavSetting::parse(&views.iter().map(String::as_str).collect::<Vec<_>>())
+        .expect("views parse");
+    let q1 = parse_program("a() :- e0(U0), e1(U1), e2(U2).").unwrap();
+    let q2_body: Vec<String> = (0..8)
+        .flat_map(|c| (0..3).map(move |j| format!("e{j}(Y{j}_{c})")))
+        .collect();
+    let q2 = parse_program(&format!("b() :- {}.", q2_body.join(", "))).unwrap();
     out.push(Scenario {
-        name: "serve/example1_admission_resume",
+        name: "serve/plan8_admission_resume",
         run: Box::new(move |_cfg| {
             let core = ServeCore::new(views.clone(), ServeConfig::default());
-            for (i, (qa, na)) in queries.iter().enumerate() {
-                for (j, (qb, nb)) in queries.iter().enumerate() {
-                    if i == j {
-                        continue;
+            let mut req = Request::new(q1.clone(), Symbol::new("a"), q2.clone(), Symbol::new("b"));
+            let mut budget = 1u64;
+            loop {
+                req.budget = Some(budget);
+                let resp = core.handle(&req, 0).expect("serve scenario run");
+                match resp.verdict {
+                    qc_mediator::relative::Verdict::Unknown(_) => {
+                        req.checkpoint = resp.checkpoint;
+                        budget = budget.saturating_mul(2);
                     }
-                    let mut req = Request::new(qa.clone(), *na, qb.clone(), *nb);
-                    let mut budget = 1u64;
-                    loop {
-                        req.budget = Some(budget);
-                        let resp = core.handle(&req, 0).expect("serve scenario run");
-                        match resp.verdict {
-                            qc_mediator::relative::Verdict::Unknown(_) => {
-                                req.checkpoint = resp.checkpoint;
-                                budget = budget.saturating_mul(2);
-                            }
-                            _ => break,
-                        }
-                    }
+                    _ => break,
                 }
             }
             for (name, n) in core.counters().nonzero() {

@@ -171,10 +171,10 @@ fn check_epoch_flip(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tal
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity: 16,
-        start_paused: true,
         ..ServeConfig::default()
     };
     let svc = Service::start(cat0, cfg);
+    svc.pause();
     let mut tickets: Vec<Ticket> = Vec::new();
     for i in 0..3 {
         match svc.submit(case.req.clone()) {
@@ -368,7 +368,6 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
                 fingerprint: cp.fingerprint,
                 disjuncts_total: cp.disjuncts_total,
                 proven: Vec::new(),
-                memo_resident: 0,
                 epoch: None,
                 preds: None,
             });

@@ -311,7 +311,6 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
                 fingerprint: cp.fingerprint,
                 disjuncts_total: cp.disjuncts_total,
                 proven: Vec::new(),
-                memo_resident: 0,
                 epoch: None,
                 preds: None,
             });
@@ -473,10 +472,10 @@ fn check_coalescing(trial: usize, case: &Case, tally: &mut Tally) {
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity: N + 2,
-        start_paused: true,
         ..ServeConfig::default()
     };
     let svc = Service::start(case.views.clone(), cfg);
+    svc.pause();
     let tickets: Vec<Ticket> = (0..N)
         .filter_map(|i| match svc.submit(case.req.clone()) {
             Ok(t) => Some(t),

@@ -8,9 +8,9 @@
 //!    [`Response`](qc_serve::Response) or a
 //!    typed [`ServiceError`]; a hung ticket or a silently dropped job is a
 //!    failure.
-//! 2. **No unsound verdicts** — any `Contained`/`NotContained` answer, at
-//!    any ladder tier, resumed or not, under injected faults or not, must
-//!    equal the oracle. `Unknown` is always acceptable.
+//! 2. **No unsound verdicts** — any `Contained`/`NotContained` answer,
+//!    resumed or not, under injected faults or not, must equal the
+//!    oracle. `Unknown` is always acceptable.
 //! 3. **Bounded shedding** — load is shed only when the queue is full, and
 //!    deterministically: a paused service with capacity C given C+X jobs
 //!    sheds exactly X.
@@ -20,9 +20,9 @@
 //! * resume differential: run under a tiny budget, escalate and resume
 //!   from each returned checkpoint; the final definite verdict must match
 //!   the one-shot unlimited run;
-//! * degradation ladder: trip the core down to the bottom tier, check
-//!   degraded answers stay sound, and escalate-and-resume there until
-//!   definite;
+//! * history: starve the core with budget-1 runs, then require a plain
+//!   run of the same request to equal a fresh core's run (verdict and
+//!   units consumed) and the oracle;
 //! * guard faults: inject budget/cancel trips mid-run through the core;
 //! * supervised faults: inject panics through a threaded [`Service`] and
 //!   require a reply for every ticket (periodically — thread spin-up is
@@ -40,7 +40,7 @@ use qc_guard::{stage, FaultKind, FaultPlan};
 use qc_mediator::relative::{decide, Question, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
-use qc_serve::{Request, ServeConfig, ServeCore, Service, ServiceError, Tier};
+use qc_serve::{Request, ServeConfig, ServeCore, Service, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -166,34 +166,22 @@ fn escalate(
     );
 }
 
-/// Scenario 1: tiny budget, then escalate-and-resume until definite. The
-/// starved runs walk the ladder down, so the escalation crosses a tier
-/// step with its checkpoint.
+/// Scenario 1: tiny budget, then escalate-and-resume until definite.
 fn check_resume(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) {
     let core = ServeCore::new(case.views.clone(), ServeConfig::default());
     let budget = 1 + rng.gen_range(0..64) as u64;
     escalate(trial, case, &core, budget, "resume", tally);
 }
 
-/// Scenario 2: force the ladder to the bottom tier, then check that a
-/// plain run there agrees with the oracle when it is definite, and that
-/// escalate-and-resume there still reaches a definite verdict.
-fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
-    let cfg = ServeConfig {
-        trip_threshold: 1,
-        recover_threshold: 100,
-        ..ServeConfig::default()
-    };
-    let core = ServeCore::new(case.views.clone(), cfg);
+/// Scenario 2: budget-1 runs first, then a plain run of the same request.
+/// A grant depends only on the request and the queue depth, so the plain
+/// run must equal a fresh core's — verdict and units consumed — and,
+/// when definite, the oracle.
+fn check_history(trial: usize, case: &Case, tally: &mut Tally) {
+    let core = ServeCore::new(case.views.clone(), ServeConfig::default());
     let mut starved = case.req.clone();
     starved.budget = Some(1);
-    // Budget 1 usually trips, stepping the tier down one rung per run.
-    // Degenerate drawings can finish before the first tick; those cannot
-    // be starved, so the scenario does not apply to them.
     for _ in 0..4 {
-        if core.tier() == Tier::Bounded {
-            break;
-        }
         match core.handle(&starved, 0) {
             Ok(r) => {
                 if let Some(msg) = soundness_violation(&r.verdict, &case.oracle) {
@@ -203,19 +191,25 @@ fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
             Err(e) => tally.fail(trial, &format!("starved run errored: {e}")),
         }
     }
-    if core.tier() != Tier::Bounded {
-        return;
-    }
-    match core.handle(&case.req, 0) {
-        Ok(r) => {
+    let fresh = ServeCore::new(case.views.clone(), ServeConfig::default());
+    match (core.handle(&case.req, 0), fresh.handle(&case.req, 0)) {
+        (Ok(after), Ok(fresh)) => {
             tally.answered += 1;
-            if let Some(msg) = soundness_violation(&r.verdict, &case.oracle) {
-                tally.fail(trial, &format!("degraded run: {msg}"));
+            if after.verdict != fresh.verdict || after.consumed != fresh.consumed {
+                tally.fail(
+                    trial,
+                    &format!(
+                        "after starved runs: {:?} in {} units, fresh core: {:?} in {} units",
+                        after.verdict, after.consumed, fresh.verdict, fresh.consumed
+                    ),
+                );
+            }
+            if let Some(msg) = soundness_violation(&after.verdict, &case.oracle) {
+                tally.fail(trial, &format!("run after starved runs: {msg}"));
             }
         }
-        Err(e) => tally.fail(trial, &format!("degraded run errored: {e}")),
+        (Err(e), _) | (_, Err(e)) => tally.fail(trial, &format!("plain run errored: {e}")),
     }
-    escalate(trial, case, &core, 1, "bottom-tier escalation", tally);
 }
 
 /// Scenario 3: budget/cancel faults injected mid-run through the core.
@@ -301,7 +295,6 @@ fn check_shedding(trial: usize, case: &Case, tally: &mut Tally) {
     let cfg = ServeConfig {
         workers: 1,
         queue_capacity: CAP,
-        start_paused: true,
         // The C+X jobs are identical; coalescing would attach them to one
         // leader instead of shedding, which is a different invariant
         // (covered by durability_chaos).
@@ -309,6 +302,7 @@ fn check_shedding(trial: usize, case: &Case, tally: &mut Tally) {
         ..ServeConfig::default()
     };
     let svc = Service::start(case.views.clone(), cfg);
+    svc.pause();
     let mut tickets = Vec::new();
     let mut shed = 0usize;
     for i in 0..CAP + EXTRA {
@@ -378,7 +372,7 @@ fn main() -> ExitCode {
         };
         tally.trials += 1;
         check_resume(trial, &case, &mut rng, &mut tally);
-        check_ladder(trial, &case, &mut tally);
+        check_history(trial, &case, &mut tally);
         check_guard_faults(trial, &case, &mut rng, &mut tally);
         // Thread spin-up dominates the cheap workloads, so the threaded
         // scenarios sample the corpus instead of covering it.

@@ -10,8 +10,8 @@
 //! Checks, exiting 1 on the first class of violation found:
 //!
 //! - the metrics JSON has a `histograms` object carrying every serve
-//!   latency histogram (queue-wait / execute / end-to-end × ladder tier)
-//!   with numeric `p50`/`p90`/`p99`/`p999` quantiles;
+//!   latency histogram (queue-wait, execute, end-to-end) with numeric
+//!   `p50`/`p90`/`p99`/`p999` quantiles;
 //! - the flight dump is a non-empty array whose entries each carry a
 //!   `t-`-prefixed trace, an outcome, and numeric timing fields — and the
 //!   traces of *terminal* entries are unique (`panic_retry` is a
@@ -27,14 +27,7 @@ use serde_json::Value;
 
 /// Serve-side latency histograms the metrics export must always carry
 /// (empty or not) — `Histograms::to_json` emits the full schema.
-const SERVE_HISTS: [&str; 6] = [
-    "serve_queue_wait_full_ns",
-    "serve_queue_wait_bounded_ns",
-    "serve_execute_full_ns",
-    "serve_execute_bounded_ns",
-    "serve_e2e_full_ns",
-    "serve_e2e_bounded_ns",
-];
+const SERVE_HISTS: [&str; 3] = ["serve_queue_wait_ns", "serve_execute_ns", "serve_e2e_ns"];
 
 const QUANTILES: [&str; 4] = ["p50", "p90", "p99", "p999"];
 
@@ -236,7 +229,7 @@ mod tests {
 
     #[test]
     fn metrics_schema_accepts_full_and_rejects_partial() {
-        assert_eq!(check_metrics(&metrics_with_all()).unwrap(), 6);
+        assert_eq!(check_metrics(&metrics_with_all()).unwrap(), 3);
         let missing: Value = serde_json::from_str("{\"histograms\": {}}").unwrap();
         assert!(check_metrics(&missing).unwrap_err().contains("missing"));
         let no_key: Value = serde_json::from_str("{}").unwrap();
@@ -299,7 +292,7 @@ mod tests {
             let f = format!("relcont_{name}");
             text.push_str(&format!("# TYPE {f} counter\n{f} 0\n"));
         }
-        assert_eq!(check_prom(&text).unwrap(), 19);
+        assert_eq!(check_prom(&text).unwrap(), 16);
         assert!(check_prom("").unwrap_err().contains("TYPE"));
     }
 }

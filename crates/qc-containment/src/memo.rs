@@ -70,10 +70,6 @@ impl GenCache {
         }
         self.current.insert(key, verdict);
     }
-
-    fn len(&self) -> usize {
-        self.current.len() + self.previous.len()
-    }
 }
 
 thread_local! {
@@ -119,11 +115,6 @@ pub fn cq_contained_memo(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// scenarios).
 pub fn clear() {
     MEMO.with(|m| *m.borrow_mut() = GenCache::new(CAPACITY));
-}
-
-/// Number of resident verdicts (both generations) on this thread.
-pub fn resident() -> usize {
-    MEMO.with(|m| m.borrow().len())
 }
 
 #[cfg(test)]
@@ -209,7 +200,10 @@ mod tests {
                 &q("q(X) :- r(X, X)."),
                 &q("q(A) :- r(A, B).")
             ));
-            assert_eq!(resident(), 0);
+            MEMO.with(|m| {
+                let m = m.borrow();
+                assert!(m.current.is_empty() && m.previous.is_empty());
+            });
         });
         assert_eq!(counts, (0, 0));
     }
@@ -221,7 +215,8 @@ mod tests {
             let a = q(&format!("q(X) :- r{i}(X, Y).")).to_rule();
             cache.store((a.clone(), a), true);
         }
-        assert!(cache.len() <= 16, "resident = {}", cache.len());
+        let resident = cache.current.len() + cache.previous.len();
+        assert!(resident <= 16, "resident = {resident}");
         // The newest entry survives every rotation.
         let last = q("q(X) :- r99(X, Y).").to_rule();
         assert_eq!(cache.lookup(&(last.clone(), last)), Some(true));

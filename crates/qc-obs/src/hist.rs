@@ -27,8 +27,7 @@ macro_rules! hists {
         ///
         /// Stage histograms measure one pipeline stage each (fed from the
         /// matching span or an explicit [`time`](crate::time) guard); the
-        /// `Serve*` family measures the qc-serve request lifecycle per
-        /// degradation-ladder tier.
+        /// `Serve*` family measures the qc-serve request lifecycle.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(usize)]
         pub enum Hist {
@@ -79,18 +78,12 @@ hists! {
     ContainmentCheckNs => "containment_check_ns",
     /// Maximally-contained plan construction, per request.
     PlanConstructionNs => "plan_construction_ns",
-    /// Queue wait before a worker picked the job up, Full tier.
-    ServeQueueWaitFullNs => "serve_queue_wait_full_ns",
-    /// Queue wait before a worker picked the job up, Bounded tier.
-    ServeQueueWaitBoundedNs => "serve_queue_wait_bounded_ns",
-    /// Engine execution time (admission to verdict), Full tier.
-    ServeExecuteFullNs => "serve_execute_full_ns",
-    /// Engine execution time (admission to verdict), Bounded tier.
-    ServeExecuteBoundedNs => "serve_execute_bounded_ns",
-    /// End-to-end latency (enqueue to reply), Full tier.
-    ServeE2eFullNs => "serve_e2e_full_ns",
-    /// End-to-end latency (enqueue to reply), Bounded tier.
-    ServeE2eBoundedNs => "serve_e2e_bounded_ns",
+    /// Queue wait before a worker picked the job up.
+    ServeQueueWaitNs => "serve_queue_wait_ns",
+    /// Engine execution time (admission to verdict).
+    ServeExecuteNs => "serve_execute_ns",
+    /// End-to-end latency (enqueue to reply).
+    ServeE2eNs => "serve_e2e_ns",
     /// Latency of one checkpoint-journal append (serialize + write +
     /// fsync per policy).
     JournalAppendNs => "journal_append_ns",
@@ -406,15 +399,6 @@ impl Histograms {
         }
     }
 
-    /// A single histogram holding the union of the named slots' samples.
-    pub fn merged(&self, hs: &[Hist]) -> Histogram {
-        let out = Histogram::new();
-        for h in hs {
-            out.merge_from(self.get(*h));
-        }
-        out
-    }
-
     /// Zeroes every histogram.
     pub fn reset(&self) {
         for slot in &self.slots {
@@ -548,8 +532,6 @@ mod tests {
         assert_eq!(a.get(Hist::EvalNs).count(), 2);
         assert_eq!(a.get(Hist::EvalNs).sum(), 30);
         assert_eq!(a.get(Hist::MiniconNs).count(), 1);
-        let union = a.merged(&[Hist::EvalNs, Hist::MiniconNs]);
-        assert_eq!(union.count(), 3);
     }
 
     #[test]

@@ -149,16 +149,14 @@ counters! {
     ServeShed => "serve_shed",
     /// Requests that ran to a verdict (definite or Unknown).
     ServeCompleted => "serve_completed",
-    /// Requests executed at a degraded ladder tier (below Full).
-    ServeDegradedRuns => "serve_degraded_runs",
     /// Requests resumed from a checkpoint instead of restarting.
     ServeResumed => "serve_resumed",
     /// Worker threads restarted after a panic.
     ServeWorkerRestarts => "serve_worker_restarts",
-    /// Degradation-ladder steps down (toward cheaper tiers).
+    /// Retired: counted steps down the service's degradation ladder,
+    /// which is gone. Nothing increments it any more; it stays only
+    /// because the relbench report and serve_distinct's guard name it.
     ServeTierDowngrades => "serve_tier_downgrades",
-    /// Degradation-ladder steps back up (toward Full).
-    ServeTierUpgrades => "serve_tier_upgrades",
     /// Requests that attached as waiters to a structurally-identical
     /// in-flight computation instead of running their own.
     ServeCoalescedHits => "serve_coalesced_hits",

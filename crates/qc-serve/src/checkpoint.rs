@@ -29,11 +29,6 @@ pub struct Checkpoint {
     /// Enumeration cursor: indices of plan disjuncts already proven
     /// contained, ascending.
     pub proven: Vec<usize>,
-    /// Containment-memo entries resident when the checkpoint was cut.
-    /// Advisory only — the memo is process-local and its keys are not
-    /// exported; a resumed run in a warm process re-derives the skipped
-    /// disjuncts' sub-results from the memo, a cold one recomputes them.
-    pub memo_resident: usize,
     /// Catalog epoch the checkpoint was cut under. A checkpoint is only
     /// honored at the *current* epoch: when a catalog delta leaves a
     /// request's relevant views untouched, the serve core re-tags its
@@ -114,7 +109,6 @@ mod tests {
             fingerprint: 0xdead_beef_cafe,
             disjuncts_total: 7,
             proven: vec![0, 2, 5],
-            memo_resident: 41,
             epoch: Some(3),
             preds: Some(vec!["CarDesc".into(), "Review".into()]),
         };
@@ -140,7 +134,6 @@ mod tests {
             fingerprint: 1,
             disjuncts_total: 3,
             proven: vec![0, 2],
-            memo_resident: 0,
             epoch: None,
             preds: None,
         };

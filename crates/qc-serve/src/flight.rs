@@ -6,12 +6,12 @@
 //! [`TraceId`], so an operator holding an error (or a `Response`) can
 //! resolve the trace against the dump (`relcont serve --flight-recorder`,
 //! REPL `:flight`) and see where the time went: queue wait, execution,
-//! per-stage breakdown, ladder tier, and any guard trip.
+//! per-stage breakdown, and any guard trip.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::{Tier, TraceId};
+use crate::TraceId;
 
 /// Aggregated wall time spent in one pipeline stage during a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +34,6 @@ pub struct Timeline {
     /// supervision event `panic_retry` (non-terminal: the same trace gets
     /// a terminal entry afterwards).
     pub outcome: String,
-    /// Ladder tier the request ran at (absent when it never ran).
-    pub tier: Option<Tier>,
     /// Whether the run continued from a checkpoint.
     pub resumed: bool,
     /// Why a supplied checkpoint was refused (fingerprint or plan-shape
@@ -61,7 +59,6 @@ impl Timeline {
         Timeline {
             trace,
             outcome: outcome.to_string(),
-            tier: None,
             resumed: false,
             checkpoint_rejected: None,
             queue_wait_ns: 0,
@@ -106,13 +103,6 @@ impl Timeline {
         Value::Object(vec![
             ("trace".into(), Value::Str(self.trace.to_string())),
             ("outcome".into(), Value::Str(self.outcome.clone())),
-            (
-                "tier".into(),
-                match self.tier {
-                    Some(t) => Value::Str(t.name().to_string()),
-                    None => Value::Null,
-                },
-            ),
             ("resumed".into(), Value::Bool(self.resumed)),
             (
                 "checkpoint_rejected".into(),
@@ -210,10 +200,9 @@ impl FlightRecorder {
         for t in self.entries().iter() {
             let _ = write!(
                 out,
-                "{} {:<13} tier={:<12} queue={} exec={} total={} consumed={}",
+                "{} {:<13} queue={} exec={} total={} consumed={}",
                 t.trace,
                 t.outcome,
-                t.tier.as_ref().map_or("-", Tier::name),
                 fmt_ns(t.queue_wait_ns),
                 fmt_ns(t.execute_ns),
                 fmt_ns(t.total_ns),
@@ -282,7 +271,6 @@ mod tests {
         let fr = FlightRecorder::new(4);
         let mut t = entry(7);
         t.outcome = "contained".into();
-        t.tier = Some(Tier::Full);
         t.stages.push(StageTime {
             stage: "expansion".into(),
             calls: 2,
@@ -294,7 +282,11 @@ mod tests {
         assert_eq!(arr.len(), 1);
         let e = &arr[0];
         assert!(matches!(e.get_field("trace"), serde::Value::Str(_)));
-        assert!(matches!(e.get_field("tier"), serde::Value::Str(_)));
+        assert!(matches!(e.get_field("outcome"), serde::Value::Str(_)));
+        assert!(
+            matches!(e.get_field("tier"), serde::Value::Null),
+            "no tier field"
+        );
         let stages = e.get_field("stages").as_array().unwrap();
         assert!(matches!(
             stages[0].get_field("calls"),

@@ -852,7 +852,6 @@ mod tests {
             fingerprint: fp,
             disjuncts_total: 8,
             proven,
-            memo_resident: 0,
             epoch: None,
             preds: None,
         }

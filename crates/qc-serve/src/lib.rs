@@ -4,17 +4,14 @@
 //! ([`qc_mediator::relative`] under [`qc_guard`]) and a long-running
 //! deployment: relative containment is Π₂ᵖ-hard (Thm 3.3), so any
 //! per-request limit *will* trip on adversarial or merely large inputs,
-//! and the service has to stay up and useful anyway. Three mechanisms:
+//! and the service has to stay up and useful anyway. Two mechanisms:
 //!
 //! * **Admission control** — a bounded queue that sheds load explicitly
-//!   ([`ServiceError::ShedUnderLoad`]) instead of queueing to death, plus
-//!   a [`CapacityModel`] deriving each request's work-unit grant from the
-//!   queue depth and a global budget pool.
-//! * **Degradation ladder** ([`ladder`]) — repeated resource trips step
-//!   the service down from the capacity model's full grant to a capped
-//!   one; definite answers step it back up. Both tiers run the same
-//!   decision, and the active [`ladder::Tier`] is reported in every
-//!   [`Response`].
+//!   ([`ServiceError::ShedUnderLoad`]) instead of queueing to death. Each
+//!   run gets a work-unit grant that depends only on the request and the
+//!   queue depth when it starts: its own budget if it has one, otherwise
+//!   [`ServeConfig::pool`] split over itself and the requests queued
+//!   behind it. No request's grant depends on what ran before it.
 //! * **Resumable verdicts** ([`checkpoint`]) — an `Unknown` response
 //!   carries a [`checkpoint::Checkpoint`] of the disjuncts already
 //!   proven, and a retry hands it back so the per-disjunct loop continues
@@ -29,7 +26,6 @@
 pub mod checkpoint;
 pub mod flight;
 pub mod journal;
-pub mod ladder;
 pub mod retry;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -53,7 +49,6 @@ pub use journal::{
     CheckpointStore, DirSync, EpochRecord, FileJournal, FsyncPolicy, JournalConfig, MemoryStore,
     RealDirSync, ReplayReport, SaveReceipt,
 };
-pub use ladder::{DegradationController, Tier};
 pub use qc_mediator::catalog::{CatalogDelta, CatalogError, CatalogOp, DeltaReport};
 pub use retry::RetryPolicy;
 
@@ -234,9 +229,10 @@ pub struct Request {
     pub q2: Program,
     /// Its answer predicate.
     pub ans2: Symbol,
-    /// Explicit work-unit budget, overriding the capacity model's grant.
+    /// Explicit work-unit budget, overriding the grant the service would
+    /// derive from [`ServeConfig::pool`].
     pub budget: Option<u64>,
-    /// Per-run wall-clock limit, overriding the service default.
+    /// Per-run wall-clock limit (none by default).
     pub timeout: Option<Duration>,
     /// Checkpoint from a previous `Unknown` answer to resume from.
     pub checkpoint: Option<Checkpoint>,
@@ -312,10 +308,6 @@ impl Request {
 pub struct Response {
     /// The anytime answer.
     pub verdict: Verdict,
-    /// The ladder tier that produced it. Every tier runs the same
-    /// decision, so `Contained`/`NotContained` at any tier agree with the
-    /// unlimited oracle (see the module docs of [`ladder`]).
-    pub tier: Tier,
     /// Whether the run continued from a request checkpoint.
     pub resumed: bool,
     /// Work units consumed by this run.
@@ -337,13 +329,11 @@ pub struct Response {
     pub epoch: u64,
 }
 
-/// Coarse service health, derived from the ladder and queue state.
+/// Coarse service health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Health {
-    /// Serving at the full tier.
+    /// Admitting and serving.
     Healthy,
-    /// Serving, but the ladder has stepped below [`Tier::Full`].
-    Degraded,
     /// No longer admitting; queued work is being finished.
     Draining,
 }
@@ -353,7 +343,6 @@ impl Health {
     pub fn name(&self) -> &'static str {
         match self {
             Health::Healthy => "healthy",
-            Health::Degraded => "degraded",
             Health::Draining => "draining",
         }
     }
@@ -366,57 +355,18 @@ impl std::fmt::Display for Health {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity model
+// Grants
 // ---------------------------------------------------------------------------
 
-/// Derives per-request work-unit grants from a global budget pool and the
-/// observed queue depth: a request admitted to an idle service may spend
-/// the whole remaining pool; one admitted behind `d` waiters gets
-/// `remaining / (d + 1)`, never less than the configured floor. Consumed
-/// units are settled back against the pool, so sustained load tightens
-/// grants gradually instead of cutting anyone off outright — the floor
-/// guarantees every admitted request can still make progress (the ladder,
-/// not the pool, is what handles chronic overload).
-#[derive(Debug)]
-pub struct CapacityModel {
-    pool: AtomicU64,
-    min_budget: u64,
-}
+/// The smallest grant a request without its own budget gets, however deep
+/// the queue behind it.
+const MIN_GRANT: u64 = 4096;
 
-impl CapacityModel {
-    /// A pool of `pool` work units with a per-request floor of
-    /// `min_budget` (clamped to at least 1).
-    pub fn new(pool: u64, min_budget: u64) -> CapacityModel {
-        CapacityModel {
-            pool: AtomicU64::new(pool),
-            min_budget: min_budget.max(1),
-        }
-    }
-
-    /// Unspent units in the pool.
-    pub fn remaining(&self) -> u64 {
-        self.pool.load(Ordering::Relaxed)
-    }
-
-    /// The per-request grant floor.
-    pub fn min_budget(&self) -> u64 {
-        self.min_budget
-    }
-
-    /// The work-unit grant for a request admitted with `depth` others
-    /// waiting behind it.
-    pub fn grant(&self, depth: usize) -> u64 {
-        (self.remaining() / (depth as u64 + 1)).max(self.min_budget)
-    }
-
-    /// Settles `consumed` units against the pool (saturating at zero).
-    pub fn settle(&self, consumed: u64) {
-        let _ = self
-            .pool
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(consumed))
-            });
-    }
+/// The work-unit grant of a request without its own budget that starts
+/// with `depth` others queued behind it: `pool / (depth + 1)`, never less
+/// than [`MIN_GRANT`].
+fn grant(pool: u64, depth: usize) -> u64 {
+    (pool / (depth as u64 + 1)).max(MIN_GRANT)
 }
 
 // ---------------------------------------------------------------------------
@@ -430,25 +380,14 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue capacity; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Global work-unit budget pool (see [`CapacityModel`]).
+    /// The work-unit grant of a request admitted to an idle service. A
+    /// request with `d` others queued behind it gets `pool / (d + 1)`,
+    /// never less than 4 096 units; a request's own
+    /// [`Request::budget`] overrides both.
     pub pool: u64,
-    /// Per-request grant floor.
-    pub min_budget: u64,
-    /// At [`Tier::Bounded`], grants are divided by this (still floored at
-    /// `min_budget`); a request's explicit budget is not.
-    pub bounded_divisor: u64,
-    /// Default per-run wall-clock limit (requests may override).
-    pub default_timeout: Option<Duration>,
     /// How long a request may wait in the queue before it is answered
     /// with [`ServiceError::Timeout`] instead of running.
     pub queue_timeout: Option<Duration>,
-    /// Consecutive resource trips before the ladder steps down from
-    /// [`Tier::Full`] to [`Tier::Bounded`].
-    pub trip_threshold: u32,
-    /// Consecutive definite answers before it steps back up.
-    pub recover_threshold: u32,
-    /// Start with workers paused (deterministic queue tests).
-    pub start_paused: bool,
     /// Coalesce structurally-identical in-flight requests: later
     /// arrivals attach as waiters to the first computation instead of
     /// running their own ([`Service`] only).
@@ -463,13 +402,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             pool: 1 << 22,
-            min_budget: 4096,
-            bounded_divisor: 4,
-            default_timeout: None,
             queue_timeout: None,
-            trip_threshold: 3,
-            recover_threshold: 3,
-            start_paused: false,
             coalesce: true,
             flight_capacity: 256,
         }
@@ -578,45 +511,17 @@ impl qc_obs::Recorder for RequestRecorder {
     }
 }
 
-/// The queue-wait histogram for runs at `tier`.
-fn queue_wait_hist(tier: Tier) -> Hist {
-    match tier {
-        Tier::Full => Hist::ServeQueueWaitFullNs,
-        Tier::Bounded => Hist::ServeQueueWaitBoundedNs,
-    }
-}
-
-/// The execute-latency histogram for runs at `tier`.
-fn execute_hist(tier: Tier) -> Hist {
-    match tier {
-        Tier::Full => Hist::ServeExecuteFullNs,
-        Tier::Bounded => Hist::ServeExecuteBoundedNs,
-    }
-}
-
-/// The end-to-end-latency histogram for runs at `tier`.
-fn e2e_hist(tier: Tier) -> Hist {
-    match tier {
-        Tier::Full => Hist::ServeE2eFullNs,
-        Tier::Bounded => Hist::ServeE2eBoundedNs,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // ServeCore — the deterministic, threadless engine
 // ---------------------------------------------------------------------------
 
-/// A point-in-time view of the service's counters and ladder state.
+/// A point-in-time view of the service's counters.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Derived health (see [`Health`]).
     pub health: Health,
-    /// Active ladder tier.
-    pub tier: Tier,
     /// Requests waiting in the admission queue (0 for a bare core).
     pub queue_len: usize,
-    /// Unspent units in the budget pool.
-    pub pool_remaining: u64,
     /// Requests admitted.
     pub admitted: u64,
     /// Requests shed at admission.
@@ -625,14 +530,8 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests resumed from a checkpoint.
     pub resumed: u64,
-    /// Runs executed below [`Tier::Full`].
-    pub degraded_runs: u64,
     /// Worker panics recovered by supervision.
     pub worker_restarts: u64,
-    /// Ladder steps down.
-    pub tier_downgrades: u64,
-    /// Ladder steps up.
-    pub tier_upgrades: u64,
     /// Requests answered by attaching to an identical in-flight one.
     pub coalesced_hits: u64,
     /// Checkpoints refused (fingerprint/shape mismatch) and recomputed.
@@ -649,11 +548,11 @@ pub struct ServeStats {
     pub epoch_bumps: u64,
     /// Requests answered from the memoized-verdict cache.
     pub verdict_cache_hits: u64,
-    /// Queue-wait latency distribution (all tiers merged).
+    /// Queue-wait latency distribution.
     pub queue_wait: LatencySummary,
-    /// Execute latency distribution (all tiers merged).
+    /// Execute latency distribution.
     pub execute: LatencySummary,
-    /// End-to-end latency distribution (all tiers merged).
+    /// End-to-end latency distribution.
     pub e2e: LatencySummary,
 }
 
@@ -701,18 +600,11 @@ impl std::fmt::Display for LatencySummary {
 impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "health: {}", self.health)?;
-        writeln!(f, "tier: {}", self.tier)?;
         writeln!(f, "queue: {} waiting", self.queue_len)?;
-        writeln!(f, "pool: {} units remaining", self.pool_remaining)?;
         writeln!(
             f,
-            "requests: {} admitted, {} shed, {} completed, {} resumed",
-            self.admitted, self.shed, self.completed, self.resumed
-        )?;
-        writeln!(
-            f,
-            "ladder: {} degraded runs, {} down / {} up; {} worker restarts",
-            self.degraded_runs, self.tier_downgrades, self.tier_upgrades, self.worker_restarts
+            "requests: {} admitted, {} shed, {} completed, {} resumed; {} worker restarts",
+            self.admitted, self.shed, self.completed, self.resumed, self.worker_restarts
         )?;
         writeln!(
             f,
@@ -735,15 +627,13 @@ impl std::fmt::Display for ServeStats {
     }
 }
 
-/// The deterministic heart of the service: capacity model, degradation
-/// ladder, resumption, and the decision — everything except threads and
+/// The deterministic heart of the service: grants, resumption, the
+/// verdict cache and the decision — everything except threads and
 /// queues. The REPL and benchmarks drive a bare core;
 /// [`Service`] drives one from supervised workers.
 pub struct ServeCore {
     catalog: Mutex<Arc<CatalogSnapshot>>,
     cfg: ServeConfig,
-    capacity: CapacityModel,
-    ladder: Mutex<DegradationController>,
     counters: Arc<Counters>,
     hists: Arc<Histograms>,
     flight: FlightRecorder,
@@ -760,14 +650,9 @@ pub struct ServeCore {
 #[derive(Debug, Clone)]
 struct CachedVerdict {
     verdict: Verdict,
-    tier: Tier,
     /// The originating request's predicate footprint: a delta drops the
     /// entry iff its touched predicates intersect this set.
     preds: Vec<Symbol>,
-    /// Epoch the verdict was computed under (observability; validity is
-    /// carried by the fingerprint + predicate-based invalidation).
-    #[allow(dead_code)]
-    epoch: u64,
 }
 
 /// Bound on memoized definite verdicts. A full cache evicts the entry
@@ -795,11 +680,6 @@ impl ServeCore {
         cfg: ServeConfig,
         store: Arc<dyn CheckpointStore>,
     ) -> ServeCore {
-        let capacity = CapacityModel::new(cfg.pool, cfg.min_budget);
-        let ladder = Mutex::new(DegradationController::new(
-            cfg.trip_threshold,
-            cfg.recover_threshold,
-        ));
         let flight = FlightRecorder::new(cfg.flight_capacity);
         let counters = Arc::new(Counters::new());
         let hists = Arc::new(Histograms::new());
@@ -862,8 +742,6 @@ impl ServeCore {
         ServeCore {
             catalog: Mutex::new(Arc::new(snap)),
             cfg,
-            capacity,
-            ladder,
             counters,
             hists,
             flight,
@@ -983,7 +861,7 @@ impl ServeCore {
         &self.counters
     }
 
-    /// The shared histogram bank: per-stage latencies and the per-tier
+    /// The shared histogram bank: per-stage latencies and the
     /// request-lifecycle distributions.
     pub fn histograms(&self) -> &Arc<Histograms> {
         &self.hists
@@ -1005,32 +883,17 @@ impl ServeCore {
         TraceId(((self.generation & 0xFFFF) << TRACE_GENERATION_SHIFT) | seq)
     }
 
-    /// The active ladder tier.
-    pub fn tier(&self) -> Tier {
-        self.ladder().tier()
-    }
-
     /// Stats snapshot (queue length 0 — a bare core has no queue).
     pub fn stats(&self) -> ServeStats {
-        let tier = self.tier();
         let c = |ctr| self.counters.get(ctr);
         ServeStats {
-            health: if tier.degraded() {
-                Health::Degraded
-            } else {
-                Health::Healthy
-            },
-            tier,
+            health: Health::Healthy,
             queue_len: 0,
-            pool_remaining: self.capacity.remaining(),
             admitted: c(Counter::ServeAdmitted),
             shed: c(Counter::ServeShed),
             completed: c(Counter::ServeCompleted),
             resumed: c(Counter::ServeResumed),
-            degraded_runs: c(Counter::ServeDegradedRuns),
             worker_restarts: c(Counter::ServeWorkerRestarts),
-            tier_downgrades: c(Counter::ServeTierDowngrades),
-            tier_upgrades: c(Counter::ServeTierUpgrades),
             coalesced_hits: c(Counter::ServeCoalescedHits),
             checkpoint_rejected: c(Counter::ServeCheckpointRejected),
             journal_appends: c(Counter::JournalAppends),
@@ -1039,38 +902,17 @@ impl ServeCore {
             epoch: self.epoch(),
             epoch_bumps: c(Counter::CatalogEpochBumps),
             verdict_cache_hits: c(Counter::ServeVerdictCacheHits),
-            queue_wait: LatencySummary::of(
-                &self
-                    .hists
-                    .merged(&[Hist::ServeQueueWaitFullNs, Hist::ServeQueueWaitBoundedNs]),
-            ),
-            execute: LatencySummary::of(
-                &self
-                    .hists
-                    .merged(&[Hist::ServeExecuteFullNs, Hist::ServeExecuteBoundedNs]),
-            ),
-            e2e: LatencySummary::of(
-                &self
-                    .hists
-                    .merged(&[Hist::ServeE2eFullNs, Hist::ServeE2eBoundedNs]),
-            ),
+            queue_wait: LatencySummary::of(self.hists.get(Hist::ServeQueueWaitNs)),
+            execute: LatencySummary::of(self.hists.get(Hist::ServeExecuteNs)),
+            e2e: LatencySummary::of(self.hists.get(Hist::ServeE2eNs)),
         }
     }
 
-    /// Locks the ladder, recovering from poisoning: a worker panicking
-    /// mid-update leaves the controller's counters merely stale, and a
-    /// poisoned lock must not take the whole service down with it.
-    fn ladder(&self) -> MutexGuard<'_, DegradationController> {
-        self.ladder
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Decides one request at the active tier. `depth` is the number of
-    /// requests queued behind it (0 when called directly) and shapes the
-    /// capacity grant. `Err` is only [`ServiceError::Rejected`] here —
-    /// queue-level errors belong to [`Service`], and panics propagate to
-    /// the caller's supervision.
+    /// Decides one request. `depth` is the number of requests queued
+    /// behind it (0 when called directly) and splits the grant of a
+    /// request without its own budget. `Err` is only
+    /// [`ServiceError::Rejected`] here — queue-level errors belong to
+    /// [`Service`], and panics propagate to the caller's supervision.
     ///
     /// A fresh trace ID is allocated; [`Service`] workers instead call
     /// [`ServeCore::handle_traced`] with the ID minted at admission.
@@ -1080,8 +922,8 @@ impl ServeCore {
 
     /// [`ServeCore::handle`] with an explicit trace ID and the time the
     /// request already spent in the admission queue. Records the request's
-    /// lifecycle into the per-tier latency histograms and pushes its
-    /// timeline into the flight recorder.
+    /// lifecycle into the latency histograms and pushes its timeline into
+    /// the flight recorder.
     pub fn handle_traced(
         &self,
         req: &Request,
@@ -1171,20 +1013,14 @@ impl ServeCore {
             let hit = self
                 .verdicts_lock()
                 .get(&fingerprint)
-                .map(|v| (v.verdict.clone(), v.tier));
-            if let Some((verdict, tier)) = hit {
+                .map(|v| v.verdict.clone());
+            if let Some(verdict) = hit {
                 self.counters.add(Counter::ServeVerdictCacheHits, 1);
                 self.counters.add(Counter::ServeCompleted, 1);
-                // A cache hit serves a definite answer; it counts toward
-                // ladder recovery like any other definite response.
-                if self.ladder().on_definite().is_some() {
-                    self.counters.add(Counter::ServeTierUpgrades, 1);
-                }
                 let queue_wait_ns = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
                 self.flight.push(Timeline {
                     trace,
                     outcome: "verdict_cache_hit".into(),
-                    tier: Some(tier),
                     resumed: false,
                     checkpoint_rejected: None,
                     queue_wait_ns,
@@ -1196,7 +1032,6 @@ impl ServeCore {
                 });
                 return Ok(Response {
                     verdict,
-                    tier,
                     resumed: false,
                     consumed: 0,
                     checkpoint: None,
@@ -1208,20 +1043,9 @@ impl ServeCore {
             }
         }
 
-        let tier = self.ladder().tier();
-        let grant = match req.budget {
-            Some(b) => b,
-            None => {
-                let g = self.capacity.grant(depth);
-                if tier == Tier::Bounded {
-                    (g / self.cfg.bounded_divisor.max(1)).max(self.capacity.min_budget())
-                } else {
-                    g
-                }
-            }
-        };
+        let grant = req.budget.unwrap_or_else(|| grant(self.cfg.pool, depth));
         let mut guard = Guard::unlimited().with_budget(grant).with_trace(trace.0);
-        if let Some(t) = req.timeout.or(self.cfg.default_timeout) {
+        if let Some(t) = req.timeout {
             guard = guard.with_timeout(t);
         }
         if let Some(f) = req.fault {
@@ -1238,9 +1062,9 @@ impl ServeCore {
         ));
         let _rec_guard = qc_obs::install(request_rec.clone() as Arc<dyn qc_obs::Recorder>);
 
-        // Every tier runs the sequential engine: service-level parallelism
-        // comes from workers, and sequential runs keep verdicts (and
-        // checkpoints) deterministic per request.
+        // The sequential engine: service-level parallelism comes from
+        // workers, and sequential runs keep verdicts (and checkpoints)
+        // deterministic per request.
         let question = Question {
             resume: expected_total.map(|disjuncts_total| Resume {
                 proven: &proven_before,
@@ -1267,7 +1091,6 @@ impl ServeCore {
             decision.verdict
         });
         let consumed = guard.consumed();
-        self.capacity.settle(consumed);
         // Counted after the run so a shape-rejected checkpoint (resumed
         // flipped back off above) is a rejection, not a resume.
         if resumed {
@@ -1286,7 +1109,6 @@ impl ServeCore {
                 self.flight.push(Timeline {
                     trace,
                     outcome: "rejected".into(),
-                    tier: Some(tier),
                     resumed,
                     checkpoint_rejected: checkpoint_rejected.map(|r| r.reason),
                     queue_wait_ns,
@@ -1299,26 +1121,10 @@ impl ServeCore {
                 return Err(ServiceError::Rejected { trace, why });
             }
         };
-        self.hists.record(queue_wait_hist(tier), queue_wait_ns);
-        self.hists.record(execute_hist(tier), execute_ns);
-        self.hists.record(e2e_hist(tier), total_ns);
+        self.hists.record(Hist::ServeQueueWaitNs, queue_wait_ns);
+        self.hists.record(Hist::ServeExecuteNs, execute_ns);
+        self.hists.record(Hist::ServeE2eNs, total_ns);
         self.counters.add(Counter::ServeCompleted, 1);
-        if tier.degraded() {
-            self.counters.add(Counter::ServeDegradedRuns, 1);
-        }
-        let step = match &verdict {
-            Verdict::Unknown(_) => self
-                .ladder()
-                .on_resource_trip()
-                .map(|t| (Counter::ServeTierDowngrades, t)),
-            _ => self
-                .ladder()
-                .on_definite()
-                .map(|t| (Counter::ServeTierUpgrades, t)),
-        };
-        if let Some((ctr, _)) = step {
-            self.counters.add(ctr, 1);
-        }
 
         let checkpoint = match &verdict {
             // A run that tripped before its plan existed has no
@@ -1327,7 +1133,6 @@ impl ServeCore {
                 fingerprint,
                 disjuncts_total: p.disjuncts_total,
                 proven: p.disjuncts_proven.clone(),
-                memo_resident: qc_containment::memo::resident(),
                 epoch: Some(epoch),
                 preds: Some(req.pred_names().into_iter().collect()),
             }),
@@ -1375,7 +1180,6 @@ impl ServeCore {
         self.flight.push(Timeline {
             trace,
             outcome: outcome_name.into(),
-            tier: Some(tier),
             resumed,
             checkpoint_rejected: checkpoint_rejected.as_ref().map(|r| r.reason.clone()),
             queue_wait_ns,
@@ -1400,15 +1204,12 @@ impl ServeCore {
                 fingerprint,
                 CachedVerdict {
                     verdict: verdict.clone(),
-                    tier,
                     preds: req.footprint(),
-                    epoch,
                 },
             );
         }
         Ok(Response {
             verdict,
-            tier,
             resumed,
             consumed,
             checkpoint,
@@ -1548,13 +1349,12 @@ impl Service {
         cfg: ServeConfig,
         store: Arc<dyn CheckpointStore>,
     ) -> Service {
-        let start_paused = cfg.start_paused;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(QueueShared {
             jobs: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
-            paused: AtomicBool::new(start_paused),
+            paused: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             inflight: Mutex::new(HashMap::new()),
         });
@@ -1573,7 +1373,7 @@ impl Service {
         }
     }
 
-    /// The underlying core (counters, tier, views).
+    /// The underlying core (counters, views, flight recorder).
     pub fn core(&self) -> &Arc<ServeCore> {
         &self.core
     }
@@ -1702,7 +1502,9 @@ impl Service {
     }
 
     /// Pauses workers (they stop popping; admission continues). With a
-    /// bounded queue this makes shedding deterministic for tests.
+    /// bounded queue this makes shedding deterministic for tests. No job
+    /// exists before the first submit, so pausing right after
+    /// [`Service::start`] holds every job in the queue.
     pub fn pause(&self) {
         self.shared.paused.store(true, Ordering::SeqCst);
     }
@@ -1720,12 +1522,11 @@ impl Service {
         self.shared.cond.notify_all();
     }
 
-    /// Derived health: draining beats degraded beats healthy.
+    /// Derived health: draining once [`Service::begin_drain`] ran,
+    /// healthy before.
     pub fn health(&self) -> Health {
         if self.shared.draining.load(Ordering::SeqCst) {
             Health::Draining
-        } else if self.core.tier().degraded() {
-            Health::Degraded
         } else {
             Health::Healthy
         }
@@ -1845,7 +1646,6 @@ fn coalesced_reply(
             core.flight().push(Timeline {
                 trace: w.trace,
                 outcome: "coalesced".into(),
-                tier: Some(resp.tier),
                 resumed: resp.resumed,
                 checkpoint_rejected: None,
                 queue_wait_ns: waited_ns,
@@ -1969,24 +1769,22 @@ mod tests {
     }
 
     #[test]
-    fn capacity_grant_divides_and_floors() {
-        let cap = CapacityModel::new(1000, 10);
-        assert_eq!(cap.grant(0), 1000);
-        assert_eq!(cap.grant(3), 250);
-        assert_eq!(cap.grant(999), 10, "floored at min_budget");
-        cap.settle(600);
-        assert_eq!(cap.remaining(), 400);
-        cap.settle(1_000_000);
-        assert_eq!(cap.remaining(), 0, "saturates at zero");
-        assert_eq!(cap.grant(0), 10, "exhausted pool still grants the floor");
+    fn grant_divides_the_pool_by_depth_and_floors() {
+        assert_eq!(
+            grant(1 << 20, 0),
+            1 << 20,
+            "an idle service grants the pool"
+        );
+        assert_eq!(grant(1 << 20, 3), 1 << 18);
+        assert_eq!(grant(20_000, 9), MIN_GRANT, "floored");
+        assert_eq!(grant(0, 0), MIN_GRANT);
     }
 
     #[test]
-    fn core_decides_contained_at_full_tier() {
+    fn core_decides_contained() {
         let core = ServeCore::new(example1_sources(), ServeConfig::default());
         let resp = core.handle(&contained_request(), 0).unwrap();
         assert_eq!(resp.verdict, Verdict::Contained);
-        assert_eq!(resp.tier, Tier::Full);
         assert!(!resp.resumed);
         assert!(resp.checkpoint.is_none());
         assert!(resp.consumed > 0);
@@ -2035,7 +1833,6 @@ mod tests {
             fingerprint: 12345, // wrong on purpose
             disjuncts_total: 2,
             proven: vec![0, 1],
-            memo_resident: 0,
             epoch: None,
             preds: None,
         });
@@ -2067,7 +1864,6 @@ mod tests {
             fingerprint,
             disjuncts_total: 99, // the rebuilt plan will disagree
             proven: vec![0, 1],
-            memo_resident: 0,
             epoch: None,
             preds: None,
         });
@@ -2080,35 +1876,26 @@ mod tests {
         assert_eq!(core.stats().checkpoint_rejected, 1);
     }
 
+    /// Starved runs leave nothing behind that shrinks a later grant: a
+    /// plain run after them spends what it spends on a fresh core.
     #[test]
-    fn ladder_steps_down_on_trips_and_reports_tier() {
-        let cfg = ServeConfig {
-            trip_threshold: 1,
-            recover_threshold: 2,
-            ..ServeConfig::default()
-        };
-        let core = ServeCore::new(example1_sources(), cfg);
+    fn starved_runs_do_not_change_a_later_plain_run() {
+        let core = ServeCore::new(example1_sources(), ServeConfig::default());
         let mut starved = contained_request();
         starved.budget = Some(1);
-        let r1 = core.handle(&starved, 0).unwrap();
-        assert_eq!(r1.tier, Tier::Full);
-        assert!(matches!(r1.verdict, Verdict::Unknown(_)));
-        assert_eq!(core.tier(), Tier::Bounded);
-        let r2 = core.handle(&starved, 0).unwrap();
-        assert_eq!(r2.tier, Tier::Bounded);
-        assert_eq!(core.tier(), Tier::Bounded, "the ladder holds at its bottom");
-        let stats = core.stats();
-        assert_eq!(stats.tier_downgrades, 1);
-        assert_eq!(stats.degraded_runs, 1);
-        assert_eq!(stats.health, Health::Degraded);
-
-        // Definite answers at the degraded tier climb back up.
-        let ok = contained_request();
-        for _ in 0..2 {
-            core.handle(&ok, 0).unwrap();
+        for _ in 0..5 {
+            let r = core.handle(&starved, 0).unwrap();
+            assert!(matches!(r.verdict, Verdict::Unknown(_)));
+            assert!(r.checkpoint.is_none(), "budget 1 trips before the plan");
         }
-        assert_eq!(core.tier(), Tier::Full);
-        assert_eq!(core.stats().tier_upgrades, 1);
+        assert_eq!(core.stats().health, Health::Healthy);
+        let plain = core.handle(&contained_request(), 0).unwrap();
+        let fresh = ServeCore::new(example1_sources(), ServeConfig::default())
+            .handle(&contained_request(), 0)
+            .unwrap();
+        assert_eq!(plain.verdict, Verdict::Contained);
+        assert_eq!(plain.verdict, fresh.verdict);
+        assert_eq!(plain.consumed, fresh.consumed);
     }
 
     /// Theorem 5.1's plan for a semi-interval chain of 28 subgoals: MiniCon
@@ -2146,13 +1933,13 @@ mod tests {
         let cfg = ServeConfig {
             workers: 2,
             queue_capacity: 2,
-            start_paused: true,
             // The submits are identical; without this they would coalesce
             // instead of shedding, which is exactly what this test pins.
             coalesce: false,
             ..ServeConfig::default()
         };
         let svc = Service::start(example1_sources(), cfg);
+        svc.pause();
         let mut tickets = Vec::new();
         let mut shed = 0;
         for _ in 0..5 {
@@ -2184,10 +1971,10 @@ mod tests {
     fn draining_rejects_but_finishes_queued_work() {
         let cfg = ServeConfig {
             workers: 1,
-            start_paused: true,
             ..ServeConfig::default()
         };
         let svc = Service::start(example1_sources(), cfg);
+        svc.pause();
         let t = svc.submit(contained_request()).unwrap();
         svc.begin_drain();
         match svc.submit(contained_request()) {
@@ -2233,11 +2020,11 @@ mod tests {
     fn queue_timeout_answers_instead_of_running() {
         let cfg = ServeConfig {
             workers: 1,
-            start_paused: true,
             queue_timeout: Some(Duration::from_millis(1)),
             ..ServeConfig::default()
         };
         let svc = Service::start(example1_sources(), cfg);
+        svc.pause();
         let t = svc.submit(contained_request()).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         svc.unpause();
@@ -2276,10 +2063,10 @@ mod tests {
         let cfg = ServeConfig {
             workers: 2,
             queue_capacity: 8,
-            start_paused: true, // all submits land before any runs
             ..ServeConfig::default()
         };
         let svc = Service::start(example1_sources(), cfg);
+        svc.pause(); // all submits land before any runs
         let n = 4;
         let tickets: Vec<Ticket> = (0..n)
             .map(|_| svc.submit(contained_request()).unwrap())
@@ -2319,10 +2106,10 @@ mod tests {
         let cfg = ServeConfig {
             workers: 1,
             queue_capacity: 8,
-            start_paused: true,
             ..ServeConfig::default()
         };
         let svc = Service::start(example1_sources(), cfg);
+        svc.pause();
         let mut req = contained_request();
         req.fault = Some(FaultPlan {
             stage: qc_guard::stage::HOM_SEARCH,

@@ -136,7 +136,7 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tier, TraceId};
+    use crate::TraceId;
     use qc_guard::ResourceError;
     use qc_mediator::relative::Partial;
 
@@ -148,7 +148,6 @@ mod tests {
                 disjuncts_total: cp.as_ref().map_or(4, |c| c.disjuncts_total),
                 partial_plan: None,
             }),
-            tier: Tier::Full,
             resumed: false,
             consumed: 10,
             checkpoint: cp,
@@ -162,7 +161,6 @@ mod tests {
     fn contained_response() -> Result<Response, ServiceError> {
         Ok(Response {
             verdict: Verdict::Contained,
-            tier: Tier::Full,
             resumed: true,
             consumed: 5,
             checkpoint: None,
@@ -238,7 +236,6 @@ mod tests {
                         fingerprint: 7,
                         disjuncts_total: 4,
                         proven: vec![0, 1],
-                        memo_resident: 0,
                         epoch: None,
                         preds: None,
                     }))
@@ -266,7 +263,6 @@ mod tests {
                     fingerprint: 7,
                     disjuncts_total: 4,
                     proven: cp.map(|c| c.proven).unwrap_or_default(),
-                    memo_resident: 0,
                     epoch: None,
                     preds: None,
                 }))

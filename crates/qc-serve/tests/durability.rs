@@ -161,10 +161,10 @@ fn timelines_distinguish_fresh_resumed_and_coalesced() {
     let cfg = ServeConfig {
         workers: 2,
         queue_capacity: 8,
-        start_paused: true,
         ..ServeConfig::default()
     };
     let svc = Service::start(example1_sources(), cfg);
+    svc.pause();
     let tickets: Vec<Ticket> = (0..3)
         .map(|_| svc.submit(contained_request()).unwrap())
         .collect();
@@ -214,7 +214,6 @@ fn resumed_runs_skip_proven_disjuncts() {
             fingerprint: cp.fingerprint,
             disjuncts_total: total,
             proven,
-            memo_resident: 0,
             epoch: None,
             preds: None,
         });
@@ -259,7 +258,6 @@ fn stale_client_checkpoints_cannot_erase_durable_progress() {
             fingerprint: cp.fingerprint,
             disjuncts_total: cp.disjuncts_total,
             proven: Vec::new(),
-            memo_resident: 0,
             epoch: None,
             preds: None,
         });

@@ -64,12 +64,12 @@ commands:
                           verdicts and checkpoints survive the epoch bump)
   :catalog rm <name>      remove a source from the live serve core
   :catalog replace <rule>. swap a source's definition in place
-  :serve-stats            service health, ladder tier, shed/resume counters,
+  :serve-stats            service health, shed/resume counters,
                           and latency quantiles (limited `check`s run through
                           the qc-serve core; unknown verdicts are
                           checkpointed and resumed)
   :flight                 per-request flight recorder: one timeline per
-                          serve-core request (trace, tier, stage times)
+                          serve-core request (trace, outcome, stage times)
   reset                   clear everything
   help                    this text
   quit                    exit";
@@ -104,7 +104,7 @@ impl Session {
         }
     }
 
-    /// The embedded serve core, rebuilt (with fresh ladder/counters and a
+    /// The embedded serve core, rebuilt (with fresh counters and a
     /// cleared checkpoint cache) whenever the views changed under it.
     fn serve_core(&mut self) -> &relcont::serve::ServeCore {
         if self
@@ -298,8 +298,7 @@ impl Session {
                     .map_err(|e| e.to_string())?;
                     let mut out = format!("{n1} vs {n2}: {}", resp.verdict);
                     out.push_str(&format!(
-                        " [tier={}, trace={}{}{}]",
-                        resp.tier,
+                        " [trace={}{}{}]",
                         resp.trace,
                         if resp.resumed { ", resumed" } else { "" },
                         if attempts > 1 {

@@ -34,8 +34,8 @@
 //! ```
 //!
 //! `serve` additionally accepts `--flight-recorder PATH`, dumping the
-//! last N per-request timelines (trace ID, tier, stage breakdown, guard
-//! trips) as JSON.
+//! last N per-request timelines (trace ID, outcome, stage breakdown,
+//! guard trips) as JSON.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -107,7 +107,9 @@ usage:
   relcont serve   --views FILE --queries FILE --jobs FILE
                   [--workers N] [--queue N] [--pool UNITS]
                   [--journal PATH] [--retries N] [--churn-script PATH]
-                  (jobs file: one `ANS1 ANS2` pair per line; --budget and
+                  (jobs file: one `ANS1 ANS2` pair per line; --pool is the
+                   work-unit grant of a job admitted to an idle service,
+                   split over the jobs queued behind it; --budget and
                    --timeout become per-request limits; exit 0 = all
                    contained, 1 = some refuted, 3 = any undecided;
                    --journal makes checkpoints durable across restarts,
@@ -512,8 +514,9 @@ fn cmd_validate(flags: &Flags) -> Result<Outcome, String> {
 /// through the supervised `qc-serve` service. All jobs share one query
 /// file (each `ANS1 ANS2` pair selects answer predicates from it) and the
 /// `--views` setting; `--budget`/`--timeout` become per-request limits
-/// instead of a process guard, and admission/capacity are governed by
-/// `--workers`, `--queue`, and `--pool`.
+/// instead of a process guard, and admission is governed by `--workers`
+/// and `--queue`. `--pool` is the grant of a job admitted to an idle
+/// service; a job with `d` others queued behind it gets `pool / (d + 1)`.
 fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
     let views = load_views(flags.required("views")?)?;
     let qpath = flags.required("queries")?;
@@ -700,10 +703,7 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
     for ((a, b), reply) in ran.iter().zip(replies) {
         match reply {
             Ok(resp) => {
-                let mut note = format!(
-                    "tier={}, trace={}, epoch={}",
-                    resp.tier, resp.trace, resp.epoch
-                );
+                let mut note = format!("trace={}, epoch={}", resp.trace, resp.epoch);
                 if resp.resumed {
                     note.push_str(", resumed");
                 }
@@ -722,10 +722,9 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
     }
     let stats = svc.stats();
     eprintln!(
-        "serve: {} job(s); health {}; tier {}; {} completed, {} shed, {} resumed, {} worker restart(s)",
+        "serve: {} job(s); health {}; {} completed, {} shed, {} resumed, {} worker restart(s)",
         ran.len(),
         stats.health,
-        stats.tier,
         stats.completed,
         stats.shed,
         stats.resumed,

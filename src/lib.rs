@@ -9,7 +9,7 @@
 //! * [`mediator`] — LAV data integration and relative containment (the
 //!   paper's contribution);
 //! * [`serve`] — supervised containment service: admission control,
-//!   degradation ladder, resumable verdicts.
+//!   per-request work-unit grants, resumable verdicts.
 //!
 //! The headline API is re-exported at the top level: the boolean
 //! [`relatively_contained`], and [`decide`], the one decision procedure

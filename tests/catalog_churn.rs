@@ -59,7 +59,7 @@ fn e1_request() -> Request {
 }
 
 /// E4 flavor: the semi-interval query (Year < 1970 routes through
-/// `AntiqueCars` and the full tier's comparison reasoning).
+/// `AntiqueCars` and the comparison reasoning of Theorem 5.1's route).
 fn e4_request() -> Request {
     request(
         "q3(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, 10), Y < 1970.",
@@ -182,11 +182,7 @@ fn fingerprints_are_independent_of_interner_order() {
 /// same three workloads.
 #[test]
 fn one_view_delta_reproves_strictly_fewer_disjuncts_than_rebuild() {
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    let core = ServeCore::new(churned_catalog(), cfg);
+    let core = ServeCore::new(churned_catalog(), ServeConfig::default());
     let _sink = qc_obs::install(Arc::new(CounterSink(Arc::clone(core.counters()))));
 
     let reqs = [e1_request(), e4_request(), w_request()];
@@ -235,11 +231,7 @@ fn one_view_delta_reproves_strictly_fewer_disjuncts_than_rebuild() {
 
     // From-scratch differential: a cold core at the same catalog answers
     // the same three workloads and pays the full proof bill.
-    let cfg = ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
-    let rebuild = ServeCore::new(churned_catalog(), cfg);
+    let rebuild = ServeCore::new(churned_catalog(), ServeConfig::default());
     let _sink = qc_obs::install(Arc::new(CounterSink(Arc::clone(rebuild.counters()))));
     for req in &reqs {
         rebuild.handle(req, 0).unwrap();
@@ -273,15 +265,11 @@ fn unrelated_delta_cannot_reorder_a_resumed_plan() {
         "q2(X, Y) :- p(X, Y), s(Y).",
         "q2",
     );
-    let cfg = || ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
     // Starve a fresh core per budget until one run proves exactly one of
     // the plan's two disjuncts.
     let mut starved = None;
     for budget in 0..64 {
-        let core = ServeCore::new(views.clone(), cfg());
+        let core = ServeCore::new(views.clone(), ServeConfig::default());
         let req = Request {
             budget: Some(budget),
             ..plain.clone()
@@ -321,10 +309,6 @@ fn unrelated_delta_cannot_reorder_a_resumed_plan() {
 /// comparison that would refuse the route if the decision read it.
 #[test]
 fn decisions_read_only_the_views_the_fingerprint_covers() {
-    let cfg = || ServeConfig {
-        trip_threshold: u32::MAX,
-        ..ServeConfig::default()
-    };
     let cases = [
         (
             "V(X, Y) :- edge(X, Y).",
@@ -343,13 +327,13 @@ fn decisions_read_only_the_views_the_fingerprint_covers() {
         ),
     ];
     for (view, req, add) in cases {
-        let core = ServeCore::new(LavSetting::parse(&[view]).unwrap(), cfg());
+        let core = ServeCore::new(LavSetting::parse(&[view]).unwrap(), ServeConfig::default());
         assert_eq!(core.handle(&req, 0).unwrap().verdict, Verdict::Contained);
         core.apply_delta(&CatalogDelta::one(CatalogOp::parse(add).unwrap()))
             .unwrap();
         let cached = core.handle(&req, 0).unwrap();
         assert_eq!(cached.verdict, Verdict::Contained, "{add}");
-        let fresh = ServeCore::new(core.snapshot().views().clone(), cfg());
+        let fresh = ServeCore::new(core.snapshot().views().clone(), ServeConfig::default());
         assert_eq!(
             req.fingerprint(&fresh.snapshot()),
             req.fingerprint(&core.snapshot()),

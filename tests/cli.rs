@@ -783,10 +783,10 @@ fn cli_serve_batch_exit_codes_and_stats() {
     );
     let bin = env!("CARGO_BIN_EXE_relcont");
 
-    // All pairs contained: exit 0, every line tagged with the tier and a
-    // trace ID, and the stderr summary accounts for every job (none lost,
-    // none shed) with a latency digest. The flight-recorder dump keeps a
-    // timeline per request.
+    // All pairs contained: exit 0, every line tagged with a trace ID and
+    // the catalog epoch, and the stderr summary accounts for every job
+    // (none lost, none shed) with a latency digest. The flight-recorder
+    // dump keeps a timeline per request.
     let jobs = write_tmp(&dir, "ok.txt", "% contained pairs\nq1 q2\nq2 q1\n");
     let flight = dir.join("flight.json");
     let out = Command::new(bin)
@@ -802,14 +802,8 @@ fn cli_serve_batch_exit_codes_and_stats() {
         .expect("run relcont serve");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("q1 vs q2: contained [tier=full, trace=t-"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("q2 vs q1: contained [tier=full, trace=t-"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("q1 vs q2: contained [trace=t-"), "{stdout}");
+    assert!(stdout.contains("q2 vs q1: contained [trace=t-"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("serve: 2 job(s)"), "{stderr}");
     assert!(stderr.contains("2 completed, 0 shed"), "{stderr}");

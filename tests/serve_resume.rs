@@ -1,14 +1,15 @@
 //! Resumable-verdict differential tests: a run continued from a
 //! checkpoint must reach exactly the verdict a one-shot unlimited run
 //! would, wherever the original run stopped — before the first disjunct,
-//! mid-plan, or after the last disjunct — and at whichever ladder tier
-//! the starved runs left the service.
+//! mid-plan, or after the last disjunct — whatever ran on the service
+//! before it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use relcont::datalog::{parse_program, Program, Symbol};
+use relcont::mediator::reductions::{random_cnf3, thm33_reduction};
 use relcont::mediator::relative::{relatively_contained_by_plans, Verdict};
 use relcont::mediator::schema::{example1_sources, LavSetting};
 use relcont::mediator::workloads::{query_program, random_query, random_views, Shape};
@@ -88,7 +89,6 @@ fn resume_from_checkpoint_after_last_disjunct() {
         fingerprint: req.fingerprint(&core.snapshot()),
         disjuncts_total: cp.disjuncts_total,
         proven: (0..cp.disjuncts_total).collect(),
-        memo_resident: 0,
         epoch: None,
         preds: None,
     });
@@ -98,12 +98,10 @@ fn resume_from_checkpoint_after_last_disjunct() {
     assert_eq!(resp.verdict, Verdict::Contained);
 }
 
-/// Starved runs drive the ladder to its bottom tier; escalating the
-/// budget there and handing back each checkpoint must still reach the
-/// one-shot verdict, `Contained`. A bottom tier that never claims
-/// containment would answer `Unknown` at every budget.
+/// After starved runs, escalating the budget and handing back each
+/// checkpoint must still reach the one-shot verdict, `Contained`.
 #[test]
-fn escalation_at_the_bottom_tier_reaches_contained() {
+fn escalation_after_starved_runs_reaches_contained() {
     let views = LavSetting::parse(&["v(X, Y) :- e(X, Y)."]).unwrap();
     let mut req = Request::new(
         parse_program("qs(X, Y) :- e(X, Y).").unwrap(),
@@ -121,14 +119,11 @@ fn escalation_at_the_bottom_tier_reaches_contained() {
             "budget 1 trips"
         );
     }
-    let bottom = core.tier();
-    assert!(bottom.degraded(), "six trips step the ladder down");
 
     let mut budget = 1u64;
     let verdict = loop {
         req.budget = Some(budget);
         let resp = core.handle(&req, 0).expect("escalation run");
-        assert_eq!(resp.tier, bottom, "escalation runs at the bottom tier");
         match resp.verdict {
             Verdict::Unknown(p) => {
                 assert!(
@@ -145,6 +140,68 @@ fn escalation_at_the_bottom_tier_reaches_contained() {
         }
     };
     assert_eq!(verdict, Verdict::Contained);
+}
+
+/// Ten distinct Theorem 3.3 questions (m = 4) through one core with a
+/// small pool. A grant depends only on the request and the queue depth,
+/// so every answer must equal a fresh core's, verdict and units consumed
+/// alike: the tenth question gets the grant the first one got.
+#[test]
+fn distinct_questions_get_the_grant_of_a_fresh_core() {
+    let cfg = || ServeConfig {
+        pool: 20_000,
+        ..ServeConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    let instances: Vec<_> = (0..10)
+        .map(|_| thm33_reduction(&random_cnf3(3, 4, 4, &mut rng)))
+        .collect();
+    // The views depend only on m and the clause count: every draw's are
+    // the first draw's.
+    let views = instances[0].views.clone();
+    let core = ServeCore::new(views.clone(), cfg());
+    let mut seen = Vec::new();
+    for (i, inst) in instances.iter().enumerate() {
+        let req = Request::new(
+            inst.contained.clone(),
+            inst.contained_ans,
+            inst.container.clone(),
+            inst.container_ans,
+        );
+        let fp = req.fingerprint(&core.snapshot());
+        assert!(!seen.contains(&fp), "question {i} repeats an earlier one");
+        seen.push(fp);
+        let resp = core.handle(&req, 0).expect("shared core");
+        let fresh = ServeCore::new(views.clone(), cfg())
+            .handle(&req, 0)
+            .expect("fresh core");
+        assert!(
+            !matches!(resp.verdict, Verdict::Unknown(_)),
+            "question {i}: {}",
+            resp.verdict
+        );
+        assert_eq!(resp.verdict, fresh.verdict, "question {i}");
+        assert_eq!(resp.consumed, fresh.consumed, "question {i}");
+    }
+}
+
+/// A checkpoint as older builds wrote it, with a `memo_resident` field
+/// the checkpoint no longer has, still parses and resumes.
+#[test]
+fn checkpoint_json_with_memo_resident_resumes() {
+    let core = ServeCore::new(example1_sources(), ServeConfig::default());
+    let (cp, _) = starved_checkpoint(&core, true);
+    let json = cp.to_json();
+    let old = json.replacen('{', "{\"memo_resident\":3,", 1);
+    assert!(old.contains("\"memo_resident\":3"), "{old}");
+    let back = Checkpoint::from_json(&old).expect("older checkpoint parses");
+    assert_eq!(back, cp);
+
+    let mut retry = contained_request();
+    retry.checkpoint = Some(back);
+    let resp = core.handle(&retry, 0).expect("resumed run");
+    assert!(resp.resumed);
+    assert_eq!(resp.verdict, Verdict::Contained);
 }
 
 /// The verdict of Theorem 3.1's plan comparison, which shares no decision

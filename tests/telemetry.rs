@@ -1,6 +1,6 @@
 //! Telemetry v2 integration tests: every answer (and every error) the
 //! service hands out carries a trace ID that resolves in the flight
-//! recorder, the per-tier latency histograms populate as requests run,
+//! recorder, the serve latency histograms populate as requests run,
 //! the flight ring honours its configured capacity, and supervision
 //! events (worker panics) leave resolvable timelines behind.
 
@@ -11,7 +11,7 @@ use relcont::guard::{FaultKind, FaultPlan};
 use relcont::mediator::relative::Verdict;
 use relcont::mediator::schema::example1_sources;
 use relcont::obs::{Hist, Histograms};
-use relcont::serve::{Request, ServeConfig, ServeCore, Service, ServiceError, Tier, TraceId};
+use relcont::serve::{Request, ServeConfig, ServeCore, Service, ServiceError, TraceId};
 
 fn sym(s: &str) -> Symbol {
     Symbol::new(s)
@@ -34,7 +34,7 @@ fn contained_request() -> Request {
 }
 
 /// Every response resolves in the flight recorder: same trace, matching
-/// outcome/tier/timings — and distinct requests get distinct traces.
+/// outcome/timings — and distinct requests get distinct traces.
 /// The first submission runs the engine; identical resubmissions answer
 /// from the verdict cache and say so in their timelines.
 #[test]
@@ -49,7 +49,6 @@ fn service_responses_resolve_in_the_flight_recorder() {
             .flight()
             .find(resp.trace)
             .expect("response trace resolves");
-        assert_eq!(t.tier, Some(Tier::Full));
         assert_eq!(t.queue_wait_ns, resp.queue_wait_ns);
         if i == 0 {
             assert_eq!(t.outcome, "contained");
@@ -80,13 +79,13 @@ fn shed_errors_carry_resolvable_traces() {
     let cfg = ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        start_paused: true,
         // The submits are identical; without this the second would
         // coalesce onto the first instead of shedding.
         coalesce: false,
         ..ServeConfig::default()
     };
     let svc = Service::start(example1_sources(), cfg);
+    svc.pause();
     let ticket = svc.submit(contained_request()).unwrap();
     let shed = match svc.submit(contained_request()) {
         Err(e @ ServiceError::ShedUnderLoad { .. }) => e,
@@ -105,11 +104,11 @@ fn shed_errors_carry_resolvable_traces() {
     svc.shutdown();
 }
 
-/// Direct core runs populate the per-tier latency histograms, the
+/// Direct core runs populate the serve latency histograms, the
 /// response surfaces its queue wait, and the stats digest carries
 /// non-empty quantile summaries.
 #[test]
-fn latency_histograms_populate_per_tier() {
+fn latency_histograms_populate() {
     let core = ServeCore::new(example1_sources(), ServeConfig::default());
     let n = 3;
     for i in 0..n {
@@ -130,19 +129,17 @@ fn latency_histograms_populate_per_tier() {
     }
     let hists: &Histograms = core.histograms();
     for h in [
-        Hist::ServeQueueWaitFullNs,
-        Hist::ServeExecuteFullNs,
-        Hist::ServeE2eFullNs,
+        Hist::ServeQueueWaitNs,
+        Hist::ServeExecuteNs,
+        Hist::ServeE2eNs,
     ] {
         assert_eq!(hists.get(h).count(), n, "{h} sample count");
     }
-    assert!(hists.get(Hist::ServeExecuteFullNs).sum() > 0);
+    assert!(hists.get(Hist::ServeExecuteNs).sum() > 0);
     assert!(
-        hists.get(Hist::ServeE2eFullNs).sum() >= hists.get(Hist::ServeExecuteFullNs).sum(),
+        hists.get(Hist::ServeE2eNs).sum() >= hists.get(Hist::ServeExecuteNs).sum(),
         "end-to-end dominates execute"
     );
-    // The degraded tier has its own slots, untouched so far.
-    assert!(hists.get(Hist::ServeExecuteBoundedNs).is_empty());
 
     let stats = core.stats();
     assert_eq!(stats.execute.count, n);
@@ -154,8 +151,8 @@ fn latency_histograms_populate_per_tier() {
 
     // The same bank drives the Prometheus exposition.
     let text = qc_obs::prometheus_text(core.counters(), hists);
-    assert!(text.contains("# TYPE relcont_serve_execute_full_ns histogram"));
-    assert!(text.contains("relcont_serve_execute_full_ns_count 3"));
+    assert!(text.contains("# TYPE relcont_serve_execute_ns histogram"));
+    assert!(text.contains("relcont_serve_execute_ns_count 3"));
     assert!(text.contains("_bucket{le=\"+Inf\"} 3"));
 }
 
@@ -223,11 +220,11 @@ fn worker_panics_leave_supervision_timelines() {
 fn queue_timeouts_are_traced() {
     let cfg = ServeConfig {
         workers: 1,
-        start_paused: true,
         queue_timeout: Some(Duration::from_millis(1)),
         ..ServeConfig::default()
     };
     let svc = Service::start(example1_sources(), cfg);
+    svc.pause();
     let ticket = svc.submit(contained_request()).unwrap();
     std::thread::sleep(Duration::from_millis(10));
     svc.unpause();
