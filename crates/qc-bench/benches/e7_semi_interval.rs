@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qc_bench::example1;
 use qc_containment::cq_contained;
 use qc_datalog::{parse_program, parse_query, Symbol};
-use qc_mediator::minicon::semi_interval_plan;
-use qc_mediator::relative::relatively_contained;
+use qc_mediator::relative::{relatively_contained, semi_interval_plan};
 use qc_mediator::schema::LavSetting;
 
 fn bench(c: &mut Criterion) {
@@ -20,7 +19,7 @@ fn bench(c: &mut Criterion) {
     )
     .unwrap();
     g.bench_function("example4_plan_construction", |b| {
-        b.iter(|| semi_interval_plan(&q3, &views))
+        b.iter(|| semi_interval_plan(&q3, &views).unwrap())
     });
 
     // Klug test, fast path (entailed constraints).

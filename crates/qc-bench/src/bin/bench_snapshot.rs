@@ -1,7 +1,7 @@
 //! `bench_snapshot` — counter-first performance snapshot of the engine.
 //!
-//! Runs fixed scenarios from the experiment suites E1, E4, E5, E6, E9 and
-//! E10, plus one through the `qc-serve` admission layer, on the engine
+//! Runs fixed scenarios from the experiment suites E1, E4, E5, E6, E7, E9
+//! and E10, plus one through the `qc-serve` admission layer, on the engine
 //! pinned to one thread ([`EngineOptions::sequential`]) under two datalog
 //! evaluator configurations: the baseline (tuple-at-a-time fixpoints in
 //! textual body order, no magic sets) and the optimized evaluator defaults
@@ -57,7 +57,7 @@ use qc_datalog::eval::{evaluate, EvalEngine, EvalOptions, Strategy};
 use qc_datalog::{parse_program, parse_query, ConjunctiveQuery, Symbol, Ucq};
 use qc_mediator::minicon::minicon_rewritings;
 use qc_mediator::reductions::{asu_reduction, random_cnf3, thm33_reduction};
-use qc_mediator::relative::relatively_contained;
+use qc_mediator::relative::{max_contained_ucq_plan, relatively_contained};
 use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{chain_edb, random_query, random_views, Shape};
 use qc_serve::{Request, ServeConfig, ServeCore};
@@ -223,6 +223,57 @@ fn scenarios() -> Vec<Scenario> {
         }),
     });
 
+    // E7 — Theorem 5.1: the four dealer decisions of
+    // tests/comparisons.rs (semi-interval queries and views), each
+    // planning from inverse-rule skeletons and completing them.
+    let dealer = LavSetting::parse(&[
+        "Sixties(Car, Year) :- forsale(Car, Year), Year >= 1960, Year < 1970.",
+        "PreWar(Car, Year) :- forsale(Car, Year), Year < 1939.",
+        "AnyCar(Car, Year) :- forsale(Car, Year).",
+    ])
+    .expect("dealer views parse");
+    let dealer_queries = [
+        "qa(C) :- forsale(C, Y), Y < 1970.",
+        "qv(C) :- forsale(C, Y), Y < 1950.",
+        "qq(C) :- forsale(C, Y).",
+    ]
+    .map(|q| {
+        let p = parse_program(q).expect("dealer query parses");
+        let ans = p.rules()[0].head.pred;
+        (p, ans)
+    });
+    out.push(Scenario {
+        name: "e7_semi_interval/thm51_dealer",
+        run: Box::new(move |_cfg| {
+            let [qa, qv, qq] = &dealer_queries;
+            for (a, b) in [(qv, qa), (qa, qv), (qa, qq), (qq, qa)] {
+                relatively_contained(&a.0, &a.1, &b.0, &b.1, &dealer).unwrap();
+            }
+        }),
+    });
+
+    // E9 — the planner choice: plan construction for one Theorem 3.3
+    // question with m = 4 universal variables (3 existential, 4 clauses),
+    // by the inverse rules (the production planner) and by MiniCon run
+    // per disjunct of the contained query (the reference).
+    let mut rng = StdRng::seed_from_u64(101);
+    let m4 = thm33_reduction(&random_cnf3(3, 4, 4, &mut rng));
+    let m4_disjuncts = m4.contained.unfold(&m4.contained_ans).unwrap().disjuncts;
+    let m4_views = m4.views.clone();
+    out.push(Scenario {
+        name: "e9_rewriting_ablation/inverse_rules_thm33_m4",
+        run: Box::new(move |_cfg| {
+            max_contained_ucq_plan(&m4.contained, &m4.contained_ans, &m4.views).unwrap();
+        }),
+    });
+    out.push(Scenario {
+        name: "e9_rewriting_ablation/minicon_thm33_m4",
+        run: Box::new(move |_cfg| {
+            for d in &m4_disjuncts {
+                minicon_rewritings(d, &m4_views);
+            }
+        }),
+    });
     // E9 — rewriting: MiniCon on a chain query over 8 random views.
     let mut rng = StdRng::seed_from_u64(8);
     let q = random_query(Shape::Chain, 3, 2, &mut rng);
@@ -315,11 +366,12 @@ fn scenarios() -> Vec<Scenario> {
     // Q2 repeats Q1's body eight times with fresh variables (equivalent to
     // one copy), so checking one disjunct searches a mapping for 24
     // subgoals and the per-disjunct loop costs more work units than
-    // planning (about 200 against 135). The budget starts at 1 and
-    // doubles, carrying checkpoints, until the verdict is definite. The
-    // first budget that covers planning is less than twice the planning
-    // cost (half of it did not cover planning), so it is less than
-    // planning plus the loop: that run always trips inside the loop and
+    // planning (about 200 against 145, of which 10 unfold Q1, Q2 and the
+    // plan). The budget starts at 1 and doubles, carrying checkpoints,
+    // until the verdict is definite. The first budget that covers
+    // planning is less than twice the planning cost (half of it did not
+    // cover planning), so it is less than planning plus the loop: that
+    // run always trips inside the loop and
     // leaves a checkpoint (`journal_appends`), the next run resumes from
     // it (`serve_resumed`), and a definite verdict retires the journal
     // entry (`journal_retired`). The service's own counter bank is folded

@@ -126,7 +126,10 @@ fn catalog0(case: &Case) -> LavSetting {
 /// before ever checkpointing (cheap workloads do).
 fn starve_to_checkpoint(core: &ServeCore, req: &Request) -> Option<(u64, qc_serve::Checkpoint)> {
     let mut budget = 4u64;
-    for _ in 0..40 {
+    // +12.5% a step: planning costs a unit per unfolded disjunct besides
+    // its searches, so coarser steps skip the narrow window where a run
+    // trips after proving a disjunct. 80 steps reach about 10^5 units.
+    for _ in 0..80 {
         let mut starved = req.clone();
         starved.budget = Some(budget);
         let resp = core.handle(&starved, 0).ok()?;
@@ -140,7 +143,7 @@ fn starve_to_checkpoint(core: &ServeCore, req: &Request) -> Option<(u64, qc_serv
             }
             _ => return None,
         }
-        budget = budget.saturating_add(budget / 4).saturating_add(1);
+        budget = budget.saturating_add(budget / 8).saturating_add(1);
     }
     None
 }

@@ -24,10 +24,16 @@ use qc_mediator::certain::certain_answers;
 use qc_mediator::enumerate::{enumerated_plan, EnumerationLimits};
 use qc_mediator::fn_elim::eliminate_function_terms;
 use qc_mediator::inverse_rules::max_contained_plan;
-use qc_mediator::minicon::minicon_rewritings;
+use qc_mediator::minicon::{minicon_rewritings, semi_interval_skeletons};
 use qc_mediator::reductions::{random_cnf3, thm33_reduction};
-use qc_mediator::relative::{relatively_contained, relatively_contained_by_plans};
-use qc_mediator::workloads::{query_program, random_instance, random_query, random_views, Shape};
+use qc_mediator::relative::{
+    complete_semi_interval, max_contained_ucq_plan, relatively_contained,
+    relatively_contained_by_plans,
+};
+use qc_mediator::workloads::{
+    query_program, random_instance, random_query, random_semi_interval_question, random_views,
+    Shape,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,6 +126,19 @@ fn main() -> ExitCode {
                 Some(en) => ucq_equivalent(&mc, &en),
                 None => true, // budget exhausted — skip
             }
+        },
+    ));
+
+    all.push(run(
+        "plans: Thm 5.1 (inverse-rule vs MiniCon skeletons)",
+        rounds,
+        seed ^ 7,
+        |rng| {
+            let (q, _, views) = random_semi_interval_question(rng);
+            let plan = max_contained_ucq_plan(&query_program(&q), &q.head.pred, &views).unwrap();
+            let reference =
+                complete_semi_interval(&q, &views, &semi_interval_skeletons(&q, &views));
+            ucq_equivalent(&plan, &reference)
         },
     ));
 
@@ -241,14 +260,14 @@ fn main() -> ExitCode {
     ));
 
     println!(
-        "\n{:<44} {:>8} {:>14} {:>12} {:>12}",
+        "\n{:<52} {:>8} {:>14} {:>12} {:>12}",
         "oracle pair", "rounds", "disagreements", "hom nodes", "fixpt iters"
     );
     let mut failed = false;
     let mut merged = qc_obs::PipelineReport::empty("differential");
     for s in &all {
         println!(
-            "{:<44} {:>8} {:>14} {:>12} {:>12}",
+            "{:<52} {:>8} {:>14} {:>12} {:>12}",
             s.name,
             s.rounds,
             s.disagreements,

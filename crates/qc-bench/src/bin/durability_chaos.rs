@@ -247,11 +247,13 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
         let mut budget = 4u64;
         let keep = 1 + rng.gen_range(0..3);
         let mut first_cp: Option<(u64, Checkpoint)> = None;
-        // Escalate gently (+25%): tinier budgets die during plan
-        // construction and journal nothing, and coarse doubling jumps
-        // clean over the narrow window where a run trips *mid-disjunct*
-        // and journals a checkpoint.
-        for _ in 0..40 {
+        // Escalate gently (+12.5%): tinier budgets die during plan
+        // construction and journal nothing, and coarse steps jump clean
+        // over the narrow window where a run trips *mid-disjunct* and
+        // journals a checkpoint (planning costs a unit per unfolded
+        // disjunct besides its searches; the window does not grow with
+        // it). 80 steps reach about 10^5 units.
+        for _ in 0..80 {
             req.budget = Some(budget);
             let resp = match core.handle(&req, 0) {
                 Ok(r) => r,
@@ -280,7 +282,7 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
                             break;
                         }
                     }
-                    budget = budget.saturating_add(budget / 4).saturating_add(1);
+                    budget = budget.saturating_add(budget / 8).saturating_add(1);
                 }
                 v => {
                     if v != case.oracle {
@@ -356,7 +358,7 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
                 if b >= *b_star {
                     break; // reached b_star without a save; give up
                 }
-                b = b.saturating_add(b / 4).saturating_add(1);
+                b = b.saturating_add(b / 8).saturating_add(1);
             }
         }
         // The generation "dies" here: the journal is dropped with no

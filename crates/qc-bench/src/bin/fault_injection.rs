@@ -22,6 +22,11 @@
 //!
 //! Each case also runs once under `Guard::unlimited()` and must reproduce
 //! the unguarded answer exactly (limits that are never hit change nothing).
+//!
+//! The suite tallies, per (procedure, stage), how many injected faults
+//! stopped a run, prints that table, and fails when a listed stage
+//! stopped none: a fault that never fires tests nothing, so each
+//! procedure lists only the stages its workloads reach.
 
 use std::panic::AssertUnwindSafe;
 use std::process::ExitCode;
@@ -33,8 +38,12 @@ use qc_guard::{stage, FaultKind, FaultPlan, Guard};
 use qc_mediator::certain::certain_answers;
 use qc_mediator::enumerate::{enumerated_plan, EnumerationLimits};
 use qc_mediator::minicon::minicon_rewritings;
-use qc_mediator::relative::{decide, relatively_contained_witness, Question, Sources, Verdict};
-use qc_mediator::workloads::{query_program, random_instance, random_query, random_views, Shape};
+use qc_mediator::relative::{decide, Question, Sources, Verdict};
+use qc_mediator::schema::LavSetting;
+use qc_mediator::workloads::{
+    query_program, random_instance, random_query, random_semi_interval_question, random_views,
+    Shape,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,6 +106,8 @@ struct Tally {
     answered: usize,
     stopped: usize,
     failures: usize,
+    /// Runs each listed stage's faults stopped, in listing order.
+    stops: Vec<(&'static str, usize)>,
 }
 
 const KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::Budget, FaultKind::Cancel];
@@ -125,6 +136,13 @@ fn sweep<T: PartialEq + std::fmt::Debug>(
         }
     }
     for &stage in stages {
+        let at = match tally.stops.iter().position(|(s, _)| *s == stage) {
+            Some(at) => at,
+            None => {
+                tally.stops.push((stage, 0));
+                tally.stops.len() - 1
+            }
+        };
         for kind in KINDS {
             for at_tick in TICKS {
                 tally.trials += 1;
@@ -142,7 +160,10 @@ fn sweep<T: PartialEq + std::fmt::Debug>(
                         );
                         tally.failures += 1;
                     }
-                    Trial::Stopped => tally.stopped += 1,
+                    Trial::Stopped => {
+                        tally.stopped += 1;
+                        tally.stops[at].1 += 1;
+                    }
                     Trial::WrongError(m) => {
                         eprintln!(
                             "FAIL {name}: {kind:?}@{stage}:{at_tick} non-resource error: {m}"
@@ -193,33 +214,37 @@ fn main() -> ExitCode {
         let opts = EvalOptions::default();
 
         // Anytime containment verdict: a definite answer under a fault must
-        // match the unguarded decision; Unknown is always acceptable.
-        let oracle = match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views))
-            .map(|d| d.verdict)
-        {
-            Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-            other => {
-                eprintln!(
-                    "oracle run failed at seed {}: {other:?}",
-                    seed + round as u64
-                );
-                return ExitCode::from(2);
-            }
-        };
-        sweep(
-            "verdict",
-            &mut verdicts,
-            &[stage::HOM_SEARCH, stage::MEMO, stage::FN_ELIM],
-            &oracle,
-            || match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views))
+        // match the unguarded decision; Unknown is always acceptable. Two
+        // families: the comparison-free chains above, and a Theorem 5.1
+        // question, whose constraint completion asks the memo.
+        let (s1, s2, si_views) = random_semi_interval_question(&mut rng);
+        let (s1, s2) = (query_program(&s1), query_program(&s2));
+        for (p1, p2, views) in [(&p1, &p2, &views), (&s1, &s2, &si_views)] {
+            let verdict = || match decide(&Question::new(p1, &q, p2, &q), Sources::Views(views))
                 .map(|d| d.verdict)
             {
                 Ok(Verdict::Unknown(_)) => Err(ProcErr::Resource),
                 Ok(v) => Ok(v),
                 Err(e) if e.resource().is_some() => Err(ProcErr::Resource),
                 Err(e) => Err(ProcErr::Other(e.to_string())),
-            },
-        );
+            };
+            let Ok(oracle) = verdict() else {
+                eprintln!("oracle run failed at seed {}", seed + round as u64);
+                return ExitCode::from(2);
+            };
+            sweep(
+                "verdict",
+                &mut verdicts,
+                &[
+                    stage::HOM_SEARCH,
+                    stage::MEMO,
+                    stage::FN_ELIM,
+                    stage::UNFOLD,
+                ],
+                &oracle,
+                verdict,
+            );
+        }
 
         // Certain answers over a random instance.
         let oracle: Vec<String> = certain_answers(&p1, &q, &views, &inst, &opts)
@@ -232,7 +257,7 @@ fn main() -> ExitCode {
         sweep(
             "certain",
             &mut certains,
-            &[stage::EVAL, stage::FN_ELIM],
+            &[stage::EVAL],
             &oracle,
             || match certain_answers(&p1, &q, &views, &inst, &opts) {
                 Ok(rel) => {
@@ -275,24 +300,53 @@ fn main() -> ExitCode {
                     .map(canonical_ucq))
             },
         );
-
-        // Witness search: compare only the decision, the concrete witness
-        // text is presentation.
-        let oracle = relatively_contained_witness(&p1, &q, &p2, &q, &views)
-            .map(|r| r.is_ok())
-            .expect("unguarded witness search");
-        sweep(
-            "witness",
-            &mut witnesses,
-            &[stage::WITNESS, stage::HOM_SEARCH],
-            &oracle,
-            || match relatively_contained_witness(&p1, &q, &p2, &q, &views) {
-                Ok(r) => Ok(r.is_ok()),
-                Err(e) if e.resource().is_some() => Err(ProcErr::Resource),
-                Err(e) => Err(ProcErr::Other(e.to_string())),
-            },
-        );
     }
+
+    // Witness search, on an adorned question (fixed workload: only the
+    // binding-pattern route searches for a counterexample expansion).
+    // Compared: the verdict and whether a witness was found. `decide` runs
+    // the search, a semi-decision, under its own `guarded` boundary, so a
+    // fault that stops it shows as the oracle's NotContained without the
+    // oracle's witness: a stop, not a contradiction.
+    let mut adorned = LavSetting::parse(&[
+        "Catalog(Author, Isbn) :- authored(Isbn, Author).",
+        "PriceOf(Isbn, Price) :- price(Isbn, Price).",
+    ])
+    .expect("parse adorned views");
+    for source in &mut adorned.sources {
+        *source = source.clone().with_adornment("bf");
+    }
+    let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").expect("parse qe");
+    let q_strong = parse_program(
+        "qs(P) :- authored(I, eco), price(I, P), price(I2, P), authored(I2, eco), cites(I, I2).",
+    )
+    .expect("parse qs");
+    let question = Question {
+        binding_patterns: true,
+        ..Question::new(&q_eco, &Symbol::new("qe"), &q_strong, &Symbol::new("qs"))
+    };
+    let witness =
+        || decide(&question, Sources::Views(&adorned)).map(|d| (d.verdict, d.witness.is_some()));
+    let oracle = witness().expect("unguarded witness search");
+    assert_eq!(
+        oracle,
+        (Verdict::NotContained, true),
+        "the oracle finds a witness"
+    );
+    sweep(
+        "witness",
+        &mut witnesses,
+        &[stage::WITNESS, stage::FIXPOINT, stage::UNFOLD],
+        &oracle,
+        || match witness() {
+            Ok((Verdict::Unknown(_), _)) | Ok((Verdict::NotContained, false)) => {
+                Err(ProcErr::Resource)
+            }
+            Ok(v) => Ok(v),
+            Err(e) if e.resource().is_some() => Err(ProcErr::Resource),
+            Err(e) => Err(ProcErr::Other(e.to_string())),
+        },
+    );
 
     // Datalog-in-UCQ type fixpoint on a recursive program (fixed workload:
     // the random corpus above is nonrecursive and never reaches it).
@@ -310,7 +364,7 @@ fn main() -> ExitCode {
     sweep(
         "fixpoint",
         &mut fixpoints,
-        &[stage::FIXPOINT, stage::HOM_SEARCH],
+        &[stage::FIXPOINT],
         &oracle,
         || match datalog_contained_in_ucq(&tc, &Symbol::new("t"), &loose, &budget) {
             Ok(b) => Ok(b),
@@ -321,24 +375,35 @@ fn main() -> ExitCode {
         },
     );
 
-    println!(
-        "{:<12} {:>8} {:>10} {:>10} {:>10}",
-        "procedure", "trials", "answered", "stopped", "failures"
-    );
-    let mut failed = false;
-    for (name, t) in [
+    let procedures = [
         ("verdict", &verdicts),
         ("certain", &certains),
         ("minicon", &minicons),
         ("enumerate", &enumerations),
         ("witness", &witnesses),
         ("fixpoint", &fixpoints),
-    ] {
+    ];
+    println!(
+        "{:<12} {:>8} {:>10} {:>10} {:>10}",
+        "procedure", "trials", "answered", "stopped", "failures"
+    );
+    let mut failed = false;
+    for (name, t) in procedures {
         println!(
             "{:<12} {:>8} {:>10} {:>10} {:>10}",
             name, t.trials, t.answered, t.stopped, t.failures
         );
         failed |= t.failures > 0;
+    }
+    println!("\n{:<12} {:<12} {:>10}", "procedure", "stage", "stopped");
+    for (name, t) in procedures {
+        for &(stage, n) in &t.stops {
+            println!("{name:<12} {stage:<12} {n:>10}");
+            if n == 0 {
+                eprintln!("FAIL {name}: no fault in stage {stage} stopped a run");
+                failed = true;
+            }
+        }
     }
     if failed {
         eprintln!("\nfault-injection suite found divergences");

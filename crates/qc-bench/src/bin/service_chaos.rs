@@ -1,7 +1,8 @@
 //! `service_chaos` — chaos differential suite for the qc-serve layer.
 //!
-//! For a corpus of random chain workloads, computes the unguarded oracle
-//! verdict, then hammers the service from several directions and checks
+//! For a corpus of random workloads — comparison-free chains, and one in
+//! four a Theorem 5.1 (semi-interval) question — computes the unguarded
+//! oracle verdict, then hammers the service from several directions and checks
 //! the three service-level invariants from DESIGN.md §11:
 //!
 //! 1. **No lost requests** — every submission ends in a
@@ -23,7 +24,10 @@
 //! * history: starve the core with budget-1 runs, then require a plain
 //!   run of the same request to equal a fresh core's run (verdict and
 //!   units consumed) and the oracle;
-//! * guard faults: inject budget/cancel trips mid-run through the core;
+//! * guard faults: inject budget/cancel trips mid-run through the core,
+//!   at a stage drawn from [`FAULT_STAGES`]; the suite prints, per stage,
+//!   how many drawn faults stopped a run, and fails when one stopped none
+//!   (a fault that never fires tests nothing);
 //! * supervised faults: inject panics through a threaded [`Service`] and
 //!   require a reply for every ticket (periodically — thread spin-up is
 //!   the expensive part);
@@ -39,15 +43,31 @@ use qc_datalog::Symbol;
 use qc_guard::{stage, FaultKind, FaultPlan};
 use qc_mediator::relative::{decide, Question, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
-use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
+use qc_mediator::workloads::{
+    query_program, random_query, random_semi_interval_question, random_views, Shape,
+};
 use qc_serve::{Request, ServeConfig, ServeCore, Service, ServiceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The stages guard faults are injected at: every one is reached by the
+/// corpus (`memo` only by the Theorem 5.1 questions' constraint
+/// completion).
+const FAULT_STAGES: [&str; 4] = [
+    stage::HOM_SEARCH,
+    stage::MEMO,
+    stage::FN_ELIM,
+    stage::UNFOLD,
+];
 
 /// Global tally across the sweep.
 #[derive(Default)]
 struct Tally {
     trials: usize,
+    /// Guard faults drawn per [`FAULT_STAGES`] entry, and how many of
+    /// them stopped a run.
+    fault_draws: [usize; 4],
+    fault_stops: [usize; 4],
     answered: usize,
     unknowns: usize,
     resumes: usize,
@@ -69,7 +89,7 @@ impl Tally {
     }
 }
 
-/// One random chain workload plus its unguarded oracle verdict.
+/// One random workload plus its unguarded oracle verdict.
 struct Case {
     views: LavSetting,
     req: Request,
@@ -78,9 +98,13 @@ struct Case {
 
 fn random_case(rng: &mut StdRng) -> Option<Case> {
     let q = Symbol::new("q");
-    let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
-    let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
-    let views = random_views(3, 2, rng);
+    let (cq1, cq2, views) = if rng.gen_bool(0.25) {
+        random_semi_interval_question(rng)
+    } else {
+        let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
+        let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
+        (cq1, cq2, random_views(3, 2, rng))
+    };
     let p1 = query_program(&cq1);
     let p2 = query_program(&cq2);
     let oracle =
@@ -216,22 +240,21 @@ fn check_history(trial: usize, case: &Case, tally: &mut Tally) {
 /// (Panic faults go through the threaded service, which supervises them.)
 fn check_guard_faults(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) {
     let core = ServeCore::new(case.views.clone(), ServeConfig::default());
-    let stages = [
-        stage::HOM_SEARCH,
-        stage::MEMO,
-        stage::MINICON,
-        stage::FN_ELIM,
-    ];
     for kind in [FaultKind::Budget, FaultKind::Cancel] {
         let mut req = case.req.clone();
+        let at = rng.gen_range(0..FAULT_STAGES.len());
         req.fault = Some(FaultPlan {
-            stage: stages[rng.gen_range(0..stages.len())],
+            stage: FAULT_STAGES[at],
             at_tick: 1 + rng.gen_range(0..20) as u64,
             kind,
         });
+        tally.fault_draws[at] += 1;
         match core.handle(&req, 0) {
             Ok(r) => match r.verdict {
-                Verdict::Unknown(_) => tally.unknowns += 1,
+                Verdict::Unknown(_) => {
+                    tally.unknowns += 1;
+                    tally.fault_stops[at] += 1;
+                }
                 v => {
                     tally.answered += 1;
                     if let Some(msg) = soundness_violation(&v, &case.oracle) {
@@ -384,8 +407,17 @@ fn main() -> ExitCode {
         }
     }
 
+    println!("{:<12} {:>8} {:>8}", "fault stage", "drawn", "stopped");
+    for (i, stage) in FAULT_STAGES.iter().enumerate() {
+        let (drawn, stopped) = (tally.fault_draws[i], tally.fault_stops[i]);
+        println!("{stage:<12} {drawn:>8} {stopped:>8}");
+        if stopped == 0 {
+            eprintln!("FAIL: no guard fault in stage {stage} stopped a run");
+            tally.failures += 1;
+        }
+    }
     println!(
-        "service_chaos: {} trials ({} skipped), {} definite answers, {} unknowns, \
+        "\nservice_chaos: {} trials ({} skipped), {} definite answers, {} unknowns, \
          {} resumes, {} shed (all deliberate), {} worker restarts, {} failures",
         tally.trials,
         skipped,

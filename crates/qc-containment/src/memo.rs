@@ -1,8 +1,10 @@
 //! Canonical containment memo: a bounded cache of CQ ⊑ CQ verdicts.
 //!
-//! The rewriting pipelines (`minicon`, Theorem 3.1 enumeration, and the
-//! datalog ⊆ UCQ type fixpoint) re-test the same (candidate, query) pairs
-//! across partitions and iterations. Containment verdicts are invariant
+//! Its callers re-test the same (candidate, query) pairs across
+//! candidates and iterations: the Theorem 5.1 constraint completion (the
+//! one production caller in `qc-mediator`), the datalog ⊆ UCQ type
+//! fixpoint, and the two reference plan constructions, MiniCon and the
+//! Theorem 3.1 enumeration. Containment verdicts are invariant
 //! under variable renaming and head-predicate renaming, so verdicts are
 //! cached under *canonical keys*: [`qc_datalog::Rule::canonicalize`] forms
 //! of both queries with head predicates normalized to a fixed symbol.

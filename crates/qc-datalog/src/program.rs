@@ -136,7 +136,11 @@ impl Program {
     /// for the given answer predicate (§2.1: "such datalog programs can
     /// always be unfolded into a finite union of conjunctive queries").
     ///
-    /// Rules for predicates unreachable from `answer` are ignored.
+    /// Rules for predicates unreachable from `answer` are ignored. Each
+    /// emitted disjunct costs one work unit of the installed
+    /// [`qc_guard::Guard`] (stage [`qc_guard::stage::UNFOLD`]): the union
+    /// can be exponential in the program, so a deadline must be able to
+    /// stop it before it is built.
     pub fn unfold(&self, answer: &Symbol) -> Result<Ucq, UnfoldError> {
         let graph = self.dependency_graph();
         if graph.pred_in_cycle_reachable_from(answer) {
@@ -161,7 +165,11 @@ impl Program {
                     .iter()
                     .position(|l| matches!(l, Literal::Atom(a) if idb.contains(&a.pred)));
                 match idb_pos {
-                    None => disjuncts.push(ConjunctiveQuery::from_rule(&r)),
+                    None => {
+                        qc_guard::tick(qc_guard::stage::UNFOLD, 1)
+                            .map_err(UnfoldError::Resource)?;
+                        disjuncts.push(ConjunctiveQuery::from_rule(&r));
+                    }
                     Some(i) => {
                         let Literal::Atom(call) = &r.body[i] else {
                             unreachable!()
@@ -220,6 +228,9 @@ pub enum UnfoldError {
     /// Disjuncts came out inconsistent (mixed arity — indicates an invalid
     /// input program).
     Inconsistent(UcqError),
+    /// An installed [`qc_guard::Guard`] limit tripped while disjuncts were
+    /// being emitted.
+    Resource(qc_guard::ResourceError),
 }
 
 impl fmt::Display for UnfoldError {
@@ -228,6 +239,7 @@ impl fmt::Display for UnfoldError {
             UnfoldError::Recursive(p) => write!(f, "predicate {p} is recursive; cannot unfold"),
             UnfoldError::UndefinedAnswer(p) => write!(f, "answer predicate {p} has no rules"),
             UnfoldError::Inconsistent(e) => write!(f, "inconsistent unfolding: {e}"),
+            UnfoldError::Resource(e) => write!(f, "{e}"),
         }
     }
 }

@@ -51,10 +51,14 @@ pub mod stage {
     pub const MEMO: &str = "memo";
     /// Datalog ⊆ UCQ type fixpoint (iterations, compositions, types).
     pub const FIXPOINT: &str = "fixpoint";
-    /// MiniCon rewriting (MCDs formed and combined).
+    /// MiniCon rewriting, the reference plan construction (MCDs formed
+    /// and combined).
     pub const MINICON: &str = "minicon";
     /// Function-term elimination (rules emitted).
     pub const FN_ELIM: &str = "fn_elim";
+    /// Unfolding a nonrecursive program into a union of conjunctive
+    /// queries (disjuncts emitted).
+    pub const UNFOLD: &str = "unfold";
     /// Theorem 3.1 literal enumeration (candidates formed).
     pub const ENUMERATION: &str = "enumeration";
     /// Counterexample-expansion search (unfoldings explored).

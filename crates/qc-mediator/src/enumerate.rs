@@ -46,9 +46,9 @@ impl Default for EnumerationLimits {
 /// Builds the maximally-contained plan of a conjunctive query by literal
 /// candidate enumeration (the Theorem 3.1 proof procedure). Comparison
 /// predicates in the query/views are handled by the dense-order soundness
-/// check, but candidates themselves are comparison-free — use the
-/// MiniCon-based [`crate::minicon::semi_interval_plan`] when the *plan*
-/// needs constraints.
+/// check, but candidates themselves are comparison-free — use
+/// [`crate::relative::semi_interval_plan`] when the *plan* needs
+/// constraints.
 ///
 /// Returns `None` if the candidate cap was hit.
 pub fn enumerated_plan(

@@ -11,17 +11,17 @@
 //!   redundancy, relative-equivalence classes (§1's "coverage and
 //!   limitations" use case);
 //! * [`catalog`] — a mutable, epoch-versioned compiled catalog with
-//!   delta-maintained inverse rules and MiniCon view preparations (the
-//!   live-churn setting of §1);
+//!   delta-maintained inverse rules (the live-churn setting of §1);
 //! * [`mod@inverse_rules`] — the inverse-rules algorithm of Duschka,
 //!   Genesereth and Levy (\[15\] in the paper) constructing
-//!   maximally-contained query plans (reproduces Example 2);
+//!   maximally-contained query plans (reproduces Example 2): the one
+//!   planner behind every plan the crate builds;
 //! * [`fn_elim`] — elimination of the Skolem function terms those plans
 //!   contain (reproduces Example 3);
 //! * [`expansion`] — the plan expansion `P ↦ P^exp` (§2.3);
-//! * [`minicon`] — a MiniCon-style rewriting algorithm, an independent
-//!   second construction of maximally-contained plans, extended with the
-//!   semi-interval constraint completion sketched in Theorem 5.1;
+//! * [`minicon`] — a MiniCon-style rewriting algorithm: the reference
+//!   construction of maximally-contained plans the tests check the
+//!   inverse-rule plans against, with no production caller;
 //! * [`enumerate`] — the literal Theorem 3.1 procedure: bounded candidate
 //!   plan enumeration, a third independent plan construction;
 //! * [`certain`] — certain answers (Definition 2.1): plan-based
@@ -32,7 +32,9 @@
 //!   answers (Definitions 4.1–4.4);
 //! * [`relative`] — **relative containment** (Definitions 2.4 and 4.5):
 //!   one [`decide`] over a [`Question`] runs the decision procedures of
-//!   Theorems 3.1, 3.2, 4.1/4.2, 5.1, 5.2/5.3;
+//!   Theorems 3.1, 3.2, 4.1/4.2, 5.1, 5.2/5.3; it also holds Theorem
+//!   5.1's semi-interval plan construction (inverse-rule skeletons plus
+//!   the constraint completion sketched in its proof);
 //! * [`gav`] — the global-as-view corollary (§1, §6);
 //! * [`reductions`] — the Π₂ᵖ-hardness reduction of Theorem 3.3 and the
 //!   Aho–Sagiv–Ullman NP-hardness reduction \[3\], used as workload
@@ -81,7 +83,6 @@ pub use certain::{certain_answers, BruteForceOracle, World};
 pub use expansion::{expand_program, expand_ucq};
 pub use fn_elim::eliminate_function_terms;
 pub use inverse_rules::{inverse_rules, max_contained_plan};
-pub use minicon::minicon_rewritings;
 pub use relative::{
     decide, relatively_contained, relatively_equivalent, Decision, Question, Sources,
 };

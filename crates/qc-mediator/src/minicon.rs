@@ -1,5 +1,5 @@
-//! A MiniCon-style rewriting algorithm (Pottinger–Halevy), plus the
-//! semi-interval constraint completion sketched in Theorem 5.1.
+//! A MiniCon-style rewriting algorithm (Pottinger–Halevy): the reference
+//! construction of maximally-contained plans, with no production caller.
 //!
 //! MiniCon builds *MiniCon descriptions* (MCDs): a view, a mapping of a
 //! minimal set of query subgoals into it, closed under the rule that a
@@ -8,26 +8,19 @@
 //! coverage yield the conjunctive rewritings whose union is the
 //! maximally-contained plan.
 //!
-//! This is the second, independent construction of maximally-contained
-//! plans (the first being inverse rules + function-term elimination);
-//! experiment E9 compares them, and the property tests cross-validate
-//! them on random workloads. Every emitted rewriting is verified sound
-//! (`expansion ⊆ query`) before inclusion, so over-generation is
-//! harmless.
-//!
-//! For queries and views with **semi-interval** comparisons (§5), the
-//! relational skeletons come from MiniCon on the comparison-stripped
-//! inputs; per skeleton, the needed constraints are pulled back through
-//! each containment mapping and the completed candidate is re-verified
-//! with the full dense-order test — "once the non-comparison subgoals are
-//! chosen, it is straightforward to pick the appropriate semi-interval
-//! constraints" (Theorem 5.1).
+//! Every plan the program builds comes from the inverse rules
+//! ([`crate::relative::max_contained_ucq_plan`]); MiniCon builds plans by
+//! another algorithm, so the differential tests, the `differential` and
+//! `fault_injection` bins and experiment E9 use it as the independent
+//! construction the inverse-rule plans must agree with — for
+//! semi-interval queries too, through [`semi_interval_skeletons`]. Every
+//! emitted rewriting is verified sound (`expansion ⊆ query`) before
+//! inclusion, so over-generation is harmless.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use qc_containment::homomorphism::{all_containment_mappings, apply_mapping};
 use qc_containment::{cq_contained_memo, engine, minimize};
-use qc_datalog::{Atom, Comparison, ConjunctiveQuery, Subst, Term, Ucq, Var, VarGen};
+use qc_datalog::{Atom, ConjunctiveQuery, Subst, Term, Ucq, Var, VarGen};
 
 use crate::expansion::expand_cq;
 use crate::schema::{LavSetting, SourceDescription};
@@ -61,7 +54,6 @@ struct Mcd {
 /// assert_eq!(plan.disjuncts[0].subgoals[0].pred, "V");
 /// ```
 pub fn minicon_rewritings(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
-    let _t = qc_obs::time(qc_obs::Hist::MiniconNs);
     let mut gen = VarGen::new();
     let mut mcds: Vec<Mcd> = Vec::new();
     for (i, _) in query.subgoals.iter().enumerate() {
@@ -394,12 +386,16 @@ fn rewriting(query: &ConjunctiveQuery, mcds: &[Mcd], cover: &[usize]) -> Option<
     Some(ConjunctiveQuery::new(query.head.clone(), body, Vec::new()).substitute(&rho))
 }
 
-/// Maximally-contained plan for queries/views with semi-interval
-/// comparisons (Theorem 5.1): MiniCon skeletons on the stripped inputs,
-/// constraints pulled back through each containment mapping, full
-/// dense-order verification.
-pub fn semi_interval_plan(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
-    // Strip comparisons.
+/// MiniCon's relational skeletons for a semi-interval `query`: its
+/// rewritings of the comparison-stripped query over the
+/// comparison-stripped views. Completing them with
+/// [`crate::relative::complete_semi_interval`] gives the reference
+/// Theorem 5.1 plan the tests and the `differential` bin compare the
+/// production plan with.
+pub fn semi_interval_skeletons(
+    query: &ConjunctiveQuery,
+    views: &LavSetting,
+) -> Vec<ConjunctiveQuery> {
     let stripped_query =
         ConjunctiveQuery::new(query.head.clone(), query.subgoals.clone(), Vec::new());
     let stripped_views = LavSetting {
@@ -413,81 +409,7 @@ pub fn semi_interval_plan(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
             })
             .collect(),
     };
-    let skeletons = minicon_rewritings(&stripped_query, &stripped_views);
-
-    let mut disjuncts: Vec<ConjunctiveQuery> = Vec::new();
-    for skel in &skeletons.disjuncts {
-        let Some(exp) = expand_cq(skel, views) else {
-            continue;
-        };
-        // Pull the query's comparisons back through each relational
-        // containment mapping from the (stripped) query into the
-        // expansion. Constraints the expansion already entails (because a
-        // view guarantees them, like AntiqueCars' `Year < 1970`) are
-        // omitted — that is what makes the plan *maximal* and reproduces
-        // the paper's P3 exactly.
-        let stripped_exp =
-            ConjunctiveQuery::new(exp.head.clone(), exp.subgoals.clone(), Vec::new());
-        let mut nodemap = qc_containment::comparisons::NodeMap::new();
-        let exp_constraints =
-            qc_containment::comparisons::comparisons_to_constraints(&exp.comparisons, &mut nodemap);
-        for m in all_containment_mappings(&stripped_query, &stripped_exp) {
-            let mut extra: Vec<Comparison> = Vec::new();
-            for c in &query.comparisons {
-                let img =
-                    Comparison::new(apply_mapping(&m, &c.lhs), c.op, apply_mapping(&m, &c.rhs));
-                let lhs_node = nodemap.node(&img.lhs);
-                let rhs_node = nodemap.node(&img.rhs);
-                if exp_constraints
-                    .entails(qc_constraints::Constraint::new(lhs_node, img.op, rhs_node))
-                {
-                    continue;
-                }
-                // Visible at plan level?
-                let visible = |t: &Term| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => skel.vars().contains(v),
-                    Term::App(..) => false,
-                };
-                if visible(&img.lhs) && visible(&img.rhs) {
-                    extra.push(img);
-                }
-                // Otherwise the constraint involves a view existential and
-                // must be guaranteed by the view's own comparisons — the
-                // full containment check below verifies that, dropping the
-                // candidate when it is not.
-            }
-            extra.sort();
-            extra.dedup();
-            let mut candidate = skel.clone();
-            candidate.comparisons = extra;
-            if let Some(cexp) = expand_cq(&candidate, views) {
-                // Drop candidates whose expansion constraints are
-                // unsatisfiable (e.g. a 1960s-window view combined with a
-                // pre-1950 query constraint): sound but forever empty.
-                let mut nm = qc_containment::comparisons::NodeMap::new();
-                let cset = qc_containment::comparisons::comparisons_to_constraints(
-                    &cexp.comparisons,
-                    &mut nm,
-                );
-                if !cset.is_satisfiable() {
-                    continue;
-                }
-                if cq_contained_memo(&cexp, query) && !disjuncts.contains(&candidate) {
-                    disjuncts.push(candidate);
-                }
-            }
-        }
-    }
-    // Drop disjuncts subsumed by another (keeps the plan in the paper's
-    // minimal form, e.g. Example 4's P3).
-    if disjuncts.is_empty() {
-        Ucq::empty(query.head.pred.as_str(), query.head.arity())
-    } else {
-        qc_containment::minimize_union(
-            &Ucq::new(disjuncts).expect("disjuncts share the query head"),
-        )
-    }
+    minicon_rewritings(&stripped_query, &stripped_views).disjuncts
 }
 
 #[cfg(test)]
@@ -593,12 +515,14 @@ mod tests {
 
     #[test]
     fn example4_semi_interval_plan() {
-        // The paper's Example 4: P3 for Q3.
+        // The paper's Example 4: MiniCon's skeletons complete to P3 for Q3.
         let q3 = parse_query(
             "q3(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, 10), Y < 1970.",
         )
         .unwrap();
-        let plan = semi_interval_plan(&q3, &example1_sources());
+        let views = example1_sources();
+        let skeletons = semi_interval_skeletons(&q3, &views);
+        let plan = crate::relative::complete_semi_interval(&q3, &views, &skeletons);
         assert_eq!(plan.disjuncts.len(), 2, "{plan}");
         let red = plan
             .disjuncts

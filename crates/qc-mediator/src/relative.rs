@@ -10,7 +10,7 @@
 //! | case | `P1` construction | final check |
 //! |------|-------------------|-------------|
 //! | Q1 nonrecursive, comparison-free (views may carry arbitrary comparisons — Thm 3.1, 5.2/5.3) | inverse rules → fn-elim → unfold | per disjunct: `d^exp ⊆ Q2` via the dense-order UCQ test |
-//! | Q1 nonrecursive, semi-interval; views semi-interval (Thm 5.1) | MiniCon + constraint completion | same |
+//! | Q1 nonrecursive, semi-interval; views semi-interval (Thm 5.1) | per disjunct of Q1: inverse rules → fn-elim → unfold over the comparison-stripped disjunct, then constraint completion ([`complete_semi_interval`]) | same |
 //! | Q1 nonrecursive, Q2 recursive, all comparison-free (Thm 3.2) | inverse rules → fn-elim → unfold | per disjunct: `d^exp ⊆ Q2` by evaluating `Q2` over the frozen `d^exp` |
 //! | Q1 recursive, all comparison-free, Q2 nonrecursive (Thm 3.2) | inverse rules → fn-elim (datalog) | `P1^exp ⊆ Q2` via the type fixpoint |
 //! | binding patterns (§4, Thms 4.1/4.2) | executable plan (`dom` recursion) → fn-elim | `P1^exp ⊆ Q2` via the type fixpoint, then a bounded witness search on failure |
@@ -28,18 +28,20 @@
 
 use std::fmt;
 
+use qc_constraints::Constraint;
 use qc_containment::canonical::ucq_contained_in_datalog;
+use qc_containment::comparisons::{comparisons_to_constraints, NodeMap};
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, DatalogUcqError, FixpointBudget};
+use qc_containment::homomorphism::{all_containment_mappings, apply_mapping};
 use qc_containment::witness::{find_counterexample_expansion, WitnessBudget};
-use qc_containment::{cq_contained_in_ucq, ucq_contained};
+use qc_containment::{cq_contained_in_ucq, cq_contained_memo, ucq_contained};
 use qc_datalog::eval::{EvalError, EvalOptions};
-use qc_datalog::{ConjunctiveQuery, Program, Symbol, Ucq, UnfoldError};
+use qc_datalog::{Comparison, ConjunctiveQuery, Program, Symbol, Term, Ucq, UnfoldError};
 
 use crate::catalog::{CompiledCatalog, CompiledView};
 use crate::expansion::{expand_cq, expand_program};
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
 use crate::inverse_rules::max_contained_plan;
-use crate::minicon::semi_interval_plan;
 use crate::schema::LavSetting;
 
 /// Where the maximally-contained plan's ingredients come from: a plain
@@ -112,7 +114,7 @@ pub enum RelativeError {
     /// Plan evaluation failed (freeze-and-evaluate route).
     Eval(EvalError),
     /// An installed [`qc_guard::Guard`] limit tripped in a stage with no
-    /// fallible plumbing of its own (homomorphism search, memo, MiniCon,
+    /// fallible plumbing of its own (homomorphism search, memo,
     /// enumeration) and unwound to the enclosing `qc_guard::guarded`
     /// boundary.
     Resource(qc_guard::ResourceError),
@@ -178,6 +180,7 @@ impl RelativeError {
             RelativeError::DatalogUcq(DatalogUcqError::Resource(e)) => Some(e),
             RelativeError::FnElim(FnElimError::Resource(e)) => Some(e),
             RelativeError::Eval(EvalError::Resource(e)) => Some(e),
+            RelativeError::Unfold(UnfoldError::Resource(e)) => Some(e),
             _ => None,
         }
     }
@@ -277,55 +280,164 @@ fn max_contained_ucq_plan_inner(
     answer: &Symbol,
     planner: &Planner<'_>,
 ) -> Result<Ucq, RelativeError> {
-    let views = planner.views();
     let unfolded = query.unfold(answer)?;
+    let mut plan = Ucq::empty(unfolded.pred.as_str(), unfolded.arity);
     if unfolded.is_comparison_free() {
-        // Inverse rules → fn-elim → unfold (Example 2 → Example 3).
-        let plan = eliminate_function_terms(&planner.inverse_plan(query))?;
-        let mut ucq = match plan.unfold(answer) {
-            Ok(u) => u,
-            // Function-term elimination can prove the plan derives no
-            // function-free answers at all (every specialization of the
-            // answer rule dies): the plan is the empty union.
-            Err(UnfoldError::UndefinedAnswer(_)) => {
-                return Ok(Ucq::empty(unfolded.pred.as_str(), unfolded.arity))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        // A query plan may only mention source relations: disjuncts that
-        // kept a mediated-schema atom (no source covers it) can never
-        // produce answers over a source instance.
-        ucq.disjuncts
-            .retain(|d| d.subgoals.iter().all(|a| views.source(a.pred).is_some()));
-        // Tidy: minimize each disjunct (unfolding a multi-subgoal view
-        // produces one inverted atom per subgoal, which often collapses)
-        // and drop subsumed disjuncts. Equivalence is preserved.
-        for d in &mut ucq.disjuncts {
-            *d = qc_containment::minimize(d);
-        }
-        if ucq.disjuncts.is_empty() {
-            Ok(ucq)
-        } else {
-            Ok(qc_containment::minimize_union(&ucq))
-        }
-    } else if ucq_is_semi_interval(&unfolded) && views.is_semi_interval() {
+        plan.disjuncts = skeletons(query, answer, planner)?;
+        // Drop subsumed disjuncts. Equivalence is preserved.
+        Ok(qc_containment::minimize_union(&plan))
+    } else if ucq_is_semi_interval(&unfolded) && planner.views().is_semi_interval() {
         // Theorem 5.1's construction, per disjunct.
-        let mut disjuncts = Vec::new();
         for d in &unfolded.disjuncts {
-            let plan = semi_interval_plan(d, views);
-            disjuncts.extend(plan.disjuncts);
+            plan.disjuncts
+                .extend(semi_interval_plan_with(d, planner)?.disjuncts);
         }
-        if disjuncts.is_empty() {
-            Ok(Ucq::empty(unfolded.pred.as_str(), unfolded.arity))
-        } else {
-            Ok(Ucq::new(disjuncts).expect("plans share the query head"))
-        }
+        Ok(plan)
     } else {
         Err(RelativeError::Unsupported(
             "maximally-contained plans require a comparison-free or semi-interval contained query \
              (arbitrary comparisons in Q1 are an open problem, §6)"
                 .into(),
         ))
+    }
+}
+
+/// The relational skeletons of a comparison-free query's plan: inverse
+/// rules → fn-elim → unfold (Example 2 → Example 3), keeping the disjuncts
+/// over source relations only, each minimized. The union is not
+/// minimized: a skeleton that another subsumes can still be the only one
+/// a semi-interval constraint completes (see [`complete_semi_interval`]).
+fn skeletons(
+    query: &Program,
+    answer: &Symbol,
+    planner: &Planner<'_>,
+) -> Result<Vec<ConjunctiveQuery>, RelativeError> {
+    let plan = eliminate_function_terms(&planner.inverse_plan(query))?;
+    let mut ucq = match plan.unfold(answer) {
+        Ok(u) => u,
+        // Function-term elimination can prove the plan derives no
+        // function-free answers at all (every specialization of the
+        // answer rule dies): the plan is the empty union.
+        Err(UnfoldError::UndefinedAnswer(_)) => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    // A query plan may only mention source relations: disjuncts that kept
+    // a mediated-schema atom (no source covers it) can never produce
+    // answers over a source instance.
+    let views = planner.views();
+    ucq.disjuncts
+        .retain(|d| d.subgoals.iter().all(|a| views.source(a.pred).is_some()));
+    // Unfolding a multi-subgoal view produces one inverted atom per
+    // subgoal, which often collapses.
+    for d in &mut ucq.disjuncts {
+        *d = qc_containment::minimize(d);
+    }
+    Ok(ucq.disjuncts)
+}
+
+/// Maximally-contained plan of one conjunctive query with semi-interval
+/// comparisons over semi-interval views (Theorem 5.1): the skeletons of
+/// the comparison-stripped query, each completed by
+/// [`complete_semi_interval`].
+pub fn semi_interval_plan(
+    query: &ConjunctiveQuery,
+    views: &LavSetting,
+) -> Result<Ucq, RelativeError> {
+    semi_interval_plan_with(query, &Planner::Views(views))
+}
+
+fn semi_interval_plan_with(
+    query: &ConjunctiveQuery,
+    planner: &Planner<'_>,
+) -> Result<Ucq, RelativeError> {
+    let stripped = ConjunctiveQuery::new(query.head.clone(), query.subgoals.clone(), Vec::new());
+    let skeletons = skeletons(
+        &Program::new(vec![stripped.to_rule()]),
+        &query.head.pred,
+        planner,
+    )?;
+    Ok(complete_semi_interval(query, planner.views(), &skeletons))
+}
+
+/// Completes relational skeletons into Theorem 5.1's plan for `query`:
+/// "once the non-comparison subgoals are chosen, it is straightforward to
+/// pick the appropriate semi-interval constraints". Per skeleton, the
+/// query's comparisons are pulled back through each containment mapping
+/// from the stripped query into the skeleton's expansion, and the
+/// completed candidate is kept when its expansion is satisfiable and
+/// passes the full dense-order test against `query`. The completed plan
+/// is union-minimized; the skeletons must not be, since a subsumed
+/// skeleton can complete where the one subsuming it cannot.
+pub fn complete_semi_interval(
+    query: &ConjunctiveQuery,
+    views: &LavSetting,
+    skeletons: &[ConjunctiveQuery],
+) -> Ucq {
+    let stripped_query =
+        ConjunctiveQuery::new(query.head.clone(), query.subgoals.clone(), Vec::new());
+    let mut disjuncts: Vec<ConjunctiveQuery> = Vec::new();
+    for skel in skeletons {
+        let Some(exp) = expand_cq(skel, views) else {
+            continue;
+        };
+        // Constraints the expansion already entails (because a view
+        // guarantees them, like AntiqueCars' `Year < 1970`) are omitted:
+        // that is what makes the plan *maximal* and reproduces the paper's
+        // P3 exactly.
+        let stripped_exp =
+            ConjunctiveQuery::new(exp.head.clone(), exp.subgoals.clone(), Vec::new());
+        let mut nodemap = NodeMap::new();
+        let exp_constraints = comparisons_to_constraints(&exp.comparisons, &mut nodemap);
+        for m in all_containment_mappings(&stripped_query, &stripped_exp) {
+            let mut extra: Vec<Comparison> = Vec::new();
+            for c in &query.comparisons {
+                let img =
+                    Comparison::new(apply_mapping(&m, &c.lhs), c.op, apply_mapping(&m, &c.rhs));
+                let lhs_node = nodemap.node(&img.lhs);
+                let rhs_node = nodemap.node(&img.rhs);
+                if exp_constraints.entails(Constraint::new(lhs_node, img.op, rhs_node)) {
+                    continue;
+                }
+                // Visible at plan level?
+                let visible = |t: &Term| match t {
+                    Term::Const(_) => true,
+                    Term::Var(v) => skel.vars().contains(v),
+                    Term::App(..) => false,
+                };
+                if visible(&img.lhs) && visible(&img.rhs) {
+                    extra.push(img);
+                }
+                // Otherwise the constraint involves a view existential and
+                // must be guaranteed by the view's own comparisons — the
+                // full containment check below verifies that, dropping the
+                // candidate when it is not.
+            }
+            extra.sort();
+            extra.dedup();
+            let mut candidate = skel.clone();
+            candidate.comparisons = extra;
+            if let Some(cexp) = expand_cq(&candidate, views) {
+                // Drop candidates whose expansion constraints are
+                // unsatisfiable (e.g. a 1960s-window view combined with a
+                // pre-1950 query constraint): sound but forever empty.
+                let cset = comparisons_to_constraints(&cexp.comparisons, &mut NodeMap::new());
+                if !cset.is_satisfiable() {
+                    continue;
+                }
+                if cq_contained_memo(&cexp, query) && !disjuncts.contains(&candidate) {
+                    disjuncts.push(candidate);
+                }
+            }
+        }
+    }
+    // Drop disjuncts subsumed by another (keeps the plan in the paper's
+    // minimal form, e.g. Example 4's P3).
+    if disjuncts.is_empty() {
+        Ucq::empty(query.head.pred.as_str(), query.head.arity())
+    } else {
+        qc_containment::minimize_union(
+            &Ucq::new(disjuncts).expect("disjuncts share the query head"),
+        )
     }
 }
 
@@ -646,9 +758,12 @@ fn decide_disjuncts(
     q2_recursive: bool,
 ) -> Result<Decision, RelativeError> {
     let views = planner.views();
-    let u2 = (!q2_recursive).then(|| q.q2.unfold(&q.ans2)).transpose()?;
-    let p1 = match run_guarded(|| max_contained_ucq_plan_with(q.q1, &q.ans1, planner)) {
-        Ok(p) => p,
+    let built = run_guarded(|| {
+        let u2 = (!q2_recursive).then(|| q.q2.unfold(&q.ans2)).transpose()?;
+        Ok((u2, max_contained_ucq_plan_with(q.q1, &q.ans1, planner)?))
+    });
+    let (u2, p1) = match built {
+        Ok(b) => b,
         // The plan never got built, so checkpoint validity is unknowable
         // this run; report Fresh (nothing was skipped).
         Err(e) => return stopped(e, ResumeState::Fresh),
@@ -1142,6 +1257,32 @@ mod tests {
             relatively_contained(&tc, &sym("t"), &tc, &sym("t"), &views),
             Err(RelativeError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn a_subsumed_skeleton_can_be_the_one_that_completes() {
+        // The skeleton v1(H, Z) subsumes v1(H, Z), v0(H, Z'), but only the
+        // second completes: X2 <= 3 needs v0's guarantee. Union-minimizing
+        // the skeletons before completion would leave the plan empty, and
+        // Q1 "contained" in anything.
+        let views = LavSetting::parse(&[
+            "v0(Z0, Z1) :- p0(Z0, Z1), Z1 <= 3.",
+            "v1(Z0, Z1) :- p0(Z0, Z1).",
+        ])
+        .unwrap();
+        let q1 = prog("q(H) :- p0(H, X1), p0(H, X2), p0(H, X3), X3 > 4, X2 <= 3.");
+        let q2 = prog("r(H) :- p0(H, Y), Y > 100.");
+        let plan = max_contained_ucq_plan(&q1, &sym("q"), &views).unwrap();
+        assert_eq!(plan.disjuncts.len(), 1, "{plan}");
+        let d = &plan.disjuncts[0];
+        assert!(d.subgoals.iter().any(|a| a.pred == "v0"), "{plan}");
+        assert!(d.subgoals.iter().any(|a| a.pred == "v1"), "{plan}");
+        let decision = decide(
+            &Question::new(&q1, &sym("q"), &q2, &sym("r")),
+            Sources::Views(&views),
+        )
+        .unwrap();
+        assert_eq!(decision.verdict, Verdict::NotContained);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! satellites), and random views that project subsets of the query's
 //! subgoals — plus random source instances.
 
-use qc_datalog::{Atom, ConjunctiveQuery, Database, Program, Term};
+use qc_datalog::{Atom, CompOp, Comparison, ConjunctiveQuery, Database, Program, Term};
 use rand::Rng;
 
 use crate::schema::{LavSetting, SourceDescription};
@@ -84,6 +84,77 @@ pub fn random_views(nviews: usize, npreds: usize, rng: &mut impl Rng) -> LavSett
         });
     }
     LavSetting { sources }
+}
+
+/// A random Theorem 5.1 question `(Q1, Q2, views)` over `p0`, `p1`:
+/// `Q1` is a chain or star of 1–3 subgoals with 1–2 semi-interval
+/// comparisons, `Q2` is `Q1`'s relational body with 1–2 comparisons of
+/// its own, and the 1–4 views are chains of length 1–2, exporting both
+/// endpoints, with 0–1 comparisons each. Every comparison compares a
+/// variable with a constant in 0–5.
+pub fn random_semi_interval_question(
+    rng: &mut impl Rng,
+) -> (ConjunctiveQuery, ConjunctiveQuery, LavSetting) {
+    let shape = if rng.gen_bool(0.5) {
+        Shape::Chain
+    } else {
+        Shape::Star
+    };
+    let relational = random_query(shape, rng.gen_range(1..=3), 2, rng);
+    let mut q1 = relational.clone();
+    let mut q2 = relational;
+    for q in [&mut q1, &mut q2] {
+        for _ in 0..rng.gen_range(1..=2) {
+            let c = random_semi_interval(q, rng);
+            q.comparisons.push(c);
+        }
+    }
+    let mut sources = Vec::new();
+    for v in 0..rng.gen_range(1..=4) {
+        let len = rng.gen_range(1..=2usize);
+        let body = (0..len)
+            .map(|i| {
+                let p = rng.gen_range(0..2);
+                Atom::new(
+                    format!("p{p}"),
+                    vec![Term::var(format!("Z{i}")), Term::var(format!("Z{}", i + 1))],
+                )
+            })
+            .collect();
+        let head = Atom::new(
+            format!("v{v}"),
+            vec![Term::var("Z0"), Term::var(format!("Z{len}"))],
+        );
+        let mut view = ConjunctiveQuery::new(head, body, Vec::new());
+        if rng.gen_bool(0.5) {
+            let c = random_semi_interval(&view, rng);
+            view.comparisons.push(c);
+        }
+        sources.push(SourceDescription {
+            name: view.head.pred,
+            view,
+            complete: false,
+            adornments: Vec::new(),
+        });
+    }
+    (q1, q2, LavSetting { sources })
+}
+
+/// `X op c` for a variable `X` of `q`'s subgoals, `op` one of `<`, `<=`,
+/// `>`, `>=` and `c` in 0–5.
+fn random_semi_interval(q: &ConjunctiveQuery, rng: &mut impl Rng) -> Comparison {
+    // Subgoal order, not `vars()`: a `Var`'s order depends on when its
+    // name was interned, and a seed must draw the same question in every
+    // process.
+    let mut vars: Vec<Term> = Vec::new();
+    for t in q.subgoals.iter().flat_map(|a| &a.args) {
+        if matches!(t, Term::Var(_)) && !vars.contains(t) {
+            vars.push(t.clone());
+        }
+    }
+    let x = vars[rng.gen_range(0..vars.len())].clone();
+    let op = [CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge][rng.gen_range(0..4)];
+    Comparison::new(x, op, Term::int(rng.gen_range(0..=5)))
 }
 
 /// Converts a conjunctive query into a one-rule program.

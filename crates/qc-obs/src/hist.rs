@@ -68,8 +68,6 @@ hists! {
     FixpointNs => "fixpoint_ns",
     /// Constraint-set transitive-closure construction, per pass.
     ClosureNs => "closure_ns",
-    /// MiniCon rewriting (MCD formation + combination), per query.
-    MiniconNs => "minicon_ns",
     /// Function-term elimination, per plan.
     FnElimNs => "fn_elim_ns",
     /// Plan expansion (P ↦ P^exp), per plan.
@@ -527,11 +525,11 @@ mod tests {
         let b = Histograms::new();
         a.record(Hist::EvalNs, 10);
         b.record(Hist::EvalNs, 20);
-        b.record(Hist::MiniconNs, 5);
+        b.record(Hist::ClosureNs, 5);
         a.merge_from(&b);
         assert_eq!(a.get(Hist::EvalNs).count(), 2);
         assert_eq!(a.get(Hist::EvalNs).sum(), 30);
-        assert_eq!(a.get(Hist::MiniconNs).count(), 1);
+        assert_eq!(a.get(Hist::ClosureNs).count(), 1);
     }
 
     #[test]

@@ -125,7 +125,8 @@ counters! {
     FixpointComposeCacheHits => "fixpoint_compose_cache_hits",
     /// Inverse rules generated from view definitions.
     InverseRulesGenerated => "inverse_rules_generated",
-    /// MiniCon descriptions (MCDs) formed during rewriting.
+    /// MiniCon descriptions (MCDs) formed by the reference rewriting
+    /// (`qc_mediator::minicon`, no production caller).
     MiniconMcdsFormed => "minicon_mcds_formed",
     /// Rules emitted by function-term elimination (shape specialization).
     FnElimRulesEmitted => "fn_elim_rules_emitted",
@@ -201,8 +202,8 @@ counters! {
     /// Catalog epoch advances (one per applied `CatalogDelta` plus any
     /// replay-time bump after a catalog/journal mismatch).
     CatalogEpochBumps => "catalog_epoch_bumps",
-    /// Views whose inverse rules and MiniCon preparation were recompiled
-    /// by a catalog delta (the touched set).
+    /// Views whose inverse rules were recompiled by a catalog delta (the
+    /// touched set).
     CatalogEpochViewsRecompiled => "catalog_epoch_views_recompiled",
     /// Views a catalog delta left untouched (compiled artifacts reused
     /// verbatim — the delta-maintenance win).

@@ -101,7 +101,14 @@ pub struct EpochRecord {
 /// plans drew on every view, so their indices can name different
 /// disjuncts; a version-1 journal is reset and its in-progress requests
 /// recompute once.
-pub const JOURNAL_VERSION: u32 = 2;
+///
+/// Version 3: Theorem 5.1 plans are completed from inverse-rule
+/// skeletons instead of MiniCon's, and list their disjuncts in another
+/// order (the dealer question's `qv` plan was `PreWar, AnyCar` and is
+/// `AnyCar, PreWar`). A checkpoint's shape check compares only the
+/// disjunct count, so it cannot catch the reordering: a version-2
+/// journal is reset instead.
+pub const JOURNAL_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven — vendored, the workspace has no crc crate.

@@ -1232,7 +1232,6 @@ struct Job {
     /// if a delta lands while the job waits in the queue.
     snap: Arc<CatalogSnapshot>,
     enqueued: Instant,
-    queue_timeout: Option<Duration>,
     /// Coalescing key this job leads (other identical requests attach as
     /// waiters under it), when coalescing applies.
     key: Option<u64>,
@@ -1480,7 +1479,6 @@ impl Service {
             trace,
             snap,
             enqueued: Instant::now(),
-            queue_timeout: None,
             key,
             reply: tx,
         });
@@ -1559,19 +1557,17 @@ impl Drop for Service {
     }
 }
 
-/// Sets the per-job queue timeout at admission time. Kept as a free
-/// function on [`Request`]-level config instead: the service default is
-/// applied by the worker when it pops the job.
-fn waited_too_long(job: &Job, default: Option<Duration>) -> Option<u64> {
-    let limit = job.queue_timeout.or(default)?;
+/// The milliseconds `job` waited in the queue, when that is longer than
+/// the configured [`ServeConfig::queue_timeout`] `limit`.
+fn waited_too_long(job: &Job, limit: Option<Duration>) -> Option<u64> {
     let waited = job.enqueued.elapsed();
-    (waited > limit).then_some(waited.as_millis() as u64)
+    (waited > limit?).then_some(waited.as_millis() as u64)
 }
 
 fn worker_loop(core: Arc<ServeCore>, shared: Arc<QueueShared>) {
     // Engine counters from this thread aggregate into the core's bank.
     let _rec = qc_obs::install(Arc::new(CounterSink(Arc::clone(core.counters()))));
-    let queue_default = core.cfg.queue_timeout;
+    let queue_timeout = core.cfg.queue_timeout;
     loop {
         let (job, depth) = {
             let mut jobs = shared.jobs();
@@ -1600,7 +1596,7 @@ fn worker_loop(core: Arc<ServeCore>, shared: Arc<QueueShared>) {
             }
         };
         let waited = job.enqueued.elapsed();
-        let reply = match waited_too_long(&job, queue_default) {
+        let reply = match waited_too_long(&job, queue_timeout) {
             Some(waited_ms) => {
                 core.flight().push(Timeline::event(
                     job.trace,
@@ -1898,11 +1894,10 @@ mod tests {
         assert_eq!(plain.consumed, fresh.consumed);
     }
 
-    /// Theorem 5.1's plan for a semi-interval chain of 28 subgoals: MiniCon
-    /// finds 2^28 sets of disjoint MCDs, and a cover search that visited
-    /// them all would hold the worker for minutes past the deadline.
+    /// Theorem 5.1's plan for a semi-interval chain of 28 subgoals answers
+    /// within its request's timeout.
     #[test]
-    fn minicon_chain_answers_within_its_timeout() {
+    fn semi_interval_chain_answers_within_its_timeout() {
         let n = 28;
         let body = (0..n)
             .map(|i| format!("r(X{i}, X{})", i + 1))
@@ -1925,6 +1920,42 @@ mod tests {
         assert!(
             elapsed < Duration::from_secs(1),
             "took {elapsed:?} under a 50 ms timeout"
+        );
+    }
+
+    /// A plan with 4^9 disjuncts (a 9-atom chain over four copies of one
+    /// view) stops at the request's timeout while it is being unfolded,
+    /// as an Unknown, not as a rejection.
+    #[test]
+    fn unfolding_answers_within_its_timeout() {
+        let n = 9;
+        let body = (0..n)
+            .map(|i| format!("r(X{i}, X{})", i + 1))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let views = LavSetting::parse(&[
+            "v1(A, B) :- r(A, B).",
+            "v2(A, B) :- r(A, B).",
+            "v3(A, B) :- r(A, B).",
+            "v4(A, B) :- r(A, B).",
+            "w(A) :- s(A).",
+        ])
+        .unwrap();
+        let q1 = parse_program(&format!("q(X0, X{n}) :- {body}.")).unwrap();
+        let q2 = parse_program(&format!("q(X0, X{n}) :- {body}, s(X0).")).unwrap();
+        let core = ServeCore::new(views, ServeConfig::default());
+        let mut req = Request::new(q1, sym("q"), q2, sym("q"));
+        req.timeout = Some(Duration::from_millis(100));
+        let started = Instant::now();
+        let resp = core.handle(&req, 0).unwrap();
+        let elapsed = started.elapsed();
+        match &resp.verdict {
+            Verdict::Unknown(p) => assert_eq!(p.resource.stage, qc_guard::stage::UNFOLD),
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "took {elapsed:?} under a 100 ms timeout"
         );
     }
 

@@ -12,8 +12,9 @@
 //! scenario.
 
 use relcont::datalog::{parse_program, parse_query, Symbol};
-use relcont::mediator::minicon::semi_interval_plan;
-use relcont::mediator::relative::{max_contained_ucq_plan, relatively_contained};
+use relcont::mediator::relative::{
+    max_contained_ucq_plan, relatively_contained, semi_interval_plan,
+};
 use relcont::mediator::schema::LavSetting;
 
 fn main() {
@@ -30,9 +31,9 @@ fn main() {
     )
     .unwrap();
     println!("== Example 4: maximally-contained plan P3 for Q3 ==");
-    let p3 = semi_interval_plan(&q3, &views);
+    let p3 = semi_interval_plan(&q3, &views).unwrap();
     for d in &p3.disjuncts {
-        println!("  {}", d.to_rule());
+        println!("  {}", d.tidy_names().to_rule());
     }
     println!("  (RedCars needs the explicit Year < 1970; AntiqueCars guarantees it)");
 

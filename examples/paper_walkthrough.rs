@@ -15,10 +15,9 @@ use relcont::mediator::binding::reachable_certain_answers;
 use relcont::mediator::certain::{BruteForceOracle, OracleAnswer, World};
 use relcont::mediator::fn_elim::eliminate_function_terms;
 use relcont::mediator::inverse_rules::{inverse_rules, max_contained_plan};
-use relcont::mediator::minicon::semi_interval_plan;
 use relcont::mediator::reductions::{thm33_reduction, Cnf3, CnfVar, Lit};
 use relcont::mediator::relative::{
-    decide, explain_containment, relatively_contained, Question, Sources,
+    decide, explain_containment, relatively_contained, semi_interval_plan, Question, Sources,
 };
 use relcont::mediator::schema::LavSetting;
 
@@ -150,7 +149,7 @@ fn main() {
     // ----------------------------------------------------------------- §5
     heading("§5 · Example 4: semi-interval plans");
     let cq3 = parse_query(&q3.rules()[0].to_string()).unwrap();
-    for d in semi_interval_plan(&cq3, &views).disjuncts {
+    for d in semi_interval_plan(&cq3, &views).unwrap().disjuncts {
         println!("  {}", d.tidy_names().to_rule());
     }
 

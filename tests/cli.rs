@@ -599,12 +599,11 @@ quit
     assert!(stdout.contains("2 fact(s) total"), "{stdout}");
 }
 
-/// MiniCon's cover search under a deadline (Theorem 5.1's plan for a
-/// semi-interval chain): the n = 28 chain has 2^28 sets of disjoint MCDs,
-/// so a search that enumerated them all would run for minutes.
+/// Theorem 5.1's plan for a semi-interval chain under a deadline: the
+/// n = 28 chain has one plan disjunct, found within the deadline.
 #[test]
-fn cli_minicon_chain_respects_its_deadline() {
-    let dir = tmpdir("minicon-chain");
+fn cli_semi_interval_chain_respects_its_deadline() {
+    let dir = tmpdir("semi-interval-chain");
     let n = 28;
     let body = (0..n)
         .map(|i| format!("r(X{i}, X{})", i + 1))
@@ -632,6 +631,58 @@ fn cli_minicon_chain_respects_its_deadline() {
         elapsed < std::time::Duration::from_secs(1),
         "took {elapsed:?} under a 50 ms deadline"
     );
+}
+
+/// A plan whose unfolding is exponential stops at the deadline while it
+/// is being unfolded. Q1 is a chain of 9 `r` atoms over four copies of
+/// `v(A, B) :- r(A, B)`, so its plan has 4^9 disjuncts; Q2 adds `s(X0)`.
+/// Both the comparison-free question and its semi-interval variant (the
+/// Theorem 5.1 route) must answer "undecided" well within a second.
+#[test]
+fn cli_unfolding_respects_its_deadline() {
+    let dir = tmpdir("unfold-deadline");
+    let n = 9;
+    let body = (0..n)
+        .map(|i| format!("r(X{i}, X{})", i + 1))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let views = write_tmp(
+        &dir,
+        "views.dl",
+        "v1(A, B) :- r(A, B).
+         v2(A, B) :- r(A, B).
+         v3(A, B) :- r(A, B).
+         v4(A, B) :- r(A, B).
+         w(A) :- s(A).",
+    );
+    for (tag, c1, c2) in [("plain", "", ""), ("semi", ", X0 < 3", ", X0 < 2")] {
+        let q1 = write_tmp(
+            &dir,
+            &format!("{tag}_q1.dl"),
+            &format!("q(X0, X{n}) :- {body}{c1}."),
+        );
+        let q2 = write_tmp(
+            &dir,
+            &format!("{tag}_q2.dl"),
+            &format!("q(X0, X{n}) :- {body}, s(X0){c2}."),
+        );
+        let started = std::time::Instant::now();
+        let out = Command::new(env!("CARGO_BIN_EXE_relcont"))
+            .args(["check", "--timeout", "100", "--views"])
+            .arg(&views)
+            .args(["--q1"])
+            .arg(&q1)
+            .args(["--q2"])
+            .arg(&q2)
+            .output()
+            .expect("run relcont");
+        let elapsed = started.elapsed();
+        assert_eq!(out.status.code(), Some(3), "{tag}: {out:?}");
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{tag}: took {elapsed:?} under a 100 ms deadline"
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@ use relcont::containment::cq::ucq_equivalent;
 use relcont::datalog::{parse_program, parse_query, Symbol, Term, Ucq};
 use relcont::mediator::fn_elim::eliminate_function_terms;
 use relcont::mediator::inverse_rules::{inverse_rules, max_contained_plan};
-use relcont::mediator::minicon::{minicon_rewritings, semi_interval_plan};
+use relcont::mediator::minicon::minicon_rewritings;
+use relcont::mediator::relative::semi_interval_plan;
 use relcont::mediator::schema::LavSetting;
 
 fn views() -> LavSetting {
@@ -86,7 +87,7 @@ fn example4_p3_exactly() {
         "q3(CarNo, Review) :- CarDesc(CarNo, Model, C, Y), Review(Model, Review, 10), Y < 1970.",
     )
     .unwrap();
-    let p3 = semi_interval_plan(&q3, &views());
+    let p3 = semi_interval_plan(&q3, &views()).unwrap();
     assert_eq!(p3.disjuncts.len(), 2, "{p3}");
     let red = p3
         .disjuncts
@@ -116,7 +117,7 @@ fn example4_p3_does_not_contain_p1() {
     )
     .unwrap();
     let p1 = minicon_rewritings(&q1, &views());
-    let p3 = semi_interval_plan(&q3, &views());
+    let p3 = semi_interval_plan(&q3, &views()).unwrap();
     assert!(!relcont::containment::ucq_contained(&p1, &p3));
     // (and P1 does contain P3)
     assert!(relcont::containment::ucq_contained(&p3, &p1));

@@ -3,6 +3,8 @@
 //!
 //! * containment-mapping CQ containment ⇔ canonical-database evaluation;
 //! * relative containment, expansion route ⇔ plan-comparison route;
+//! * Theorem 5.1 plans: inverse-rule skeletons ⇔ MiniCon skeletons, both
+//!   completed by the same constraint completion;
 //! * decided relative containment ⇒ certain-answer containment on
 //!   sampled instances (the semantics, Definition 2.4);
 //! * naive ⇔ semi-naive evaluation;
@@ -22,7 +24,8 @@ use relcont::datalog::{
 use relcont::mediator::certain::certain_answers;
 use relcont::mediator::relative::{relatively_contained, relatively_contained_by_plans};
 use relcont::mediator::workloads::{
-    query_program, random_instance, random_query, random_views, Shape,
+    query_program, random_instance, random_query, random_semi_interval_question, random_views,
+    Shape,
 };
 
 fn s(n: &str) -> Symbol {
@@ -236,5 +239,29 @@ proptest! {
                 prop_assert!(sub, "decided contained, found counterexample\nq1: {}\nq2: {}", q1, q2);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn thm51_plans_agree_with_completed_minicon_skeletons(seed in any::<u64>()) {
+        use relcont::containment::cq::ucq_equivalent;
+        use relcont::mediator::minicon::semi_interval_skeletons;
+        use relcont::mediator::relative::{complete_semi_interval, max_contained_ucq_plan};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (q, _, views) = random_semi_interval_question(&mut rng);
+        let plan = max_contained_ucq_plan(&query_program(&q), &s("q"), &views).unwrap();
+        let reference = complete_semi_interval(&q, &views, &semi_interval_skeletons(&q, &views));
+        prop_assert!(
+            ucq_equivalent(&plan, &reference),
+            "q: {}\nviews: {:?}\nplan: {}\nreference: {}",
+            q,
+            views.sources.iter().map(|v| v.view.to_rule().to_string()).collect::<Vec<_>>(),
+            plan,
+            reference
+        );
     }
 }
