@@ -1,19 +1,16 @@
 //! `bench_snapshot` — counter-first performance snapshot of the engine.
 //!
-//! Runs fixed scenarios from the experiment suites E1, E4, E5, E6, E7, E9
-//! and E10, plus one through the `qc-serve` admission layer, on the engine
-//! pinned to one thread ([`EngineOptions::sequential`]) under two datalog
-//! evaluator configurations: the baseline (tuple-at-a-time fixpoints in
-//! textual body order, no magic sets) and the optimized evaluator defaults
-//! (adaptive RA routing, greedy join reordering, magic sets). It records,
-//! per scenario and configuration, the best-of-samples wall-clock ns/iter
-//! plus the `qc-obs` work-counter totals of one run. Only the datalog
-//! scenarios differ between the two configurations.
+//! Runs fixed scenarios from the experiment suites E1, E4–E7 and E9–E11,
+//! plus one through the `qc-serve` admission layer, on the engine pinned
+//! to one thread ([`EngineOptions::sequential`]) with the evaluator
+//! defaults — the one configuration the program runs. It records, per
+//! scenario, the best-of-samples wall-clock ns/iter plus the `qc-obs`
+//! work-counter totals of one run.
 //!
 //! ```sh
 //! # Regenerate the committed snapshot: every scenario's counters are
 //! # recomputed; a scenario the file already holds keeps its committed
-//! # wall-clock minima, so only new scenarios are timed. To re-time a
+//! # wall-clock minimum, so only new scenarios are timed. To re-time a
 //! # scenario, delete its entry first.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --out BENCH_PR2.json
 //! # CI smoke: recompute counters and fail when one leaves the 2x band
@@ -30,11 +27,12 @@
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --tier-self-test
 //! ```
 //!
-//! `--check` additionally measures the baseline and optimized
-//! configurations back-to-back on the [`LIVE_COMPARE`] scenarios and fails
-//! when optimized is slower than `1.25 × baseline + 10µs` — the optimized
-//! evaluator regressing behind the tuple-at-a-time baseline on wall clock
-//! fails CI even if every counter is fine.
+//! `--check` additionally times the [`LIVE_COMPARE`] scenarios twice,
+//! back-to-back: with the defaults, which route them to the compiled RA
+//! engine, and with the tuple-at-a-time kernel forced. It fails when the
+//! defaults are slower than `1.25 × tuple + 10µs` — the RA engine
+//! regressing behind the kernel it replaces on these workloads fails CI
+//! even if every counter is fine.
 //!
 //! Work counters are deterministic for a sequential engine, which is what
 //! makes the check mode meaningful on shared CI hardware: a counter that
@@ -53,13 +51,17 @@ use std::time::Instant;
 
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
 use qc_containment::{cq_contained, engine, memo, EngineOptions};
-use qc_datalog::eval::{evaluate, EvalEngine, EvalOptions, Strategy};
+use qc_datalog::eval::{evaluate, EvalEngine, EvalOptions};
 use qc_datalog::{parse_program, parse_query, ConjunctiveQuery, Symbol, Ucq};
+use qc_mediator::binding::reachable_certain_answers;
+use qc_mediator::gav::{relatively_contained_gav, GavSetting};
 use qc_mediator::minicon::minicon_rewritings;
 use qc_mediator::reductions::{asu_reduction, random_cnf3, thm33_reduction};
-use qc_mediator::relative::{max_contained_ucq_plan, relatively_contained};
+use qc_mediator::relative::{
+    decide, max_contained_ucq_plan, relatively_contained, semi_interval_plan, Question, Sources,
+};
 use qc_mediator::schema::LavSetting;
-use qc_mediator::workloads::{chain_edb, random_query, random_views, Shape};
+use qc_mediator::workloads::{chain_edb, query_program, random_query, random_views, Shape};
 use qc_serve::{Request, ServeConfig, ServeCore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,56 +97,46 @@ const TIME_FACTOR: u64 = 4;
 /// are clamped up to it before the ratio test.
 const TIME_NOISE_FLOOR_NS: u64 = 50_000;
 
-/// Scenarios whose baseline and optimized configurations are measured
-/// back-to-back during `--check`: optimized slower than
-/// `baseline × (LIVE_NUM/LIVE_DEN) + LIVE_SLACK_NS` fails. Both minima
-/// come from the same process seconds apart, so the comparison is immune
-/// to host-speed drift that the committed-snapshot gate must tolerate.
-/// They are the two recursive RA-tier scenarios: the compiled engine must
-/// beat (or at worst match, within the ratio) the tuple-at-a-time kernel.
+/// Scenarios timed during `--check` with the defaults and with the
+/// tuple kernel forced, samples interleaved: the defaults slower than
+/// `tuple × (LIVE_NUM/LIVE_DEN) + LIVE_SLACK_NS` fail. Both minima come
+/// from the same process seconds apart, so the comparison is immune to
+/// host-speed drift that the committed-snapshot gate must tolerate. They
+/// are the two recursive scenarios the defaults route to the RA engine:
+/// it must beat (or at worst match, within the ratio) the tuple kernel.
 const LIVE_COMPARE: &[&str] = &[
     "e6_binding_patterns/ra_chain_tc_96",
     "e9_rewriting_ablation/magic_seeded_reach_64",
 ];
-/// Live-compare ratio: optimized may cost at most 5/4 of baseline…
+/// Live-compare ratio: the defaults may cost at most 5/4 of the tuple
+/// kernel…
 const LIVE_NUM: u64 = 5;
 const LIVE_DEN: u64 = 4;
 /// …plus a flat allowance for sub-noise scenarios.
 const LIVE_SLACK_NS: u64 = 10_000;
 
-/// One evaluator configuration under measurement.
-struct Cfg {
-    name: &'static str,
-    eval: EvalOptions,
+/// The evaluator options every scenario runs with: the defaults.
+fn defaults() -> EvalOptions {
+    EngineOptions::sequential().eval_options()
 }
 
-fn configs() -> [Cfg; 2] {
-    [
-        Cfg {
-            name: "baseline",
-            // Tuple-at-a-time fixpoints, no dynamic join reordering, no
-            // magic sets.
-            eval: EvalOptions {
-                engine: EvalEngine::Tuple,
-                reorder: false,
-                magic_sets: false,
-                ..EvalOptions::default()
-            },
-        },
-        Cfg {
-            name: "optimized",
-            eval: EngineOptions::sequential().eval_options(),
-        },
-    ]
+/// The defaults with the tuple-at-a-time kernel forced: the other side of
+/// the live comparison.
+fn tuple_kernel() -> EvalOptions {
+    EvalOptions {
+        engine: EvalEngine::Tuple,
+        ..defaults()
+    }
 }
 
-/// Runs the scenario once under `cfg` on the engine pinned to one thread,
+/// Runs the scenario once with `eval` on the engine pinned to one thread,
 /// so counter totals stay deterministic.
-fn run(s: &Scenario, cfg: &Cfg) {
-    engine::with_options(EngineOptions::sequential(), || (s.run)(cfg));
+fn run(s: &Scenario, eval: &EvalOptions) {
+    engine::with_options(EngineOptions::sequential(), || (s.run)(eval));
 }
 
-type RunFn = Box<dyn Fn(&Cfg)>;
+/// A scenario body. Only the datalog scenarios read the evaluator options.
+type RunFn = Box<dyn Fn(&EvalOptions)>;
 
 struct Scenario {
     name: &'static str,
@@ -158,7 +150,7 @@ fn scenarios() -> Vec<Scenario> {
     let (views, queries) = qc_bench::example1();
     out.push(Scenario {
         name: "e1_example1/all_pairs_expansion",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             for (i, (qa, na)) in queries.iter().enumerate() {
                 for (j, (qb, nb)) in queries.iter().enumerate() {
                     if i != j {
@@ -169,24 +161,42 @@ fn scenarios() -> Vec<Scenario> {
         }),
     });
 
-    // E4 — Theorem 3.3 Π₂ᵖ reduction instance (4 universal vars, 3
-    // clauses; same seeding scheme as the criterion bench).
-    let mut rng = StdRng::seed_from_u64(104);
-    let f = random_cnf3(2, 4, 3, &mut rng);
-    let inst = thm33_reduction(&f);
-    out.push(Scenario {
-        name: "e4_pi2p_scaling/universal_vars_4",
-        run: Box::new(move |_cfg| {
-            relatively_contained(
-                &inst.contained,
-                &inst.contained_ans,
-                &inst.container,
-                &inst.container_ans,
-                &inst.views,
-            )
-            .unwrap();
-        }),
-    });
+    // E4 — Theorem 3.3 Π₂ᵖ reduction instances: universal variables
+    // m = 1..4 at 3 clauses (seed 100 + m), then clauses p = 1..5 at
+    // m = 2 (seed 200 + p). Each universal variable doubles the plan.
+    let thm33 = |name: &'static str, seed: u64, m: usize, p: usize| {
+        let inst = thm33_reduction(&random_cnf3(2, m, p, &mut StdRng::seed_from_u64(seed)));
+        Scenario {
+            name,
+            run: Box::new(move |_eval| {
+                relatively_contained(
+                    &inst.contained,
+                    &inst.contained_ans,
+                    &inst.container,
+                    &inst.container_ans,
+                    &inst.views,
+                )
+                .unwrap();
+            }),
+        }
+    };
+    for (m, name) in [
+        (1, "e4_pi2p_scaling/universal_vars_1"),
+        (2, "e4_pi2p_scaling/universal_vars_2"),
+        (3, "e4_pi2p_scaling/universal_vars_3"),
+        (4, "e4_pi2p_scaling/universal_vars_4"),
+    ] {
+        out.push(thm33(name, 100 + m as u64, m, 3));
+    }
+    for (p, name) in [
+        (1, "e4_pi2p_scaling/clauses_1"),
+        (2, "e4_pi2p_scaling/clauses_2"),
+        (3, "e4_pi2p_scaling/clauses_3"),
+        (4, "e4_pi2p_scaling/clauses_4"),
+        (5, "e4_pi2p_scaling/clauses_5"),
+    ] {
+        out.push(thm33(name, 200 + p as u64, 2, p));
+    }
 
     // E5 — the NP baseline: ASU SAT reduction and chain-into-chain.
     let mut rng = StdRng::seed_from_u64(6);
@@ -194,7 +204,7 @@ fn scenarios() -> Vec<Scenario> {
     let (q1, q2) = asu_reduction(&f);
     out.push(Scenario {
         name: "e5_cq_baseline/asu_nvars_6",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             cq_contained(&q2, &q1);
         }),
     });
@@ -204,7 +214,7 @@ fn scenarios() -> Vec<Scenario> {
     let cb = ConjunctiveQuery::from_rule(&qb.rules()[0]);
     out.push(Scenario {
         name: "e5_cq_baseline/chain_16",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             cq_contained(&ca, &cb);
             cq_contained(&cb, &ca);
         }),
@@ -217,7 +227,7 @@ fn scenarios() -> Vec<Scenario> {
     let cb4 = ConjunctiveQuery::from_rule(&qb4.rules()[0]);
     out.push(Scenario {
         name: "e5_cq_baseline/chain_4",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             cq_contained(&ca4, &cb4);
             cq_contained(&cb4, &ca4);
         }),
@@ -244,11 +254,20 @@ fn scenarios() -> Vec<Scenario> {
     });
     out.push(Scenario {
         name: "e7_semi_interval/thm51_dealer",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             let [qa, qv, qq] = &dealer_queries;
             for (a, b) in [(qv, qa), (qa, qv), (qa, qq), (qq, qa)] {
                 relatively_contained(&a.0, &a.1, &b.0, &b.1, &dealer).unwrap();
             }
+        }),
+    });
+    // E7 — Example 4: Theorem 5.1's plan P3 for Example 1's Q3.
+    let (ex1_views, ex1_queries) = qc_bench::example1();
+    let q3 = ConjunctiveQuery::from_rule(&ex1_queries[2].0.rules()[0]);
+    out.push(Scenario {
+        name: "e7_semi_interval/example4_plan",
+        run: Box::new(move |_eval| {
+            semi_interval_plan(&q3, &ex1_views).unwrap();
         }),
     });
 
@@ -262,25 +281,33 @@ fn scenarios() -> Vec<Scenario> {
     let m4_views = m4.views.clone();
     out.push(Scenario {
         name: "e9_rewriting_ablation/inverse_rules_thm33_m4",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             max_contained_ucq_plan(&m4.contained, &m4.contained_ans, &m4.views).unwrap();
         }),
     });
     out.push(Scenario {
         name: "e9_rewriting_ablation/minicon_thm33_m4",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             for d in &m4_disjuncts {
                 minicon_rewritings(d, &m4_views);
             }
         }),
     });
-    // E9 — rewriting: MiniCon on a chain query over 8 random views.
+    // E9 — rewriting: a chain query over 8 random views, planned by the
+    // inverse rules and by MiniCon.
     let mut rng = StdRng::seed_from_u64(8);
     let q = random_query(Shape::Chain, 3, 2, &mut rng);
     let vs = random_views(8, 2, &mut rng);
+    let (q_prog, vs8) = (query_program(&q), vs.clone());
+    out.push(Scenario {
+        name: "e9_rewriting_ablation/inverse_rules_8views",
+        run: Box::new(move |_eval| {
+            max_contained_ucq_plan(&q_prog, &Symbol::new("q"), &vs8).unwrap();
+        }),
+    });
     out.push(Scenario {
         name: "e9_rewriting_ablation/minicon_8views",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             minicon_rewritings(&q, &vs);
         }),
     });
@@ -291,51 +318,70 @@ fn scenarios() -> Vec<Scenario> {
     let v1 = random_views(1, 2, &mut rng);
     out.push(Scenario {
         name: "e9_rewriting_ablation/minicon_single_view",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             minicon_rewritings(&q1v, &v1);
         }),
     });
 
-    // E10 — engine ablation: naïve-strategy transitive closure (the
-    // workload where join order dominates: the textual order scans the
-    // quadratic `t`, the greedy order scans the linear `e`), plus the
-    // datalog ⊆ UCQ type fixpoint.
     let tc = parse_program("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).").unwrap();
-    let db = chain_edb("e", 48);
-    let tc2 = tc.clone();
-    out.push(Scenario {
-        name: "e10_engine_ablation/tc_naive_chain48",
-        run: Box::new(move |cfg| {
-            evaluate(
-                &tc2,
-                &db,
-                &EvalOptions {
-                    strategy: Strategy::Naive,
-                    ..cfg.eval
-                },
-            )
-            .unwrap();
-        }),
-    });
     // E6 — recursive chain plan: full transitive closure on a 96-node
-    // chain (4 560 derived tuples over 95 semi-naive rounds). The
-    // baseline runs the tuple-at-a-time kernel; the optimized adaptive
-    // router sends this to the compiled RA engine (recursive → RA), so
-    // the paired-minima gate measures batch deltas against per-tuple
-    // substitution on the workload the RA tier exists for.
+    // chain (4 560 derived tuples over 95 semi-naive rounds). The adaptive
+    // router sends this to the compiled RA engine (recursive → RA); the
+    // live gate times it against the tuple kernel forced, so it measures
+    // batch deltas against per-tuple substitution on the workload the RA
+    // tier exists for.
     let tc_ra = tc.clone();
     let db96 = chain_edb("e", 96);
     out.push(Scenario {
         name: "e6_binding_patterns/ra_chain_tc_96",
-        run: Box::new(move |cfg| {
-            evaluate(&tc_ra, &db96, &cfg.eval).unwrap();
+        run: Box::new(move |eval| {
+            evaluate(&tc_ra, &db96, eval).unwrap();
+        }),
+    });
+    // E6 — §4 binding patterns: reachable certain answers over a
+    // 256-step citation chain through a `bf` source (the `dom` recursion
+    // depth grows with the chain), and one Theorem 4.2 decision.
+    let mut cites =
+        LavSetting::parse(&["Cites(P1, P2) :- cites(P1, P2)."]).expect("cites view parses");
+    cites.sources[0] = cites.sources[0].clone().with_adornment("bf");
+    let q_cites = parse_program("q(P) :- cites(p0, P). q(P) :- q(Q2), cites(Q2, P).").unwrap();
+    let chain256: String = (0..256)
+        .map(|i| format!("Cites(p{i}, p{}). ", i + 1))
+        .collect();
+    let chain256 = qc_datalog::Database::parse(&chain256).unwrap();
+    out.push(Scenario {
+        name: "e6_binding_patterns/reachable_chain_256",
+        run: Box::new(move |eval| {
+            reachable_certain_answers(&q_cites, &Symbol::new("q"), &cites, &chain256, eval)
+                .unwrap();
+        }),
+    });
+    let mut books = LavSetting::parse(&[
+        "Catalog(Author, Isbn) :- authored(Isbn, Author).",
+        "PriceOf(Isbn, Price) :- price(Isbn, Price).",
+    ])
+    .expect("book views parse");
+    for s in &mut books.sources {
+        *s = s.clone().with_adornment("bf");
+    }
+    let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
+    let q_red = parse_program("qf(P) :- authored(I, eco), price(I, P), authored(I, A).").unwrap();
+    out.push(Scenario {
+        name: "e6_binding_patterns/thm42_decision",
+        run: Box::new(move |_eval| {
+            let question = Question {
+                binding_patterns: true,
+                ..Question::new(&q_eco, &Symbol::new("qe"), &q_red, &Symbol::new("qf"))
+            };
+            decide(&question, Sources::Views(&books)).unwrap();
         }),
     });
     // E9 — binding-pattern workload: reachability seeded at one constant
-    // over two disconnected 64-node chains. With magic sets (optimized)
-    // only the component reachable from the seed is derived; the tuple
-    // baseline materializes the full closure of both components before
-    // selecting. The committed derived-facts counters record the pruning.
+    // over two disconnected 64-node chains. With magic sets only the
+    // component reachable from the seed is derived; the tuple kernel
+    // (forced by the live gate) materializes the full closure of both
+    // components before selecting. The committed derived-facts counters
+    // record the pruning.
     let seeded =
         parse_program("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z). q(Y) :- t(c0, Y).")
             .unwrap();
@@ -346,19 +392,44 @@ fn scenarios() -> Vec<Scenario> {
     let db_seeded = qc_datalog::Database::parse(&facts).unwrap();
     out.push(Scenario {
         name: "e9_rewriting_ablation/magic_seeded_reach_64",
-        run: Box::new(move |cfg| {
-            qc_datalog::eval::answers(&seeded, &db_seeded, &Symbol::new("q"), &cfg.eval).unwrap();
+        run: Box::new(move |eval| {
+            qc_datalog::eval::answers(&seeded, &db_seeded, &Symbol::new("q"), eval).unwrap();
         }),
     });
 
+    // E10 — the datalog ⊆ UCQ type fixpoint on transitive closure.
     let q_ucq = Ucq::single(parse_query("t(X, Y) :- e(X, A), e(B, Y).").unwrap());
     out.push(Scenario {
         name: "e10_engine_ablation/type_fixpoint",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             datalog_contained_in_ucq(&tc, &Symbol::new("t"), &q_ucq, &FixpointBudget::default())
                 .unwrap();
         }),
     });
+
+    // E11 — the GAV corollary: containment of unfoldings through a
+    // mediated relation defined as a union of n sources, n = 2 and 16.
+    let gav = |name: &'static str, n: usize| {
+        let defs: Vec<String> = (0..n).map(|i| format!("m(X, Y) :- s{i}(X, Y).")).collect();
+        let setting = GavSetting::parse(&defs.join("\n")).expect("GAV definitions parse");
+        let q1 = parse_program("q1(X) :- m(X, Y), m(Y, Z).").unwrap();
+        let q2 = parse_program("q2(X) :- m(X, Y).").unwrap();
+        Scenario {
+            name,
+            run: Box::new(move |_eval| {
+                relatively_contained_gav(
+                    &q1,
+                    &Symbol::new("q1"),
+                    &q2,
+                    &Symbol::new("q2"),
+                    &setting,
+                )
+                .unwrap();
+            }),
+        }
+    };
+    out.push(gav("e11_gav/union_defs_2", 2));
+    out.push(gav("e11_gav/union_defs_16", 16));
 
     // Serve — admission, checkpoints, resume and the journal, on one
     // question with eight plan disjuncts. Each e{j} of Q1 is reachable
@@ -388,7 +459,7 @@ fn scenarios() -> Vec<Scenario> {
     let q2 = parse_program(&format!("b() :- {}.", q2_body.join(", "))).unwrap();
     out.push(Scenario {
         name: "serve/plan8_admission_resume",
-        run: Box::new(move |_cfg| {
+        run: Box::new(move |_eval| {
             let core = ServeCore::new(views.clone(), ServeConfig::default());
             let mut req = Request::new(q1.clone(), Symbol::new("a"), q2.clone(), Symbol::new("b"));
             let mut budget = 1u64;
@@ -416,12 +487,12 @@ fn scenarios() -> Vec<Scenario> {
 
 /// Runs the scenario once under a fresh recorder and returns the nonzero
 /// counter totals, in `Counter::ALL` order.
-fn counters_of(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
+fn counters_of(s: &Scenario) -> Vec<(String, u64)> {
     memo::clear();
     let rec = Arc::new(qc_obs::PipelineRecorder::new());
     {
         let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
-        run(s, cfg);
+        run(s, &defaults());
     }
     let snap = rec.counters().snapshot();
     qc_obs::Counter::ALL
@@ -436,18 +507,18 @@ fn counters_of(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
 /// Same as [`counters_of`], but with an unlimited [`qc_guard::Guard`]
 /// installed: the zero-overhead-when-idle check demands that a guard with
 /// no limits leaves every work counter bit-for-bit identical.
-fn counters_of_guarded(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
+fn counters_of_guarded(s: &Scenario) -> Vec<(String, u64)> {
     let guard = qc_guard::Guard::unlimited();
-    qc_guard::with_guard(&guard, || counters_of(s, cfg))
+    qc_guard::with_guard(&guard, || counters_of(s))
 }
 
 /// One timed sample: `reps` cold runs (memo cleared before every run)
-/// under `cfg`, amortized to whole nanoseconds per run.
-fn sample_ns(s: &Scenario, cfg: &Cfg, reps: u64) -> u64 {
+/// with `eval`, amortized to whole nanoseconds per run.
+fn sample_ns(s: &Scenario, eval: &EvalOptions, reps: u64) -> u64 {
     let t0 = Instant::now();
     for _ in 0..reps {
         memo::clear();
-        run(s, cfg);
+        run(s, eval);
     }
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / reps.max(1)
 }
@@ -455,28 +526,30 @@ fn sample_ns(s: &Scenario, cfg: &Cfg, reps: u64) -> u64 {
 /// Sizes one sample to roughly [`SAMPLE_TARGET_NS`] of work via a pilot
 /// run, so cheap scenarios are averaged over many repeats per sample
 /// instead of trusting a single sub-microsecond timing.
-fn sample_reps(s: &Scenario, cfg: &Cfg) -> u64 {
-    let pilot = sample_ns(s, cfg, 1).max(1);
+fn sample_reps(s: &Scenario, eval: &EvalOptions) -> u64 {
+    let pilot = sample_ns(s, eval, 1).max(1);
     (SAMPLE_TARGET_NS / pilot).clamp(1, MAX_SAMPLE_REPS)
 }
 
-/// Best (minimum) wall-clock ns over [`TIMED_ITERS`] samples.
-fn best_ns(s: &Scenario, cfg: &Cfg) -> u64 {
-    let reps = sample_reps(s, cfg);
+/// Best (minimum) wall-clock ns over [`TIMED_ITERS`] samples with the
+/// defaults.
+fn best_ns(s: &Scenario) -> u64 {
+    let eval = defaults();
+    let reps = sample_reps(s, &eval);
     (0..TIMED_ITERS)
-        .map(|_| sample_ns(s, cfg, reps))
+        .map(|_| sample_ns(s, &eval, reps))
         .min()
         .unwrap_or(u64::MAX)
 }
 
-/// Best wall clock for two configurations with their samples interleaved
-/// (A B | B A | A B …). The host this runs on can drift 2× in throughput
-/// between one measurement window and the next; measuring one
-/// configuration to completion and then the other lets that drift
-/// masquerade as an engine difference. Interleaving keeps both
-/// configurations inside the same windows, and taking each side's fastest
-/// sample discards the windows interference landed on.
-fn paired_best_ns(s: &Scenario, a: &Cfg, b: &Cfg) -> (u64, u64) {
+/// Best wall clock for two evaluator options with their samples
+/// interleaved (A B | B A | A B …). The host this runs on can drift 2× in
+/// throughput between one measurement window and the next; measuring one
+/// side to completion and then the other lets that drift masquerade as
+/// an engine difference. Interleaving keeps both sides inside the same
+/// windows, and taking each side's fastest sample discards the windows
+/// interference landed on.
+fn paired_best_ns(s: &Scenario, a: &EvalOptions, b: &EvalOptions) -> (u64, u64) {
     let (ra, rb) = (sample_reps(s, a), sample_reps(s, b));
     let mut ta = Vec::with_capacity(TIMED_ITERS);
     let mut tb = Vec::with_capacity(TIMED_ITERS);
@@ -493,53 +566,47 @@ fn paired_best_ns(s: &Scenario, a: &Cfg, b: &Cfg) -> (u64, u64) {
     (best(ta), best(tb))
 }
 
-/// The committed baseline and optimized `min_ns` of scenario `name`, when
-/// `committed` (a snapshot, or `Value::Null`) holds both.
-fn committed_minima(committed: &Value, name: &str) -> Option<(u64, u64)> {
-    let row = committed
+/// The row of scenario `name` in `committed` (a snapshot, or
+/// `Value::Null`).
+fn committed_row<'v>(committed: &'v Value, name: &str) -> Option<&'v Value> {
+    committed
         .get_field("scenarios")
         .as_array()?
         .iter()
-        .find(|r| r.get_field("name").as_str() == Some(name))?;
-    let [base, opt] = configs().map(|c| as_u64(row.get_field(c.name).get_field("min_ns")));
-    Some((base?, opt?))
+        .find(|r| r.get_field("name").as_str() == Some(name))
 }
 
-/// A fresh snapshot: every scenario's counters, with the minima
-/// `committed` holds for it ([`committed_minima`]) or, for a scenario new
-/// to it, measured ones. One timing run on a shared 2-core host moved the
+/// The committed `min_ns` of scenario `name`, when `committed` holds one.
+fn committed_min_ns(committed: &Value, name: &str) -> Option<u64> {
+    as_u64(committed_row(committed, name)?.get_field("min_ns"))
+}
+
+/// A fresh snapshot: every scenario's counters, with the minimum
+/// `committed` holds for it ([`committed_min_ns`]) or, for a scenario new
+/// to it, a measured one. One timing run on a shared 2-core host moved the
 /// minima of scenarios a change did not touch by up to 1.7x, so re-timing
 /// them would loosen or tighten their gates at random.
 fn snapshot(committed: &Value) -> Value {
     let mut rows = Vec::new();
     for s in scenarios() {
-        let mut row = vec![("name".to_string(), Value::Str(s.name.to_string()))];
-        let cfgs = configs();
-        let (base_ns, opt_ns) = committed_minima(committed, s.name)
-            .unwrap_or_else(|| paired_best_ns(&s, &cfgs[0], &cfgs[1]));
-        for (cfg, ns) in cfgs.iter().zip([base_ns, opt_ns]) {
-            let counters = counters_of(&s, cfg);
-            eprintln!("{:<44} {:<10} {:>12} ns", s.name, cfg.name, ns);
-            row.push((
-                cfg.name.to_string(),
-                Value::Object(vec![
-                    ("min_ns".to_string(), Value::UInt(ns)),
-                    (
-                        "counters".to_string(),
-                        Value::Object(
-                            counters
-                                .into_iter()
-                                .map(|(k, v)| (k, Value::UInt(v)))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        rows.push(Value::Object(row));
+        let ns = committed_min_ns(committed, s.name).unwrap_or_else(|| best_ns(&s));
+        eprintln!("{:<44} {:>12} ns", s.name, ns);
+        rows.push(Value::Object(vec![
+            ("name".to_string(), Value::Str(s.name.to_string())),
+            ("min_ns".to_string(), Value::UInt(ns)),
+            (
+                "counters".to_string(),
+                Value::Object(
+                    counters_of(&s)
+                        .into_iter()
+                        .map(|(k, v)| (k, Value::UInt(v)))
+                        .collect(),
+                ),
+            ),
+        ]));
     }
     Value::Object(vec![
-        ("schema".to_string(), Value::Str("bench_pr2/v2".to_string())),
+        ("schema".to_string(), Value::Str("bench_pr2/v3".to_string())),
         (
             "wall_clock_gate".to_string(),
             Value::Object(vec![
@@ -589,18 +656,18 @@ fn time_gate_trips(current_ns: u64, committed_ns: u64, factor: u64) -> bool {
     current_ns > factor.saturating_mul(committed_ns.max(TIME_NOISE_FLOOR_NS))
 }
 
-/// True when the optimized engine is slower than the live-measured
-/// baseline past the tolerance: `opt > base × 5/4 + 10µs`.
-fn live_gate_trips(opt_ns: u64, base_ns: u64) -> bool {
-    opt_ns > base_ns.saturating_mul(LIVE_NUM) / LIVE_DEN + LIVE_SLACK_NS
+/// True when the defaults are slower than the live-measured tuple kernel
+/// past the tolerance: `defaults > tuple × 5/4 + 10µs`.
+fn live_gate_trips(default_ns: u64, tuple_ns: u64) -> bool {
+    default_ns > tuple_ns.saturating_mul(LIVE_NUM) / LIVE_DEN + LIVE_SLACK_NS
 }
 
-/// Recomputes the optimized-engine counters and fails on any counter that
+/// Recomputes every scenario's counters and fails on any counter that
 /// left the committed band ([`counter_gate_trips`]), then remeasures
-/// wall-clock minima and fails on any scenario
-/// slower than `time_factor ×` the committed value (after the noise
-/// floor). `inject_slowdown` multiplies the measured minima — a CI
-/// self-test hook proving the gate actually trips.
+/// wall-clock minima and fails on any scenario slower than
+/// `time_factor ×` the committed value (after the noise floor).
+/// `inject_slowdown` multiplies the measured minima — a CI self-test hook
+/// proving the gate actually trips.
 fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
     let committed = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -616,27 +683,18 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some(rows) = committed.get_field("scenarios").as_array() else {
+    if committed.get_field("scenarios").as_array().is_none() {
         eprintln!("{path}: missing scenarios array");
         return ExitCode::from(2);
-    };
-    let cfg = configs()
-        .into_iter()
-        .find(|c| c.name == "optimized")
-        .expect("optimized config exists");
+    }
     let mut failures = 0usize;
     for s in scenarios() {
-        let Some(row) = rows
-            .iter()
-            .find(|r| r.get_field("name").as_str() == Some(s.name))
-        else {
+        let Some(row) = committed_row(&committed, s.name) else {
             eprintln!("SKIP {}: not in committed snapshot", s.name);
             continue;
         };
-        let current = counters_of(&s, &cfg);
-        let opt = row.get_field("optimized");
-        let want = opt.get_field("counters");
-        let Value::Object(want) = want else {
+        let current = counters_of(&s);
+        let Value::Object(want) = row.get_field("counters") else {
             eprintln!("SKIP {}: malformed counters", s.name);
             continue;
         };
@@ -673,7 +731,7 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
         }
         // Zero-overhead-when-idle: an unlimited guard must not change a
         // single work counter relative to the unguarded run.
-        let guarded = counters_of_guarded(&s, &cfg);
+        let guarded = counters_of_guarded(&s);
         if guarded == current {
             eprintln!("ok {:<44} guarded-unlimited counters identical", s.name);
         } else {
@@ -685,8 +743,8 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
         }
         // Wall-clock gate: remeasure (best of TIMED_ITERS samples)
         // and compare against the committed value.
-        if let Some(committed_ns) = as_u64(opt.get_field("min_ns")) {
-            let measured = best_ns(&s, &cfg).saturating_mul(inject_slowdown);
+        if let Some(committed_ns) = as_u64(row.get_field("min_ns")) {
+            let measured = best_ns(&s).saturating_mul(inject_slowdown);
             if time_gate_trips(measured, committed_ns, time_factor) {
                 eprintln!(
                     "WALL-CLOCK REGRESSION {}: min {} ns (committed {} ns, limit {}x)",
@@ -703,29 +761,25 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
             eprintln!("SKIP {}: no committed min_ns", s.name);
         }
     }
-    // Live optimized-vs-baseline comparison: both configurations measured
-    // with interleaved samples in this process, so "optimized lost to the
-    // baseline" cannot hide behind host-speed drift.
-    let baseline_cfg = configs()
-        .into_iter()
-        .find(|c| c.name == "baseline")
-        .expect("baseline config exists");
+    // Live defaults-vs-tuple comparison: both measured with interleaved
+    // samples in this process, so "the RA engine lost to the tuple
+    // kernel" cannot hide behind host-speed drift.
     for s in scenarios() {
         if !LIVE_COMPARE.contains(&s.name) {
             continue;
         }
-        let (base, opt_raw) = paired_best_ns(&s, &baseline_cfg, &cfg);
-        let opt = opt_raw.saturating_mul(inject_slowdown);
-        if live_gate_trips(opt, base) {
+        let (tuple, default_raw) = paired_best_ns(&s, &tuple_kernel(), &defaults());
+        let default_ns = default_raw.saturating_mul(inject_slowdown);
+        if live_gate_trips(default_ns, tuple) {
             eprintln!(
-                "OPTIMIZED SLOWER THAN BASELINE {}: optimized {} ns vs baseline {} ns",
-                s.name, opt, base
+                "DEFAULTS SLOWER THAN THE TUPLE KERNEL {}: defaults {} ns vs tuple {} ns",
+                s.name, default_ns, tuple
             );
             failures += 1;
         } else {
             eprintln!(
-                "ok {:<44} optimized {} ns ≤ gate of baseline {} ns",
-                s.name, opt, base
+                "ok {:<44} defaults {} ns ≤ gate of tuple {} ns",
+                s.name, default_ns, tuple
             );
         }
     }
@@ -740,9 +794,9 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
 
 /// `--tier-self-test`: proves the size-routed tiers actually route. A
 /// small and a large containment check must split across the
-/// `EngineTierDirect` / `EngineTierOptimized` counters, and the recursive
-/// scenarios must run the RA evaluator only under the optimized
-/// configuration.
+/// `EngineTierDirect` / `EngineTierOptimized` counters, and the
+/// live-compared scenarios must run the RA evaluator with the defaults
+/// and the tuple kernel when it is forced.
 fn tier_self_test() -> ExitCode {
     let small = parse_query("q(X) :- e(X, Y).").unwrap();
     let small_to = parse_query("q(A) :- e(A, B).").unwrap();
@@ -793,11 +847,10 @@ fn tier_self_test() -> ExitCode {
         false,
     );
 
-    // RA eval tier: the recursive bench scenarios must actually exercise
-    // the compiled engine under the optimized configuration (and the
-    // tuple kernel under the baseline) — otherwise the committed RA-vs-
-    // tuple comparison silently measures the same engine twice.
-    let eval_tiers = |cfg: &Cfg, scenario: &str| {
+    // RA eval tier: the live-compared scenarios must exercise the compiled
+    // engine with the defaults and the tuple kernel when it is forced —
+    // otherwise the live gate silently measures the same engine twice.
+    let eval_tiers = |eval: &EvalOptions, scenario: &str| {
         let s = scenarios()
             .into_iter()
             .find(|s| s.name == scenario)
@@ -805,7 +858,7 @@ fn tier_self_test() -> ExitCode {
         let rec = Arc::new(qc_obs::PipelineRecorder::new());
         {
             let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
-            run(&s, cfg);
+            run(&s, eval);
         }
         (
             rec.counters().get(qc_obs::Counter::EvalTierRa),
@@ -813,28 +866,24 @@ fn tier_self_test() -> ExitCode {
             rec.counters().get(qc_obs::Counter::RaMagicPrunedTuples),
         )
     };
-    let cfgs = configs();
-    for scenario in [
-        "e6_binding_patterns/ra_chain_tc_96",
-        "e9_rewriting_ablation/magic_seeded_reach_64",
-    ] {
-        let (ra, tup, _) = eval_tiers(&cfgs[1], scenario);
+    for scenario in LIVE_COMPARE {
+        let (ra, tup, _) = eval_tiers(&defaults(), scenario);
         if ra > 0 && tup == 0 {
-            eprintln!("ok {scenario} optimized routes RA: ra={ra} tuple={tup}");
+            eprintln!("ok {scenario} defaults route RA: ra={ra} tuple={tup}");
         } else {
-            eprintln!("TIER ROUTING WRONG {scenario} optimized: ra={ra} tuple={tup}");
+            eprintln!("TIER ROUTING WRONG {scenario} defaults: ra={ra} tuple={tup}");
             failures += 1;
         }
-        let (ra_b, tup_b, _) = eval_tiers(&cfgs[0], scenario);
-        if ra_b == 0 && tup_b > 0 {
-            eprintln!("ok {scenario} baseline stays tuple: ra={ra_b} tuple={tup_b}");
+        let (ra_t, tup_t, _) = eval_tiers(&tuple_kernel(), scenario);
+        if ra_t == 0 && tup_t > 0 {
+            eprintln!("ok {scenario} forced tuple stays tuple: ra={ra_t} tuple={tup_t}");
         } else {
-            eprintln!("TIER ROUTING WRONG {scenario} baseline: ra={ra_b} tuple={tup_b}");
+            eprintln!("TIER ROUTING WRONG {scenario} forced tuple: ra={ra_t} tuple={tup_t}");
             failures += 1;
         }
     }
     // Magic sets must prune on the seeded E9 workload.
-    let (_, _, pruned) = eval_tiers(&cfgs[1], "e9_rewriting_ablation/magic_seeded_reach_64");
+    let (_, _, pruned) = eval_tiers(&defaults(), "e9_rewriting_ablation/magic_seeded_reach_64");
     if pruned > 0 {
         eprintln!("ok magic sets prune on seeded reachability: pruned={pruned}");
     } else {
@@ -987,20 +1036,17 @@ mod tests {
     fn regeneration_keeps_committed_minima_and_times_new_scenarios() {
         let committed = serde_json::from_str::<Value>(
             r#"{"scenarios": [
-                {"name": "kept",
-                 "baseline": {"min_ns": 10, "counters": {}},
-                 "optimized": {"min_ns": 20, "counters": {}}},
-                {"name": "half",
-                 "optimized": {"min_ns": 30, "counters": {}}}
+                {"name": "kept", "min_ns": 20, "counters": {}},
+                {"name": "untimed", "counters": {}}
             ]}"#,
         )
         .unwrap();
-        assert_eq!(committed_minima(&committed, "kept"), Some((10, 20)));
-        // A scenario the file lacks, or holds only in part, is timed.
-        assert_eq!(committed_minima(&committed, "new"), None);
-        assert_eq!(committed_minima(&committed, "half"), None);
+        assert_eq!(committed_min_ns(&committed, "kept"), Some(20));
+        // A scenario the file lacks, or holds without a minimum, is timed.
+        assert_eq!(committed_min_ns(&committed, "new"), None);
+        assert_eq!(committed_min_ns(&committed, "untimed"), None);
         // No file yet: everything is timed.
-        assert_eq!(committed_minima(&Value::Null, "kept"), None);
+        assert_eq!(committed_min_ns(&Value::Null, "kept"), None);
     }
 
     #[test]

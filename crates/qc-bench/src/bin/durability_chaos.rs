@@ -1,7 +1,8 @@
 //! `durability_chaos` — kill–restart chaos for the durable serving layer.
 //!
-//! For a corpus of random chain workloads (oracle-checked, as in
-//! `service_chaos`), each trial runs a serving **generation** against a
+//! For a corpus of random chain workloads and multi-disjunct plans
+//! (oracle-checked, as in `service_chaos`), each trial runs a serving
+//! **generation** against a
 //! file-backed checkpoint journal, kills it — sometimes mid-append, via a
 //! `stage::JOURNAL` panic fault that tears the record in half — sometimes
 //! after corrupting the journal file directly, and then restarts against
@@ -42,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use qc_datalog::Symbol;
+use qc_datalog::{parse_program, Program, Symbol};
 use qc_guard::{stage, FaultKind, FaultPlan};
 use qc_mediator::relative::{decide, Question, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
@@ -58,6 +59,9 @@ struct Tally {
     trials: usize,
     kills: usize,
     corruptions: usize,
+    /// Trials whose journal held durable proven progress when phase A
+    /// ended: the ones a beheading can destroy.
+    durable: usize,
     resumes: usize,
     coalesced: u64,
     failures: usize,
@@ -88,23 +92,60 @@ struct Case {
     oracle: Verdict,
 }
 
+/// A random case: one in three from [`multi_disjunct_question`], the
+/// rest a random chain workload.
 fn random_case(rng: &mut StdRng) -> Option<Case> {
-    let q = Symbol::new("q");
-    let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
-    let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
-    let views = random_views(3, 2, rng);
-    let p1 = query_program(&cq1);
-    let p2 = query_program(&cq2);
-    let oracle =
-        match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views)).map(|d| d.verdict) {
-            Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-            _ => return None,
-        };
+    let (views, p1, a1, p2, a2) = if rng.gen_range(0..3) == 0 {
+        multi_disjunct_question(rng)
+    } else {
+        let q = Symbol::new("q");
+        let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
+        let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
+        let views = random_views(3, 2, rng);
+        (views, query_program(&cq1), q, query_program(&cq2), q)
+    };
+    let oracle = match decide(&Question::new(&p1, &a1, &p2, &a2), Sources::Views(&views))
+        .map(|d| d.verdict)
+    {
+        Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
+        _ => return None,
+    };
     Some(Case {
         views,
-        req: Request::new(p1, q, p2, q),
+        req: Request::new(p1, a1, p2, a2),
         oracle,
     })
+}
+
+/// A question whose plan has `2^m` disjuncts, m = 2–3, each checked at a
+/// cost of several work units, so the gentle budget climb of phase A
+/// stops between disjuncts and journals proven ones (the random chain
+/// workloads rarely leave such progress). Each `e{j}` of Q1 is reachable
+/// only through two constant views, `w{j}_0` and `w{j}_1`. Q2 repeats Q1's
+/// body 2–4 times with fresh variables, so it is equivalent to Q1 and
+/// every disjunct is proven, unless (one time in four) one copy pins
+/// `e{j}` to 0: then the disjuncts through `w{j}_1` refute it.
+fn multi_disjunct_question(rng: &mut StdRng) -> (LavSetting, Program, Symbol, Program, Symbol) {
+    let m = rng.gen_range(2..=3usize);
+    let views: Vec<String> = (0..m)
+        .flat_map(|j| (0..2).map(move |b| format!("w{j}_{b}() :- e{j}({b}).")))
+        .collect();
+    let views = LavSetting::parse(&views.iter().map(String::as_str).collect::<Vec<_>>())
+        .expect("views parse");
+    let body: Vec<String> = (0..m).map(|j| format!("e{j}(U{j})")).collect();
+    let q1 = parse_program(&format!("a() :- {}.", body.join(", "))).expect("q1 parses");
+    let pinned = rng.gen_bool(0.25).then(|| rng.gen_range(0..m));
+    let copies = rng.gen_range(2..=4usize);
+    let q2_body: Vec<String> = (0..copies)
+        .flat_map(|c| {
+            (0..m).map(move |j| match pinned {
+                Some(p) if p == j && c == 0 => format!("e{j}(0)"),
+                _ => format!("e{j}(Y{j}_{c})"),
+            })
+        })
+        .collect();
+    let q2 = parse_program(&format!("b() :- {}.", q2_body.join(", "))).expect("q2 parses");
+    (views, q1, Symbol::new("a"), q2, Symbol::new("b"))
 }
 
 /// Ways a trial damages the journal file between generations.
@@ -365,6 +406,10 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
         // drain or graceful close.
     }
 
+    if durable_floor > 0 {
+        tally.durable += 1;
+    }
+
     // --- Optional damage between the generations. ---
     let damage = if tally.inject_corruption || rng.gen_bool(0.25) {
         let d = if tally.inject_corruption {
@@ -581,10 +626,12 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&dir);
 
     println!(
-        "durability_chaos: {} trials ({} skipped), {} mid-append kills, \
-         {} corruptions injected, {} resumes, {} coalesced hits, {} failures",
+        "durability_chaos: {} trials ({} skipped), {} with durable progress at the restart, \
+         {} mid-append kills, {} corruptions injected, {} resumes, {} coalesced hits, \
+         {} failures",
         tally.trials,
         skipped,
+        tally.durable,
         tally.kills,
         tally.corruptions,
         tally.resumes,

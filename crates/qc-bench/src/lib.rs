@@ -1,8 +1,9 @@
 //! Shared workload builders for the benchmark harness.
 //!
-//! Each Criterion bench in `benches/` regenerates one experiment of the
-//! evaluation suite (`DESIGN.md` §6); measured numbers are recorded in
-//! `EXPERIMENTS.md`.
+//! The `bench_snapshot` bin times and counts fixed scenarios of each
+//! experiment of the evaluation suite (`DESIGN.md` §6) against the
+//! committed `BENCH_PR2.json`; `EXPERIMENTS.md` quotes those numbers, each
+//! with the scenario that reproduces it.
 
 use qc_datalog::{parse_program, Program, Symbol};
 use qc_mediator::schema::LavSetting;

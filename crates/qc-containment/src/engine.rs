@@ -212,12 +212,8 @@ mod tests {
                 .eval_options(),
         );
         assert_eq!(
-            (e.strategy, e.reorder, e.engine, e.magic_sets, e.trace),
-            (d.strategy, d.reorder, d.engine, d.magic_sets, d.trace)
-        );
-        assert_eq!(
-            (e.max_iterations, e.max_derived, e.max_term_depth),
-            (d.max_iterations, d.max_derived, d.max_term_depth)
+            (e.engine, e.max_iterations, e.max_derived, e.max_term_depth),
+            (d.engine, d.max_iterations, d.max_derived, d.max_term_depth)
         );
     }
 

@@ -156,7 +156,6 @@ fn compile_rule(
     occ_source: &dyn Fn(usize) -> Source,
     focus: Option<Symbol>,
     magic_preds: Option<&BTreeSet<Symbol>>,
-    opts: &EvalOptions,
 ) -> CompiledRule {
     let mut atoms: Vec<(usize, &Atom)> = rule
         .body
@@ -171,7 +170,7 @@ fn compile_rule(
         .cloned()
         .collect();
 
-    if opts.reorder && atoms.len() > 1 {
+    if atoms.len() > 1 {
         let mut bound: BTreeSet<Var> = BTreeSet::new();
         for k in 0..atoms.len() {
             let best = (k..atoms.len())
@@ -296,23 +295,13 @@ fn compile_rule(
 
 /// Compiles every rule of `program`: the round-0 all-`Full` variant plus
 /// one delta variant per IDB body occurrence.
-fn compile_program(
-    program: &Program,
-    magic_preds: Option<&BTreeSet<Symbol>>,
-    opts: &EvalOptions,
-) -> RaProgram {
+fn compile_program(program: &Program, magic_preds: Option<&BTreeSet<Symbol>>) -> RaProgram {
     let _t = qc_obs::time(qc_obs::Hist::RaCompileNs);
     let idb_preds = program.idb_preds();
     let mut round0 = Vec::new();
     let mut delta = Vec::new();
     for rule in program.rules() {
-        round0.push(compile_rule(
-            rule,
-            &|_| Source::Full,
-            None,
-            magic_preds,
-            opts,
-        ));
+        round0.push(compile_rule(rule, &|_| Source::Full, None, magic_preds));
         let idb_occs: Vec<usize> = rule
             .body_atoms()
             .enumerate()
@@ -331,13 +320,7 @@ fn compile_program(
                     Source::Old
                 }
             };
-            delta.push(compile_rule(
-                rule,
-                &source,
-                Some(focused_pred),
-                magic_preds,
-                opts,
-            ));
+            delta.push(compile_rule(rule, &source, Some(focused_pred), magic_preds));
         }
     }
     RaProgram {
@@ -748,29 +731,28 @@ pub(crate) fn evaluate(
     edb: &Database,
     opts: &EvalOptions,
 ) -> Result<Database, EvalError> {
-    let compiled = compile_program(program, None, opts);
+    let compiled = compile_program(program, None);
     run_fixpoint(&compiled, edb, opts)
 }
 
 /// Evaluates `program` for `answer` on the RA engine, applying the
-/// magic-sets rewrite first when `opts.magic_sets` allows and the program
-/// shape does (the answer predicate is IDB, no IDB predicate doubles as an
-/// EDB relation — renaming would break the engines' shared
-/// IDB-shadows-EDB convention — and some call binds an argument).
+/// magic-sets rewrite first when the program shape allows it (the answer
+/// predicate is IDB, no IDB predicate doubles as an EDB relation —
+/// renaming would break the engines' shared IDB-shadows-EDB convention —
+/// and some call binds an argument).
 pub(crate) fn answers(
     program: &Program,
     edb: &Database,
     answer: &Symbol,
     opts: &EvalOptions,
 ) -> Result<Relation, EvalError> {
-    if opts.magic_sets
-        && program
-            .idb_preds()
-            .iter()
-            .all(|p| edb.relation(p).is_none())
+    if program
+        .idb_preds()
+        .iter()
+        .all(|p| edb.relation(p).is_none())
     {
         if let Some(m) = magic_rewrite(program, answer) {
-            let compiled = compile_program(&m.program, Some(&m.magic_preds), opts);
+            let compiled = compile_program(&m.program, Some(&m.magic_preds));
             let idb = run_fixpoint(&compiled, edb, opts)?;
             return Ok(idb.into_relation(&m.answer));
         }
@@ -1141,16 +1123,8 @@ mod tests {
         }
         let db = Database::parse(&facts).unwrap();
         let q = Symbol::new("q");
-        let (magic_rel, magic_derived, _) = counted(&p, &db, &q, &ra_opts());
-        let (plain_rel, plain_derived, _) = counted(
-            &p,
-            &db,
-            &q,
-            &EvalOptions {
-                magic_sets: false,
-                ..ra_opts()
-            },
-        );
+        let (magic_rel, magic_derived, _) = with_magic(&p, &db, &q);
+        let (plain_rel, plain_derived, _) = without_magic(&p, &db, &q);
         assert_eq!(magic_rel.len(), plain_rel.len());
         assert!(
             magic_derived < plain_derived,
@@ -1158,13 +1132,13 @@ mod tests {
         );
     }
 
-    /// Runs `eval_answers` under a fresh recorder: the answer relation,
+    /// Runs `run` under a fresh recorder: the relation it returns,
     /// `eval_derived_facts` and `ra_magic_pruned_tuples`.
-    fn counted(p: &Program, db: &Database, q: &Symbol, opts: &EvalOptions) -> (Relation, u64, u64) {
+    fn counted(run: impl FnOnce() -> Relation) -> (Relation, u64, u64) {
         let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
         let rel = {
             let _g = qc_obs::install(rec.clone());
-            eval_answers(p, db, q, opts).unwrap()
+            run()
         };
         let c = rec.counters();
         (
@@ -1174,6 +1148,18 @@ mod tests {
         )
     }
 
+    /// `q` through `answers` on the RA engine: magic sets wherever a call
+    /// binds an argument.
+    fn with_magic(p: &Program, db: &Database, q: &Symbol) -> (Relation, u64, u64) {
+        counted(|| eval_answers(p, db, q, &ra_opts()).unwrap())
+    }
+
+    /// The plain RA fixpoint read at `q`: `evaluate` has no goal, so it
+    /// never rewrites.
+    fn without_magic(p: &Program, db: &Database, q: &Symbol) -> (Relation, u64, u64) {
+        counted(|| eval_evaluate(p, db, &ra_opts()).unwrap().into_relation(q))
+    }
+
     /// `q` answered with magic sets on must cost exactly the plain
     /// fixpoint: no call binds an argument, so there is nothing to prune.
     fn assert_all_free_query_runs_plain(prog: &str, q: &str, facts: &str) {
@@ -1181,12 +1167,8 @@ mod tests {
         let db = Database::parse(facts).unwrap();
         let q = Symbol::new(q);
         assert!(magic_rewrite(&p, &q).is_none(), "{prog}");
-        let (magic, magic_derived, pruned) = counted(&p, &db, &q, &ra_opts());
-        let no_magic = EvalOptions {
-            magic_sets: false,
-            ..ra_opts()
-        };
-        let (plain, plain_derived, _) = counted(&p, &db, &q, &no_magic);
+        let (magic, magic_derived, pruned) = with_magic(&p, &db, &q);
+        let (plain, plain_derived, _) = without_magic(&p, &db, &q);
         let set = |r: &Relation| r.tuples().into_iter().collect::<BTreeSet<_>>();
         assert_eq!(set(&magic), set(&plain));
         assert!(!plain.is_empty());
@@ -1236,8 +1218,8 @@ mod tests {
         assert!(!heads.contains("t__adn_bf"), "{heads:?}");
         assert!(heads.contains("r__adn_bf"), "{heads:?}");
         let db = Database::parse("e(0, 1). e(1, 2). e(2, 3). e(7, 8). e(8, 9).").unwrap();
-        let (magic, _, pruned) = counted(&p, &db, &q, &ra_opts());
-        let (oracle, _, _) = counted(&p, &db, &q, &tuple_opts());
+        let (magic, _, pruned) = with_magic(&p, &db, &q);
+        let (oracle, _, _) = counted(|| eval_answers(&p, &db, &q, &tuple_opts()).unwrap());
         assert_eq!(magic.len(), oracle.len());
         for t in oracle.tuples() {
             assert!(magic.contains(&t), "{t:?}");

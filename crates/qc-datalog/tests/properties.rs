@@ -2,7 +2,7 @@
 //! unification laws, and evaluation invariants.
 
 use proptest::prelude::*;
-use qc_datalog::eval::{evaluate, EvalOptions, Strategy as EvalStrategy};
+use qc_datalog::eval::{evaluate, EvalOptions};
 use qc_datalog::{
     parse_rule, unify_atoms, Atom, CompOp, Comparison, Database, Literal, Program, Rule, Term,
 };
@@ -114,32 +114,6 @@ proptest! {
         for fact in small.facts() {
             prop_assert!(big.contains_atom(&fact), "lost {fact} after adding facts");
         }
-    }
-
-    #[test]
-    fn naive_equals_seminaive_on_random_programs(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Random linear-recursive program shapes.
-        let programs = [
-            "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z).",
-            "t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).",
-            "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z).",
-            "a(X) :- s(X). b(X) :- a(X), e(X, X). a(X) :- b(X).",
-        ];
-        let prog: Program = qc_datalog::parse_program(
-            programs[rng.gen_range(0..programs.len())],
-        ).unwrap();
-        let mut db = Database::new();
-        for _ in 0..rng.gen_range(0..12) {
-            db.insert("e", vec![Term::int(rng.gen_range(0..4)), Term::int(rng.gen_range(0..4))]);
-        }
-        for _ in 0..rng.gen_range(0..4) {
-            db.insert("s", vec![Term::int(rng.gen_range(0..4))]);
-        }
-        let n = evaluate(&prog, &db, &EvalOptions { strategy: EvalStrategy::Naive, ..Default::default() }).unwrap();
-        let s = evaluate(&prog, &db, &EvalOptions { strategy: EvalStrategy::SemiNaive, ..Default::default() }).unwrap();
-        prop_assert_eq!(n.facts(), s.facts());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! stamps them with the new catalog version; everything else is reused
 //! by `Arc` identity (counted by `catalog_epoch_views_recompiled` /
 //! `catalog_epoch_views_reused`). [`CompiledCatalog::compile`] is the
-//! from-scratch rebuild, kept as the differential oracle: for any delta
+//! from-scratch build: a decision over a plain setting compiles it this
+//! way, and it is the differential oracle for `apply`: for any delta
 //! sequence, `apply` must land on exactly the artifacts `compile`
 //! produces for the final setting (a property test pins this).
 //!
@@ -25,8 +26,8 @@
 //! meets the query's predicates ([`CompiledView::meets`]): any other
 //! view's inverse rules define predicates the query never reaches. Each
 //! compiled view keeps its footprint as interned symbols, so the test is
-//! integer comparisons, and the catalog planner in [`crate::relative`]
-//! draws only on the views a query meets.
+//! integer comparisons, and the planner in [`crate::relative`] draws
+//! only on the views a query meets, on every surface.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -238,8 +239,9 @@ pub struct CompiledCatalog {
 }
 
 impl CompiledCatalog {
-    /// Compiles every view of `views` from scratch at version 0 — the
-    /// differential oracle for [`CompiledCatalog::apply`].
+    /// Compiles every view of `views` from scratch at version 0: how a
+    /// decision over a plain setting plans, and the differential oracle
+    /// for [`CompiledCatalog::apply`].
     pub fn compile(views: &LavSetting) -> CompiledCatalog {
         let entries = views
             .sources

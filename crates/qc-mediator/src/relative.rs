@@ -41,60 +41,70 @@ use qc_datalog::{Comparison, ConjunctiveQuery, Program, Symbol, Term, Ucq, Unfol
 use crate::catalog::{CompiledCatalog, CompiledView};
 use crate::expansion::{expand_cq, expand_program};
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
-use crate::inverse_rules::max_contained_plan;
 use crate::schema::LavSetting;
 
-/// Where the maximally-contained plan's ingredients come from: a plain
-/// setting (inverse rules generated on the fly), or the views of a
-/// compiled catalog that Q1 can reach (cached per-view blocks
-/// reassembled).
+/// The views a plan draws on: those of a compiled catalog whose footprint
+/// meets Q1's predicates, in catalog order ([`CompiledCatalog::scope`]),
+/// with their cached inverse-rule blocks.
 ///
-/// The catalog variant plans from the views whose footprint meets Q1's
-/// predicates, in catalog order ([`CompiledCatalog::scope`]). With source
-/// names disjoint from mediated predicates, that is exact: every other
-/// view's inverse rules define predicates Q1's rules never reach, and its
-/// name cannot appear in a plan disjunct. It also makes the plan —
-/// disjunct order included — a function of views a `qc-serve` request
+/// With source names disjoint from mediated predicates, the scope is
+/// exact: every other view's inverse rules define predicates Q1's rules
+/// never reach, and its name cannot appear in a plan disjunct. So every
+/// surface decides a question from the same views, and the plan — disjunct
+/// order included — is a function of views a `qc-serve` request
 /// fingerprint covers, so a checkpoint's disjunct indices mean the same
 /// thing across deltas to other views.
-enum Planner<'a> {
-    Views(&'a LavSetting),
-    Catalog {
-        scope: Vec<&'a CompiledView>,
-        views: LavSetting,
-    },
+struct Planner<'a> {
+    scope: Vec<&'a CompiledView>,
+    views: LavSetting,
+    /// The catalog was compiled for this decision from a plain setting,
+    /// so the inverse rules a plan draws were generated for it
+    /// (`inverse_rules_generated`); a standing catalog's blocks are
+    /// cached.
+    fresh: bool,
 }
 
 impl<'a> Planner<'a> {
-    fn catalog(catalog: &'a CompiledCatalog, q1: &Program) -> Planner<'a> {
-        let scope = catalog.scope(q1);
+    /// Plans `q1` from the views of `catalog` it reaches.
+    fn new(catalog: &'a CompiledCatalog, q1: &Program, fresh: bool) -> Planner<'a> {
+        Planner::of(catalog.scope(q1), fresh)
+    }
+
+    /// Plans from every view of `catalog`: the binding-pattern route,
+    /// whose `dom` rules draw constants from every source.
+    fn whole(catalog: &'a CompiledCatalog, fresh: bool) -> Planner<'a> {
+        Planner::of(catalog.entries().iter().map(|e| &**e).collect(), fresh)
+    }
+
+    fn of(scope: Vec<&'a CompiledView>, fresh: bool) -> Planner<'a> {
         let views = LavSetting {
             sources: scope.iter().map(|e| e.source.clone()).collect(),
         };
-        Planner::Catalog { scope, views }
+        Planner {
+            scope,
+            views,
+            fresh,
+        }
     }
 
     /// The views a plan can mention: source lookups and route checks read
     /// these.
     fn views(&self) -> &LavSetting {
-        match self {
-            Planner::Views(v) => v,
-            Planner::Catalog { views, .. } => views,
-        }
+        &self.views
     }
 
     /// The query's rules plus the inverse rules of the planned views.
     fn inverse_plan(&self, query: &Program) -> Program {
-        match self {
-            Planner::Views(v) => max_contained_plan(query, v),
-            Planner::Catalog { scope, .. } => {
-                let mut plan = query.clone();
-                for rule in scope.iter().flat_map(|e| &e.inverse) {
-                    plan.push(rule.clone());
-                }
-                plan
-            }
+        let mut plan = query.clone();
+        let mut drawn = 0u64;
+        for rule in self.scope.iter().flat_map(|e| &e.inverse) {
+            plan.push(rule.clone());
+            drawn += 1;
         }
+        if self.fresh {
+            qc_obs::count(qc_obs::Counter::InverseRulesGenerated, drawn);
+        }
+        plan
     }
 }
 
@@ -242,13 +252,15 @@ fn sanitize_datalog_plan(plan: &Program, views: &LavSetting, answer: &Symbol) ->
 }
 
 /// Builds the maximally-contained plan of a *nonrecursive* query as a UCQ
-/// over the source relations.
+/// over the source relations, from the views whose footprint meets the
+/// query's predicates.
 pub fn max_contained_ucq_plan(
     query: &Program,
     answer: &Symbol,
     views: &LavSetting,
 ) -> Result<Ucq, RelativeError> {
-    max_contained_ucq_plan_with(query, answer, &Planner::Views(views))
+    let catalog = CompiledCatalog::compile(views);
+    max_contained_ucq_plan_with(query, answer, &Planner::new(&catalog, query, true))
 }
 
 /// [`max_contained_ucq_plan`] drawing inverse rules from a compiled
@@ -261,7 +273,7 @@ pub fn max_contained_ucq_plan_catalog(
     answer: &Symbol,
     catalog: &CompiledCatalog,
 ) -> Result<Ucq, RelativeError> {
-    max_contained_ucq_plan_with(query, answer, &Planner::catalog(catalog, query))
+    max_contained_ucq_plan_with(query, answer, &Planner::new(catalog, query, false))
 }
 
 fn max_contained_ucq_plan_with(
@@ -343,7 +355,9 @@ pub fn semi_interval_plan(
     query: &ConjunctiveQuery,
     views: &LavSetting,
 ) -> Result<Ucq, RelativeError> {
-    semi_interval_plan_with(query, &Planner::Views(views))
+    let catalog = CompiledCatalog::compile(views);
+    let q = Program::new(vec![query.to_rule()]);
+    semi_interval_plan_with(query, &Planner::new(&catalog, &q, true))
 }
 
 fn semi_interval_plan_with(
@@ -441,17 +455,18 @@ pub fn complete_semi_interval(
     }
 }
 
-/// Where a decision's views come from.
+/// Where a decision's views come from. Either way the plan draws the
+/// inverse rules of the views whose footprint meets Q1's predicates, and
+/// every route check reads only those views, so the decision is a function
+/// of what a `qc-serve` request fingerprint hashes. The binding-pattern
+/// route is the exception: its `dom` rules draw constants from every
+/// source, so it plans from all of them.
 #[derive(Debug, Clone, Copy)]
 pub enum Sources<'a> {
-    /// A plain setting: inverse rules are generated per decision.
+    /// A plain setting, compiled ([`CompiledCatalog::compile`]) per
+    /// decision.
     Views(&'a LavSetting),
-    /// A compiled catalog. The plan draws the cached inverse rules of the
-    /// views whose footprint meets Q1's predicates, and every route check
-    /// reads only those views, so the decision is a function of what a
-    /// `qc-serve` request fingerprint hashes. The binding-pattern route is
-    /// the exception: its `dom` rules draw constants from every source, so
-    /// it plans from the whole catalog.
+    /// A compiled catalog, whose cached inverse rules are reused.
     Catalog(&'a CompiledCatalog),
 }
 
@@ -705,10 +720,18 @@ pub fn decide(question: &Question<'_>, sources: Sources<'_>) -> Result<Decision,
                 .into(),
         ));
     }
-    let planner = match sources {
-        Sources::Views(v) => Planner::Views(v),
-        Sources::Catalog(c) if question.binding_patterns => Planner::Views(c.views()),
-        Sources::Catalog(c) => Planner::catalog(c, q1),
+    let compiled;
+    let (catalog, fresh) = match sources {
+        Sources::Views(v) => {
+            compiled = CompiledCatalog::compile(v);
+            (&compiled, true)
+        }
+        Sources::Catalog(c) => (c, false),
+    };
+    let planner = if question.binding_patterns {
+        Planner::whole(catalog, fresh)
+    } else {
+        Planner::new(catalog, q1, fresh)
     };
     let datalog = question.binding_patterns || q1_recursive;
     if (datalog || q2_recursive)
@@ -986,10 +1009,13 @@ impl std::fmt::Display for ContainmentKind {
     }
 }
 
-/// Classifies a question: classical containment of the unfoldings first,
-/// then, only when that fails, one [`decide`], whose [`Decision`] (with
-/// its witness) comes back too. Both queries must be nonrecursive. A
-/// resource trip is an `Err`.
+/// Classifies a question: classical containment first, then, only when
+/// that fails, one [`decide`], whose [`Decision`] (with its witness) comes
+/// back too. The classical check runs the procedure for the question's
+/// class: UCQ containment of the unfoldings when both queries are
+/// nonrecursive, the type fixpoint when only Q1 is recursive, and Q2
+/// evaluated over the canonical databases of Q1's unfolding when only Q2
+/// is. A resource trip is an `Err`.
 pub fn explain(
     question: &Question<'_>,
     sources: Sources<'_>,
@@ -997,9 +1023,7 @@ pub fn explain(
     let _span = qc_obs::span("explain_containment");
     let classical = {
         let _s = qc_obs::span("classical_check");
-        let u1 = question.q1.unfold(&question.ans1)?;
-        let u2 = question.q2.unfold(&question.ans2)?;
-        ucq_contained(&u1, &u2)
+        classically_contained(question)?
     };
     if classical {
         return Ok((ContainmentKind::Classical, None));
@@ -1011,6 +1035,41 @@ pub fn explain(
         ContainmentKind::No
     };
     Ok((kind, Some(decision)))
+}
+
+/// Whether the classical procedure for the question's class ([`explain`])
+/// proves `Q1 ⊆ Q2`. `false` also when both queries are recursive, or when
+/// a recursive class has comparisons or its procedure refuses the input:
+/// [`decide`] then reports the class error. A resource trip is an `Err`.
+fn classically_contained(q: &Question<'_>) -> Result<bool, RelativeError> {
+    let recursive =
+        |p: &Program, ans: &Symbol| p.dependency_graph().pred_in_cycle_reachable_from(ans);
+    let proved = |r: Result<bool, RelativeError>| match r {
+        Err(e) if e.resource().is_some() => Err(e),
+        r => Ok(r.unwrap_or(false)),
+    };
+    match (recursive(q.q1, &q.ans1), recursive(q.q2, &q.ans2)) {
+        (false, false) => Ok(ucq_contained(
+            &q.q1.unfold(&q.ans1)?,
+            &q.q2.unfold(&q.ans2)?,
+        )),
+        (true, true) => Ok(false),
+        _ if q.q1.has_comparisons() || q.q2.has_comparisons() => Ok(false),
+        (true, false) => {
+            let u2 = q.q2.unfold(&q.ans2)?;
+            proved(
+                datalog_contained_in_ucq(q.q1, &q.ans1, &u2, &FixpointBudget::default())
+                    .map_err(RelativeError::from),
+            )
+        }
+        (false, true) => {
+            let u1 = q.q1.unfold(&q.ans1)?;
+            proved(
+                ucq_contained_in_datalog(&u1, q.q2, &q.ans2, &EvalOptions::default())
+                    .map_err(RelativeError::from),
+            )
+        }
+    }
 }
 
 /// Classifies the containment of `Q1` in `Q2` relative to `views`
@@ -1045,6 +1104,7 @@ pub fn relatively_contained_by_plans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inverse_rules::max_contained_plan;
     use crate::schema::example1_sources;
     use qc_datalog::parse_program;
 

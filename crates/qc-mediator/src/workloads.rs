@@ -86,15 +86,27 @@ pub fn random_views(nviews: usize, npreds: usize, rng: &mut impl Rng) -> LavSett
     LavSetting { sources }
 }
 
-/// A random Theorem 5.1 question `(Q1, Q2, views)` over `p0`, `p1`:
-/// `Q1` is a chain or star of 1–3 subgoals with 1–2 semi-interval
-/// comparisons, `Q2` is `Q1`'s relational body with 1–2 comparisons of
-/// its own, and the 1–4 views are chains of length 1–2, exporting both
-/// endpoints, with 0–1 comparisons each. Every comparison compares a
-/// variable with a constant in 0–5.
+/// A random Theorem 5.1 question `(Q1, Q2, views)` over `p0`, `p1`, from
+/// one of two families. Every comparison compares a variable with a
+/// constant in 0–5.
+///
+/// * Three draws in four: `Q1` is a chain or star of 1–3 subgoals with 1–2
+///   semi-interval comparisons, `Q2` is `Q1`'s relational body with 1–2
+///   comparisons of its own, and the 1–4 views are chains of length 1–2,
+///   exporting both endpoints, with 0–1 comparisons each.
+/// * One in four, a *fan*: `Q1` is a star of 2–4 `p0` subgoals under one
+///   head with a lower bound on one of them and an upper bound on
+///   another, `Q2` as above, and the 1–3 views are single `p0` subgoals
+///   with 0–1 comparisons on their second column. Skeletons then subsume
+///   one another, and a subsumed one can be the only one a view's
+///   comparison lets complete: a planner that union-minimizes its
+///   skeletons loses it.
 pub fn random_semi_interval_question(
     rng: &mut impl Rng,
 ) -> (ConjunctiveQuery, ConjunctiveQuery, LavSetting) {
+    if rng.gen_range(0..4) == 0 {
+        return fan_question(rng);
+    }
     let shape = if rng.gen_bool(0.5) {
         Shape::Chain
     } else {
@@ -130,14 +142,62 @@ pub fn random_semi_interval_question(
             let c = random_semi_interval(&view, rng);
             view.comparisons.push(c);
         }
-        sources.push(SourceDescription {
-            name: view.head.pred,
-            view,
-            complete: false,
-            adornments: Vec::new(),
-        });
+        sources.push(source(view));
     }
     (q1, q2, LavSetting { sources })
+}
+
+/// The fan family of [`random_semi_interval_question`].
+fn fan_question(rng: &mut impl Rng) -> (ConjunctiveQuery, ConjunctiveQuery, LavSetting) {
+    let k = rng.gen_range(2..=4usize);
+    let x = |i: usize| Term::var(format!("X{i}"));
+    let subgoals = (1..=k)
+        .map(|i| Atom::new("p0", vec![Term::var("H"), x(i)]))
+        .collect();
+    let relational = ConjunctiveQuery::new(Atom::new("q", vec![Term::var("H")]), subgoals, vec![]);
+    let mut q1 = relational.clone();
+    let lower = rng.gen_range(1..=k);
+    let upper = (lower + rng.gen_range(1..k) - 1) % k + 1;
+    for (i, ops) in [
+        (lower, [CompOp::Gt, CompOp::Ge]),
+        (upper, [CompOp::Lt, CompOp::Le]),
+    ] {
+        let op = ops[rng.gen_range(0..2)];
+        q1.comparisons
+            .push(Comparison::new(x(i), op, Term::int(rng.gen_range(0..=5))));
+    }
+    let mut q2 = relational;
+    for _ in 0..rng.gen_range(1..=2) {
+        let c = random_semi_interval(&q2, rng);
+        q2.comparisons.push(c);
+    }
+    let sources = (0..rng.gen_range(1..=3))
+        .map(|v| {
+            let head = Atom::new(format!("v{v}"), vec![Term::var("Z0"), Term::var("Z1")]);
+            let body = vec![Atom::new("p0", vec![Term::var("Z0"), Term::var("Z1")])];
+            let mut view = ConjunctiveQuery::new(head, body, Vec::new());
+            if rng.gen_bool(0.5) {
+                let op = [CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge][rng.gen_range(0..4)];
+                view.comparisons.push(Comparison::new(
+                    Term::var("Z1"),
+                    op,
+                    Term::int(rng.gen_range(0..=5)),
+                ));
+            }
+            source(view)
+        })
+        .collect();
+    (q1, q2, LavSetting { sources })
+}
+
+/// An incomplete, unadorned source exporting `view`.
+fn source(view: ConjunctiveQuery) -> SourceDescription {
+    SourceDescription {
+        name: view.head.pred,
+        view,
+        complete: false,
+        adornments: Vec::new(),
+    }
 }
 
 /// `X op c` for a variable `X` of `q`'s subgoals, `op` one of `<`, `<=`,
@@ -206,8 +266,8 @@ pub fn random_edb(
     db
 }
 
-/// A chain EDB: `e(0,1), e(1,2), …` — the worst case for naive vs
-/// semi-naive transitive closure (experiment E10).
+/// A chain EDB: `e(0,1), e(1,2), …` — its transitive closure takes one
+/// fixpoint round per edge (`e6_binding_patterns/ra_chain_tc_96`).
 pub fn chain_edb(pred: &str, len: usize) -> Database {
     let mut db = Database::new();
     for i in 0..len {

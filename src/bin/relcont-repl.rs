@@ -28,7 +28,7 @@ use relcont::mediator::binding::reachable_certain_answers;
 use relcont::mediator::certain::{certain_answer_support, certain_answers};
 use relcont::mediator::relative::{
     decide, explain_containment, max_contained_ucq_plan, relatively_contained_witness, Question,
-    Sources, Verdict,
+    RelativeError, Sources, Verdict,
 };
 use relcont::mediator::schema::{LavSetting, SourceDescription};
 
@@ -73,6 +73,15 @@ commands:
   reset                   clear everything
   help                    this text
   quit                    exit";
+
+/// A guard stop is an answer, `undecided: …`, as on the command line;
+/// any other failure stays an error.
+fn undecided(e: RelativeError) -> Result<Option<String>, String> {
+    match e.resource() {
+        Some(r) => Ok(Some(format!("undecided: {r}"))),
+        None => Err(e.to_string()),
+    }
+}
 
 struct Session {
     views: LavSetting,
@@ -245,11 +254,10 @@ impl Session {
                 let (q1, a1) = self.query(n1)?;
                 let (q2, a2) = self.query(n2)?;
                 if cmd == "why" {
-                    match relatively_contained_witness(q1, &a1, q2, &a2, &self.views)
-                        .map_err(|e| e.to_string())?
-                    {
-                        Ok(()) => Ok(Some(format!("{n1} \u{2291} {n2}: no witness exists"))),
-                        Err(w) => Ok(Some(w.to_string())),
+                    match relatively_contained_witness(q1, &a1, q2, &a2, &self.views) {
+                        Ok(Ok(())) => Ok(Some(format!("{n1} \u{2291} {n2}: no witness exists"))),
+                        Ok(Err(w)) => Ok(Some(w.to_string())),
+                        Err(e) => undecided(e),
                     }
                 } else if cmd == "checkbp" {
                     let question = Question {
@@ -334,7 +342,10 @@ impl Session {
             }
             "plan" => {
                 let (q, a) = self.query(rest)?;
-                let plan = max_contained_ucq_plan(q, &a, &self.views).map_err(|e| e.to_string())?;
+                let plan = match max_contained_ucq_plan(q, &a, &self.views) {
+                    Ok(plan) => plan,
+                    Err(e) => return undecided(e),
+                };
                 if plan.is_empty() {
                     Ok(Some("the maximally-contained plan is empty".into()))
                 } else {

@@ -924,3 +924,156 @@ fn cli_serve_batch_exit_codes_and_stats() {
         "{out:?}"
     );
 }
+
+/// Pipes `script` into `relcont-repl` and returns its stdout.
+fn repl(script: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_relcont-repl"))
+        .env("NO_PROMPT", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+const TC: &str = "t(X, Y) :- edge(X, Y).\nt(X, Z) :- t(X, Y), edge(Y, Z).\n";
+const ENDS_TOUCH_EDGES: &str = "s(X, Y) :- edge(X, A), edge(B, Y).\n";
+const THREE_HOPS: &str = "w(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).\n";
+
+#[test]
+fn cli_check_answers_theorem_3_2_questions_without_limits() {
+    // A recursive Q1 against a nonrecursive Q2, and the reverse: the
+    // classical check runs the procedure for the question's class (the
+    // type fixpoint; Q2 over Q1's canonical databases) instead of
+    // unfolding a recursive query.
+    let dir = tmpdir("thm32");
+    let views = write_tmp(&dir, "views.dl", "V(X, Y) :- edge(X, Y).");
+    let tc = write_tmp(&dir, "tc.dl", TC);
+    let s = write_tmp(&dir, "s.dl", ENDS_TOUCH_EDGES);
+    let w = write_tmp(&dir, "w.dl", THREE_HOPS);
+    let bin = env!("CARGO_BIN_EXE_relcont");
+    for (q1, q2, want) in [
+        (
+            &tc,
+            &s,
+            "t vs s relative to 1 source(s): contained (classically)",
+        ),
+        (
+            &w,
+            &tc,
+            "w vs t relative to 1 source(s): contained (classically)",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(["check", "--views"])
+            .arg(&views)
+            .arg("--q1")
+            .arg(q1)
+            .arg("--q2")
+            .arg(q2)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains(want),
+            "{out:?}"
+        );
+    }
+
+    let stdout = repl(
+        "view V(X, Y) :- edge(X, Y).
+query t(X, Y) :- edge(X, Y).
+query t(X, Z) :- t(X, Y), edge(Y, Z).
+query s(X, Y) :- edge(X, A), edge(B, Y).
+query w(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).
+check t s
+check w t
+quit
+",
+    );
+    assert!(
+        stdout.contains("t vs s: contained (classically)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("w vs t: contained (classically)"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("error"), "{stdout}");
+}
+
+#[test]
+fn cli_check_and_serve_read_the_same_views() {
+    // `W` meets none of Q1's predicates, so it can never enter Q1's plan;
+    // its comparison must not push `check` off the recursive route while
+    // `serve` (which plans from Q1's footprint) answers.
+    let dir = tmpdir("scope");
+    let views = write_tmp(
+        &dir,
+        "views.dl",
+        "V(X, Y) :- edge(X, Y).\nW(X) :- other(X), X < 3.\n",
+    );
+    let tc = write_tmp(&dir, "tc.dl", TC);
+    let s = write_tmp(&dir, "s.dl", ENDS_TOUCH_EDGES);
+    let queries = write_tmp(&dir, "queries.dl", &format!("{TC}{ENDS_TOUCH_EDGES}"));
+    let jobs = write_tmp(&dir, "jobs.txt", "t s\n");
+    let bin = env!("CARGO_BIN_EXE_relcont");
+    let check = Command::new(bin)
+        .args(["check", "--budget", "100000000", "--views"])
+        .arg(&views)
+        .arg("--q1")
+        .arg(&tc)
+        .arg("--q2")
+        .arg(&s)
+        .output()
+        .unwrap();
+    assert_eq!(check.status.code(), Some(0), "{check:?}");
+    let check_out = String::from_utf8_lossy(&check.stdout);
+    assert!(
+        check_out.contains("t vs s relative to 2 source(s): contained"),
+        "{check_out}"
+    );
+    let serve = Command::new(bin)
+        .args(["serve", "--views"])
+        .arg(&views)
+        .arg("--queries")
+        .arg(&queries)
+        .arg("--jobs")
+        .arg(&jobs)
+        .output()
+        .unwrap();
+    assert_eq!(serve.status.code(), Some(0), "{serve:?}");
+    assert!(
+        String::from_utf8_lossy(&serve.stdout).contains("t vs s: contained"),
+        "{serve:?}"
+    );
+}
+
+#[test]
+fn repl_plan_and_why_report_a_guard_stop_as_undecided() {
+    // As `relcont plan --budget 1` exits 3 with `undecided`, the REPL
+    // answers `undecided: …` rather than `error: …`.
+    let stdout = repl(
+        ":limit budget 1
+view ve(X) :- e(X, Y).
+query q(X, Z) :- e(X, Y), e(Y, Z).
+query p(X, Z) :- e(X, Y), e(Y, Z).
+plan q
+why q p
+quit
+",
+    );
+    assert_eq!(
+        stdout.matches("undecided: budget exhausted").count(),
+        2,
+        "{stdout}"
+    );
+    assert!(!stdout.contains("error"), "{stdout}");
+}

@@ -7,7 +7,6 @@
 //!   completed by the same constraint completion;
 //! * decided relative containment ⇒ certain-answer containment on
 //!   sampled instances (the semantics, Definition 2.4);
-//! * naive ⇔ semi-naive evaluation;
 //! * minimization preserves equivalence;
 //! * dense-order containment is sound on sampled numeric databases.
 
@@ -17,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use relcont::containment::canonical::freeze;
 use relcont::containment::{cq_contained, cq_equivalent, minimize};
-use relcont::datalog::eval::{answers, evaluate, EvalOptions, Strategy};
+use relcont::datalog::eval::{answers, EvalOptions};
 use relcont::datalog::{
     Atom, CompOp, Comparison, ConjunctiveQuery, Database, Program, Symbol, Term,
 };
@@ -127,30 +126,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn naive_and_seminaive_agree(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // A random recursive program over a random database.
-        let prog = relcont::datalog::parse_program(
-            "t(X, Y) :- p0(X, Y). t(X, Z) :- t(X, Y), p1(Y, Z). u(X) :- t(X, X).",
-        ).unwrap();
-        let mut db = Database::new();
-        for p in 0..2 {
-            for _ in 0..rng.gen_range(0..8) {
-                db.insert(
-                    format!("p{p}"),
-                    vec![
-                        Term::int(rng.gen_range(0..4)),
-                        Term::int(rng.gen_range(0..4)),
-                    ],
-                );
-            }
-        }
-        let naive = evaluate(&prog, &db, &EvalOptions { strategy: Strategy::Naive, ..Default::default() }).unwrap();
-        let semi = evaluate(&prog, &db, &EvalOptions { strategy: Strategy::SemiNaive, ..Default::default() }).unwrap();
-        prop_assert_eq!(naive.facts(), semi.facts());
     }
 
     #[test]
