@@ -254,10 +254,10 @@ fn check_stale_storm(trial: usize, case: &Case, tally: &mut Tally) {
     let Some((_, cp)) = starve_to_checkpoint(&core, &case.req) else {
         return;
     };
-    if cp.epoch != Some(0) {
+    if cp.epoch != 0 {
         tally.fail(
             trial,
-            &format!("fresh checkpoint tagged {:?}, not epoch 0", cp.epoch),
+            &format!("fresh checkpoint tagged {}, not epoch 0", cp.epoch),
         );
         return;
     }
@@ -271,7 +271,7 @@ fn check_stale_storm(trial: usize, case: &Case, tally: &mut Tally) {
     tally.deltas += 1;
     let mut stale = cp;
     if tally.inject_stale_epoch {
-        stale.epoch = Some(core.epoch());
+        stale.epoch = core.epoch();
     }
     for attempt in 0..3 {
         let mut req = case.req.clone();
@@ -368,11 +368,9 @@ fn check_restart_churn(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, 
             let mut replay = case.req.clone();
             replay.budget = Some(b_star);
             replay.checkpoint = Some(qc_serve::Checkpoint {
-                fingerprint: cp.fingerprint,
-                disjuncts_total: cp.disjuncts_total,
                 proven: Vec::new(),
-                epoch: None,
-                preds: None,
+                epoch: core.epoch(),
+                ..cp.clone()
             });
             replay.fault = Some(FaultPlan {
                 stage: stage::JOURNAL,

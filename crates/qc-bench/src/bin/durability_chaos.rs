@@ -351,11 +351,9 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
                 ServeCore::with_store(case.views.clone(), ServeConfig::default(), journal.clone());
             let mut replay = case.req.clone();
             replay.checkpoint = Some(Checkpoint {
-                fingerprint: cp.fingerprint,
-                disjuncts_total: cp.disjuncts_total,
                 proven: Vec::new(),
-                epoch: None,
-                preds: None,
+                epoch: kill_core.epoch(),
+                ..cp.clone()
             });
             let mut b = 4u64;
             loop {

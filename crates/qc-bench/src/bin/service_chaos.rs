@@ -318,10 +318,6 @@ fn check_shedding(trial: usize, case: &Case, tally: &mut Tally) {
     let cfg = ServeConfig {
         workers: 1,
         queue_capacity: CAP,
-        // The C+X jobs are identical; coalescing would attach them to one
-        // leader instead of shedding, which is a different invariant
-        // (covered by durability_chaos).
-        coalesce: false,
         ..ServeConfig::default()
     };
     let svc = Service::start(case.views.clone(), cfg);
@@ -329,7 +325,13 @@ fn check_shedding(trial: usize, case: &Case, tally: &mut Tally) {
     let mut tickets = Vec::new();
     let mut shed = 0usize;
     for i in 0..CAP + EXTRA {
-        match svc.submit(case.req.clone()) {
+        // The C+X jobs differ only in a budget large enough to decide, so
+        // each takes a queue slot instead of coalescing onto one leader
+        // (coalescing is a different invariant, covered by
+        // durability_chaos).
+        let mut req = case.req.clone();
+        req.budget = Some(u64::MAX - i as u64);
+        match svc.submit(req) {
             Ok(t) => tickets.push(t),
             Err(ServiceError::ShedUnderLoad { .. }) => {
                 shed += 1;

@@ -51,21 +51,6 @@ impl Rat {
         Rat { num: n, den: 1 }
     }
 
-    /// Numerator (after normalization).
-    pub fn numer(self) -> i64 {
-        self.num
-    }
-
-    /// Denominator (always positive).
-    pub fn denom(self) -> i64 {
-        self.den
-    }
-
-    /// Whether this rational is an integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// The midpoint `(self + other) / 2` — witnesses density.
     pub fn midpoint(self, other: Rat) -> Rat {
         // (a/b + c/d) / 2 = (ad + cb) / 2bd

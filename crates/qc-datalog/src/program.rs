@@ -61,13 +61,6 @@ impl Program {
         edb
     }
 
-    /// All predicates (head or body).
-    pub fn all_preds(&self) -> BTreeSet<Symbol> {
-        let mut s = self.idb_preds();
-        s.extend(self.edb_preds());
-        s
-    }
-
     /// All constants mentioned anywhere in the program.
     pub fn consts(&self) -> BTreeSet<Const> {
         let mut s = BTreeSet::new();

@@ -82,11 +82,6 @@ impl ConjunctiveQuery {
         self.comparisons.iter().all(Comparison::is_semi_interval)
     }
 
-    /// The predicates of the relational subgoals.
-    pub fn body_preds(&self) -> BTreeSet<Symbol> {
-        self.subgoals.iter().map(|a| a.pred).collect()
-    }
-
     /// Applies a substitution to the whole query.
     pub fn substitute(&self, s: &Subst) -> ConjunctiveQuery {
         ConjunctiveQuery {

@@ -282,11 +282,6 @@ impl Guard {
         self.rebuild(|i| i.deadline = Some(Instant::now() + timeout))
     }
 
-    /// This guard with an absolute wall-clock deadline.
-    pub fn with_deadline(self, deadline: Instant) -> Guard {
-        self.rebuild(|i| i.deadline = Some(deadline))
-    }
-
     /// This guard with a deterministic injected fault.
     pub fn with_fault(self, plan: FaultPlan) -> Guard {
         self.rebuild(|i| {

@@ -317,18 +317,6 @@ impl Histogram {
     pub fn bucket_count(&self, i: usize) -> u64 {
         self.buckets[i].load(Ordering::Relaxed)
     }
-
-    /// Nonzero buckets as `(bucket_upper, count)` pairs, for rendering.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n != 0).then_some((Self::bucket_upper(i), n))
-            })
-            .collect()
-    }
 }
 
 /// A serializable copy of a [`Histogram`], quantiles precomputed, trailing

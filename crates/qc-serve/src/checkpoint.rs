@@ -33,15 +33,12 @@ pub struct Checkpoint {
     /// honored at the *current* epoch: when a catalog delta leaves a
     /// request's relevant views untouched, the serve core re-tags its
     /// journaled checkpoint to the new epoch; anything still carrying an
-    /// older epoch is stale by construction and always rejected. `None`
-    /// marks a pre-epoch (legacy) checkpoint, honored by fingerprint
-    /// alone.
-    pub epoch: Option<u64>,
+    /// older epoch is stale by construction and always rejected.
+    pub epoch: u64,
     /// Predicate names the originating request mentions — the precise
     /// invalidation key: a catalog delta retires the checkpoint iff its
-    /// touched-predicate set intersects this one. `None` (legacy) means
-    /// the dependency set is unknown and any delta retires it.
-    pub preds: Option<Vec<String>>,
+    /// touched-predicate set intersects this one.
+    pub preds: Vec<String>,
 }
 
 /// The typed cause of a checkpoint refusal, machine-matchable (the churn
@@ -80,14 +77,6 @@ impl std::fmt::Display for CheckpointRejected {
 }
 
 impl Checkpoint {
-    /// Whether this checkpoint belongs to the request with `fingerprint`
-    /// and is shape-consistent with a `total`-disjunct plan.
-    pub fn matches(&self, fingerprint: u64, total: usize) -> bool {
-        self.fingerprint == fingerprint
-            && self.disjuncts_total == total
-            && self.proven.iter().all(|&i| i < total)
-    }
-
     /// JSON rendering (the daemon wire format).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("checkpoint serializes")
@@ -109,41 +98,10 @@ mod tests {
             fingerprint: 0xdead_beef_cafe,
             disjuncts_total: 7,
             proven: vec![0, 2, 5],
-            epoch: Some(3),
-            preds: Some(vec!["CarDesc".into(), "Review".into()]),
+            epoch: 3,
+            preds: vec!["CarDesc".into(), "Review".into()],
         };
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(back, cp);
-    }
-
-    #[test]
-    fn legacy_json_without_epoch_fields_still_parses() {
-        // Pre-epoch journals/clients serialize no `epoch`/`preds`; both
-        // must come back as None rather than failing the record.
-        let legacy = r#"{"fingerprint": 9, "disjuncts_total": 2,
-                         "proven": [1], "memo_resident": 0}"#;
-        let cp = Checkpoint::from_json(legacy).unwrap();
-        assert_eq!(cp.epoch, None);
-        assert_eq!(cp.preds, None);
-        assert_eq!(cp.proven, vec![1]);
-    }
-
-    #[test]
-    fn matches_checks_fingerprint_total_and_range() {
-        let cp = Checkpoint {
-            fingerprint: 1,
-            disjuncts_total: 3,
-            proven: vec![0, 2],
-            epoch: None,
-            preds: None,
-        };
-        assert!(cp.matches(1, 3));
-        assert!(!cp.matches(2, 3), "foreign request");
-        assert!(!cp.matches(1, 4), "plan shape changed");
-        let stale = Checkpoint {
-            proven: vec![5],
-            ..cp
-        };
-        assert!(!stale.matches(1, 3), "out-of-range index");
     }
 }

@@ -1,8 +1,8 @@
 //! Per-request flight recorder: a bounded in-memory ring of the last N
 //! request timelines.
 //!
-//! Every request the service touches — answered, rejected, shed, timed
-//! out, or lost to a panic — leaves a [`Timeline`] keyed by its
+//! Every request the service touches — answered, rejected, shed, or lost
+//! to a panic — leaves a [`Timeline`] keyed by its
 //! [`TraceId`], so an operator holding an error (or a `Response`) can
 //! resolve the trace against the dump (`relcont serve --flight-recorder`,
 //! REPL `:flight`) and see where the time went: queue wait, execution,
@@ -17,7 +17,7 @@ use crate::TraceId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTime {
     /// Stage (span) name, e.g. `containment_check`.
-    pub stage: String,
+    pub stage: &'static str,
     /// Times the stage ran during the request.
     pub calls: u64,
     /// Total nanoseconds across those runs.
@@ -30,10 +30,10 @@ pub struct Timeline {
     /// The request's trace ID.
     pub trace: TraceId,
     /// Terminal state: `contained`, `not_contained`, `unknown`,
-    /// `rejected`, `shed`, `queue_timeout`, `worker_lost` — or the
-    /// supervision event `panic_retry` (non-terminal: the same trace gets
-    /// a terminal entry afterwards).
-    pub outcome: String,
+    /// `verdict_cache_hit`, `coalesced`, `rejected`, `shed`,
+    /// `worker_lost` — or the supervision event `panic_retry`
+    /// (non-terminal: the same trace gets a terminal entry afterwards).
+    pub outcome: &'static str,
     /// Whether the run continued from a checkpoint.
     pub resumed: bool,
     /// Why a supplied checkpoint was refused (fingerprint or plan-shape
@@ -55,10 +55,14 @@ pub struct Timeline {
 
 impl Timeline {
     /// A timeline for a request that never ran (shed / draining-reject).
-    pub(crate) fn admission(trace: TraceId, outcome: &str, trip: Option<String>) -> Timeline {
+    pub(crate) fn admission(
+        trace: TraceId,
+        outcome: &'static str,
+        trip: Option<String>,
+    ) -> Timeline {
         Timeline {
             trace,
-            outcome: outcome.to_string(),
+            outcome,
             resumed: false,
             checkpoint_rejected: None,
             queue_wait_ns: 0,
@@ -71,10 +75,10 @@ impl Timeline {
     }
 
     /// A timeline for a supervision event (`panic_retry`, `worker_lost`)
-    /// or a queue timeout.
+    /// or a coalesced waiter whose leader failed.
     pub(crate) fn event(
         trace: TraceId,
-        outcome: &str,
+        outcome: &'static str,
         queue_wait_ns: u64,
         trip: Option<String>,
     ) -> Timeline {
@@ -94,7 +98,7 @@ impl Timeline {
             .iter()
             .map(|s| {
                 Value::Object(vec![
-                    ("stage".into(), Value::Str(s.stage.clone())),
+                    ("stage".into(), Value::Str(s.stage.into())),
                     ("calls".into(), Value::UInt(s.calls)),
                     ("total_ns".into(), Value::UInt(s.total_ns)),
                 ])
@@ -102,7 +106,7 @@ impl Timeline {
             .collect();
         Value::Object(vec![
             ("trace".into(), Value::Str(self.trace.to_string())),
-            ("outcome".into(), Value::Str(self.outcome.clone())),
+            ("outcome".into(), Value::Str(self.outcome.into())),
             ("resumed".into(), Value::Bool(self.resumed)),
             (
                 "checkpoint_rejected".into(),
@@ -270,9 +274,9 @@ mod tests {
     fn json_dump_has_the_schema() {
         let fr = FlightRecorder::new(4);
         let mut t = entry(7);
-        t.outcome = "contained".into();
+        t.outcome = "contained";
         t.stages.push(StageTime {
-            stage: "expansion".into(),
+            stage: "expansion",
             calls: 2,
             total_ns: 500,
         });

@@ -51,13 +51,14 @@
 //! and losing a suffix only costs recomputation (resume indices are an
 //! under-approximation), never soundness.
 //!
-//! ## Compaction
+//! ## Syncing and compaction
 //!
-//! When the file grows past [`JournalConfig::compact_bytes`] and holds
-//! more records than live fingerprints, the journal is rewritten as a
-//! fresh generation header plus one `cp` record per live fingerprint
-//! (dead versions and tombstones drop out), atomically via
-//! rename-over.
+//! Every append is `fsync`ed before the call returns, so a checkpoint
+//! handed to a client survives an immediate power cut. When the file
+//! grows past 1 MiB and holds more records than live fingerprints, the
+//! journal is rewritten as a fresh generation header plus one `cp` record
+//! per live fingerprint (dead versions and tombstones drop out),
+//! atomically via rename-over.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -212,9 +213,6 @@ pub trait CheckpointStore: Send + Sync {
     /// Number of live fingerprints.
     fn live(&self) -> usize;
 
-    /// Forces buffered records to durable storage (no-op in memory).
-    fn sync(&self) {}
-
     /// What replay found at open time (default: nothing to report).
     fn replay_report(&self) -> ReplayReport {
         ReplayReport::default()
@@ -349,37 +347,9 @@ impl CheckpointStore for MemoryStore {
 // File-backed journal
 // ---------------------------------------------------------------------------
 
-/// When appends reach durable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `fsync` after every append (default: a completed response's
-    /// checkpoint survives an immediate crash).
-    Always,
-    /// `fsync` every N appends (and on [`CheckpointStore::sync`]); up to
-    /// N-1 trailing records ride on the OS cache.
-    EveryN(u64),
-    /// Never `fsync` explicitly; durability is whatever the OS gives.
-    Never,
-}
-
-/// Tuning for a [`FileJournal`].
-#[derive(Debug, Clone, Copy)]
-pub struct JournalConfig {
-    /// Fsync policy for appends.
-    pub fsync: FsyncPolicy,
-    /// Compact once the file exceeds this many bytes (and holds more
-    /// records than live fingerprints).
-    pub compact_bytes: u64,
-}
-
-impl Default for JournalConfig {
-    fn default() -> JournalConfig {
-        JournalConfig {
-            fsync: FsyncPolicy::Always,
-            compact_bytes: 1 << 20,
-        }
-    }
-}
+/// Compact once the file exceeds this many bytes (and holds more records
+/// than live fingerprints).
+const COMPACT_BYTES: u64 = 1 << 20;
 
 #[derive(Serialize, Deserialize)]
 struct GenRecord {
@@ -463,7 +433,6 @@ struct JournalInner {
     live: BTreeMap<u64, Checkpoint>,
     epoch: Option<EpochRecord>,
     records_since_compact: u64,
-    appends_since_sync: u64,
 }
 
 /// The durable [`CheckpointStore`]: an append-only, CRC-framed,
@@ -471,7 +440,7 @@ struct JournalInner {
 /// compaction. See the module docs for the format and tolerance rules.
 pub struct FileJournal {
     path: PathBuf,
-    cfg: JournalConfig,
+    compact_bytes: u64,
     generation: u64,
     report: ReplayReport,
     dir_sync: Arc<dyn DirSync>,
@@ -479,26 +448,20 @@ pub struct FileJournal {
 }
 
 impl FileJournal {
-    /// Opens (creating if absent) the journal at `path` with the default
-    /// config.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<FileJournal> {
-        FileJournal::open_with(path, JournalConfig::default())
-    }
-
-    /// Opens (creating if absent) the journal at `path` with `cfg` and
-    /// the production directory-sync implementation.
-    pub fn open_with(path: impl Into<PathBuf>, cfg: JournalConfig) -> std::io::Result<FileJournal> {
-        FileJournal::open_with_dir_sync(path, cfg, Arc::new(RealDirSync))
-    }
-
     /// Opens (creating if absent) the journal at `path`: replays every
     /// recoverable record, truncates any torn or corrupt suffix, bumps
-    /// the generation, and appends the new generation header. `dir_sync`
-    /// is the seam through which compaction makes its rename-over durable
-    /// ([`JournalConfig`] is `Copy`, so the handle rides separately).
-    pub fn open_with_dir_sync(
+    /// the generation, and appends the new generation header.
+    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<FileJournal> {
+        FileJournal::open_inner(path, COMPACT_BYTES, Arc::new(RealDirSync))
+    }
+
+    /// [`FileJournal::open`] with an explicit compaction threshold and
+    /// the seam through which compaction makes its rename-over durable,
+    /// so the journal's own tests can compact a small file and count the
+    /// directory syncs.
+    fn open_inner(
         path: impl Into<PathBuf>,
-        cfg: JournalConfig,
+        compact_bytes: u64,
         dir_sync: Arc<dyn DirSync>,
     ) -> std::io::Result<FileJournal> {
         let path = path.into();
@@ -619,7 +582,7 @@ impl FileJournal {
 
         let mut journal = FileJournal {
             path,
-            cfg,
+            compact_bytes,
             generation,
             report,
             dir_sync,
@@ -629,7 +592,6 @@ impl FileJournal {
                 live,
                 epoch,
                 records_since_compact: 0,
-                appends_since_sync: 0,
             }),
         };
         {
@@ -644,11 +606,6 @@ impl FileJournal {
         }
         journal.report.replay_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(journal)
-    }
-
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current on-disk size in bytes.
@@ -683,19 +640,6 @@ impl FileJournal {
         inner.file.write_all(&line[mid..])?;
         inner.bytes += line.len() as u64;
         Ok(())
-    }
-
-    fn maybe_sync(&self, inner: &mut JournalInner) {
-        inner.appends_since_sync += 1;
-        let due = match self.cfg.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => inner.appends_since_sync >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            let _ = inner.file.sync_data();
-            inner.appends_since_sync = 0;
-        }
     }
 
     /// Rewrites the journal as generation header + live checkpoints,
@@ -750,7 +694,6 @@ impl FileJournal {
         let _ = inner.file.sync_data();
         inner.bytes = bytes;
         inner.records_since_compact = 0;
-        inner.appends_since_sync = 0;
         Ok(())
     }
 }
@@ -777,10 +720,9 @@ impl CheckpointStore for FileJournal {
         }
         inner.live.insert(cp.fingerprint, cp.clone());
         inner.records_since_compact += 1;
-        self.maybe_sync(&mut inner);
+        let _ = inner.file.sync_data();
         let mut compacted = false;
-        if inner.bytes > self.cfg.compact_bytes
-            && inner.records_since_compact > inner.live.len() as u64
+        if inner.bytes > self.compact_bytes && inner.records_since_compact > inner.live.len() as u64
         {
             compacted = self.compact(&mut inner).is_ok();
         }
@@ -805,19 +747,13 @@ impl CheckpointStore for FileJournal {
         });
         if self.write_record(&mut inner, &json, false).is_ok() {
             inner.records_since_compact += 1;
-            self.maybe_sync(&mut inner);
+            let _ = inner.file.sync_data();
         }
         true
     }
 
     fn live(&self) -> usize {
         self.inner_lock().live.len()
-    }
-
-    fn sync(&self) {
-        let mut inner = self.inner_lock();
-        let _ = inner.file.sync_data();
-        inner.appends_since_sync = 0;
     }
 
     fn replay_report(&self) -> ReplayReport {
@@ -836,7 +772,7 @@ impl CheckpointStore for FileJournal {
         // and sweeps — stale, never unsound.
         if self.write_record(&mut inner, &json, true).is_ok() {
             inner.records_since_compact += 1;
-            self.maybe_sync(&mut inner);
+            let _ = inner.file.sync_data();
         }
         inner.epoch = Some(rec.clone());
     }
@@ -859,8 +795,8 @@ mod tests {
             fingerprint: fp,
             disjuncts_total: 8,
             proven,
-            epoch: None,
-            preds: None,
+            epoch: 0,
+            preds: vec!["e".into()],
         }
     }
 
@@ -1085,11 +1021,7 @@ mod tests {
     #[test]
     fn compaction_rewrites_only_live_fingerprints() {
         let path = tmp("compact");
-        let cfg = JournalConfig {
-            fsync: FsyncPolicy::Never,
-            compact_bytes: 512,
-        };
-        let j = FileJournal::open_with(&path, cfg).unwrap();
+        let j = FileJournal::open_inner(&path, 512, Arc::new(RealDirSync)).unwrap();
         let mut compacted = false;
         for round in 0..64 {
             let receipt = j.save(&cp(1, vec![round % 8]));
@@ -1149,11 +1081,7 @@ mod tests {
     #[test]
     fn compaction_preserves_the_epoch_record() {
         let path = tmp("epcompact");
-        let cfg = JournalConfig {
-            fsync: FsyncPolicy::Never,
-            compact_bytes: 512,
-        };
-        let j = FileJournal::open_with(&path, cfg).unwrap();
+        let j = FileJournal::open_inner(&path, 512, Arc::new(RealDirSync)).unwrap();
         j.set_epoch(&ep(7));
         let mut compacted = false;
         for round in 0..64 {
@@ -1186,14 +1114,10 @@ mod tests {
     #[test]
     fn compaction_fsyncs_the_parent_directory_after_rename() {
         let path = tmp("dirsync");
-        let cfg = JournalConfig {
-            fsync: FsyncPolicy::Never,
-            compact_bytes: 512,
-        };
         let counter = Arc::new(CountingDirSync {
             calls: Mutex::new(Vec::new()),
         });
-        let j = FileJournal::open_with_dir_sync(&path, cfg, counter.clone()).unwrap();
+        let j = FileJournal::open_inner(&path, 512, counter.clone()).unwrap();
         assert!(
             counter.calls.lock().unwrap().is_empty(),
             "plain appends never dir-sync"
@@ -1216,22 +1140,5 @@ mod tests {
             calls.iter().all(|c| *c == parent),
             "synced the journal's parent, got {calls:?}"
         );
-    }
-
-    #[test]
-    fn fsync_every_n_and_explicit_sync() {
-        let path = tmp("fsync");
-        let cfg = JournalConfig {
-            fsync: FsyncPolicy::EveryN(4),
-            compact_bytes: 1 << 20,
-        };
-        let j = FileJournal::open_with(&path, cfg).unwrap();
-        for i in 0..3 {
-            j.save(&cp(i, vec![0]));
-        }
-        j.sync();
-        drop(j);
-        let j = FileJournal::open(&path).unwrap();
-        assert_eq!(j.live(), 3);
     }
 }

@@ -1,11 +1,10 @@
-//! Deterministic, budget-bounded retry for service callers.
+//! Deterministic, attempt-bounded retry for service callers.
 //!
-//! The service's error taxonomy splits cleanly into *retryable* pressure
-//! signals ([`crate::ServiceError::ShedUnderLoad`],
-//! [`crate::ServiceError::Timeout`]) and terminal answers. A
-//! [`RetryPolicy`] drives a request through that taxonomy:
+//! The service's error taxonomy splits cleanly into one *retryable*
+//! pressure signal ([`crate::ServiceError::ShedUnderLoad`]) and terminal
+//! answers. A [`RetryPolicy`] drives a request through that taxonomy:
 //!
-//! * Shed / queue-timeout → sleep an exponential backoff and resubmit.
+//! * Shed → sleep an exponential backoff and resubmit.
 //! * `Unknown` with a checkpoint → resubmit *immediately* with the
 //!   checkpoint attached (no backoff: the service answered, it just ran
 //!   out of budget — the retry continues from the proven disjuncts
@@ -14,10 +13,10 @@
 //!   non-resumable `Unknown`) → return as-is.
 //!
 //! The schedule is fully deterministic — attempts are capped by
-//! `max_attempts`, backoff is `base_backoff * backoff_factor^i` clamped
-//! to `max_backoff` — so tests (and chaos harnesses) can pin the exact
-//! sleep sequence. [`RetryPolicy::run_with`] takes the sleep function as
-//! an argument for that purpose; [`RetryPolicy::run`] uses
+//! `max_attempts`, and the backoff before shed retry `i` is
+//! 50 ms · 2^i, capped at 1 s — so tests (and chaos harnesses) can pin
+//! the exact sleep sequence. [`RetryPolicy::run_with`] takes the sleep
+//! function as an argument for that purpose; [`RetryPolicy::run`] uses
 //! [`std::thread::sleep`].
 
 use std::time::Duration;
@@ -27,64 +26,41 @@ use qc_mediator::relative::Verdict;
 use crate::checkpoint::Checkpoint;
 use crate::{Response, ServiceError};
 
+/// Backoff before the first shed retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(50);
+/// Multiplier between consecutive backoffs.
+const BACKOFF_FACTOR: u32 = 2;
+/// Upper clamp on any single backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+
+/// The backoff before shed retry number `retry` (0-based):
+/// [`BASE_BACKOFF`] · [`BACKOFF_FACTOR`]^`retry`, clamped to
+/// [`MAX_BACKOFF`].
+fn backoff(retry: u32) -> Duration {
+    let mut d = BASE_BACKOFF;
+    for _ in 0..retry {
+        d = d.saturating_mul(BACKOFF_FACTOR);
+        if d >= MAX_BACKOFF {
+            return MAX_BACKOFF;
+        }
+    }
+    d
+}
+
 /// A bounded, deterministic retry schedule (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = no retries, 0 is treated
     /// as 1).
     pub max_attempts: u32,
-    /// Backoff before the first pressure retry.
-    pub base_backoff: Duration,
-    /// Multiplier between consecutive backoffs.
-    pub backoff_factor: u32,
-    /// Upper clamp on any single backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(50),
-            backoff_factor: 2,
-            max_backoff: Duration::from_secs(1),
-        }
-    }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// A policy with `attempts` total attempts and the default backoff
-    /// curve.
+    /// A policy with `attempts` total attempts.
     pub fn with_attempts(attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: attempts,
-            ..RetryPolicy::default()
         }
-    }
-
-    /// The backoff before pressure-retry number `retry` (0-based):
-    /// `base * factor^retry`, clamped to `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = self.backoff_factor.max(1);
-        let mut d = self.base_backoff;
-        for _ in 0..retry {
-            d = match d.checked_mul(factor) {
-                Some(next) => next,
-                None => return self.max_backoff,
-            };
-            if d >= self.max_backoff {
-                return self.max_backoff;
-            }
-        }
-        d.min(self.max_backoff)
     }
 
     /// Drives `attempt` through the schedule, sleeping with
@@ -123,8 +99,8 @@ impl RetryPolicy {
                     (Verdict::Unknown(_), Some(cp)) => checkpoint = Some(cp.clone()),
                     _ => return result,
                 },
-                Err(ServiceError::ShedUnderLoad { .. }) | Err(ServiceError::Timeout { .. }) => {
-                    sleep(self.backoff(backoffs));
+                Err(ServiceError::ShedUnderLoad { .. }) => {
+                    sleep(backoff(backoffs));
                     backoffs += 1;
                 }
                 Err(_) => return result,
@@ -179,28 +155,20 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_is_exponential_and_clamped() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: Duration::from_millis(50),
-            backoff_factor: 2,
-            max_backoff: Duration::from_millis(300),
-        };
-        assert_eq!(p.backoff(0), Duration::from_millis(50));
-        assert_eq!(p.backoff(1), Duration::from_millis(100));
-        assert_eq!(p.backoff(2), Duration::from_millis(200));
-        assert_eq!(p.backoff(3), Duration::from_millis(300), "clamped");
-        assert_eq!(p.backoff(30), Duration::from_millis(300), "stays clamped");
+    fn backoff_doubles_from_50_ms_and_caps_at_1_s() {
+        let ms = |n| Duration::from_millis(n);
+        let schedule: Vec<Duration> = (0..6).map(backoff).collect();
+        assert_eq!(
+            schedule,
+            vec![ms(50), ms(100), ms(200), ms(400), ms(800), ms(1000)]
+        );
+        assert_eq!(backoff(30), ms(1000), "stays capped");
+        assert_eq!(backoff(u32::MAX), ms(1000), "no overflow");
     }
 
     #[test]
-    fn pressure_errors_retry_with_recorded_backoffs_then_give_up() {
-        let p = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(10),
-            backoff_factor: 3,
-            max_backoff: Duration::from_secs(1),
-        };
+    fn shed_errors_retry_with_recorded_backoffs_then_give_up() {
+        let p = RetryPolicy::with_attempts(4);
         let mut calls = 0u32;
         let mut slept: Vec<Duration> = Vec::new();
         let out = p.run_with(
@@ -215,9 +183,9 @@ mod tests {
         assert_eq!(
             slept,
             vec![
-                Duration::from_millis(10),
-                Duration::from_millis(30),
-                Duration::from_millis(90),
+                Duration::from_millis(50),
+                Duration::from_millis(100),
+                Duration::from_millis(200),
             ],
             "deterministic exponential schedule"
         );
@@ -236,8 +204,8 @@ mod tests {
                         fingerprint: 7,
                         disjuncts_total: 4,
                         proven: vec![0, 1],
-                        epoch: None,
-                        preds: None,
+                        epoch: 0,
+                        preds: vec!["e".into()],
                     }))
                 } else {
                     contained_response()
@@ -263,8 +231,8 @@ mod tests {
                     fingerprint: 7,
                     disjuncts_total: 4,
                     proven: cp.map(|c| c.proven).unwrap_or_default(),
-                    epoch: None,
-                    preds: None,
+                    epoch: 0,
+                    preds: vec!["e".into()],
                 }))
             },
             |_| {},

@@ -174,23 +174,17 @@ fn timelines_distinguish_fresh_resumed_and_coalesced() {
         assert_eq!(t.wait().unwrap().verdict, Verdict::Contained);
     }
     let flight = svc.core().flight();
-    let outcomes: Vec<String> = traces
+    let outcomes: Vec<&str> = traces
         .iter()
         .map(|t| flight.find(*t).unwrap().outcome)
         .collect();
     assert_eq!(
-        outcomes
-            .iter()
-            .filter(|o| o.as_str() == "coalesced")
-            .count(),
+        outcomes.iter().filter(|o| **o == "coalesced").count(),
         2,
         "two waiters, one leader: {outcomes:?}"
     );
     assert_eq!(
-        outcomes
-            .iter()
-            .filter(|o| o.as_str() == "contained")
-            .count(),
+        outcomes.iter().filter(|o| **o == "contained").count(),
         1,
         "{outcomes:?}"
     );
@@ -211,11 +205,8 @@ fn resumed_runs_skip_proven_disjuncts() {
     let run = |proven: Vec<usize>| {
         let mut req = contained_request();
         req.checkpoint = Some(Checkpoint {
-            fingerprint: cp.fingerprint,
-            disjuncts_total: total,
             proven,
-            epoch: None,
-            preds: None,
+            ..cp.clone()
         });
         core.handle(&req, 0).unwrap()
     };
@@ -255,11 +246,8 @@ fn stale_client_checkpoints_cannot_erase_durable_progress() {
         let mut stale = contained_request();
         stale.budget = Some(budget);
         stale.checkpoint = Some(Checkpoint {
-            fingerprint: cp.fingerprint,
-            disjuncts_total: cp.disjuncts_total,
             proven: Vec::new(),
-            epoch: None,
-            preds: None,
+            ..cp.clone()
         });
         let resp = core.handle(&stale, 0).unwrap();
         assert!(

@@ -673,7 +673,7 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
         None => {
             let replies = svc.run_batch(reqs.clone());
             // `--retries N` grants each job N extra attempts through the
-            // deterministic retry policy: shed/timeout errors back off and
+            // deterministic retry policy: shed errors back off and
             // resubmit, resumable Unknowns hand their checkpoint straight
             // back.
             let replies: Vec<_> = if retries == 0 {

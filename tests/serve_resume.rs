@@ -89,8 +89,8 @@ fn resume_from_checkpoint_after_last_disjunct() {
         fingerprint: req.fingerprint(&core.snapshot()),
         disjuncts_total: cp.disjuncts_total,
         proven: (0..cp.disjuncts_total).collect(),
-        epoch: None,
-        preds: None,
+        epoch: core.epoch(),
+        preds: req.pred_names().into_iter().collect(),
     });
     req.budget = Some(starve_budget);
     let resp = core.handle(&req, 0).expect("resumed run");

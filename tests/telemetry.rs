@@ -1,10 +1,8 @@
 //! Telemetry v2 integration tests: every answer (and every error) the
 //! service hands out carries a trace ID that resolves in the flight
 //! recorder, the serve latency histograms populate as requests run,
-//! the flight ring honours its configured capacity, and supervision
+//! the flight ring keeps its last 256 timelines, and supervision
 //! events (worker panics) leave resolvable timelines behind.
-
-use std::time::Duration;
 
 use relcont::datalog::{parse_program, Program, Symbol};
 use relcont::guard::{FaultKind, FaultPlan};
@@ -79,15 +77,19 @@ fn shed_errors_carry_resolvable_traces() {
     let cfg = ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        // The submits are identical; without this the second would
-        // coalesce onto the first instead of shedding.
-        coalesce: false,
         ..ServeConfig::default()
     };
     let svc = Service::start(example1_sources(), cfg);
     svc.pause();
-    let ticket = svc.submit(contained_request()).unwrap();
-    let shed = match svc.submit(contained_request()) {
+    // The two submits differ only in a budget large enough to decide, so
+    // the second takes a queue slot of its own instead of coalescing onto
+    // the first.
+    let budgeted = |units| Request {
+        budget: Some(units),
+        ..contained_request()
+    };
+    let ticket = svc.submit(budgeted(u64::MAX)).unwrap();
+    let shed = match svc.submit(budgeted(u64::MAX - 1)) {
         Err(e @ ServiceError::ShedUnderLoad { .. }) => e,
         other => panic!("expected shed, got {other:?}"),
     };
@@ -156,25 +158,21 @@ fn latency_histograms_populate() {
     assert!(text.contains("_bucket{le=\"+Inf\"} 3"));
 }
 
-/// The flight ring never outgrows its configured capacity; the newest
-/// timelines survive, the oldest are evicted.
+/// The flight ring keeps the last 256 timelines: the newest survive,
+/// the oldest are evicted.
 #[test]
-fn flight_ring_is_bounded_by_flight_capacity() {
-    let cfg = ServeConfig {
-        flight_capacity: 4,
-        ..ServeConfig::default()
-    };
-    let core = ServeCore::new(example1_sources(), cfg);
-    let mut traces = Vec::new();
-    for _ in 0..10 {
-        traces.push(core.handle(&contained_request(), 0).unwrap().trace);
-    }
-    assert_eq!(core.flight().len(), 4);
-    assert_eq!(core.flight().capacity(), 4);
-    for old in &traces[..6] {
+fn flight_ring_keeps_the_newest_256_timelines() {
+    let core = ServeCore::new(example1_sources(), ServeConfig::default());
+    assert_eq!(core.flight().capacity(), 256);
+    // One run, then verdict-cache hits: each answer pushes one timeline.
+    let traces: Vec<TraceId> = (0..260)
+        .map(|_| core.handle(&contained_request(), 0).unwrap().trace)
+        .collect();
+    assert_eq!(core.flight().len(), 256);
+    for old in &traces[..4] {
         assert!(core.flight().find(*old).is_none(), "{old} evicted");
     }
-    for recent in &traces[6..] {
+    for recent in &traces[4..] {
         assert!(core.flight().find(*recent).is_some(), "{recent} retained");
     }
 }
@@ -212,32 +210,5 @@ fn worker_panics_leave_supervision_timelines() {
             .any(|t| t.trace == err.trace() && t.outcome == "panic_retry"),
         "supervision retry recorded: {timelines:?}"
     );
-    svc.shutdown();
-}
-
-/// Queue timeouts are answered without running — and still traced.
-#[test]
-fn queue_timeouts_are_traced() {
-    let cfg = ServeConfig {
-        workers: 1,
-        queue_timeout: Some(Duration::from_millis(1)),
-        ..ServeConfig::default()
-    };
-    let svc = Service::start(example1_sources(), cfg);
-    svc.pause();
-    let ticket = svc.submit(contained_request()).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    svc.unpause();
-    let err = match ticket.wait() {
-        Err(e @ ServiceError::Timeout { .. }) => e,
-        other => panic!("expected queue timeout, got {other:?}"),
-    };
-    let t = svc
-        .core()
-        .flight()
-        .find(err.trace())
-        .expect("timeout trace resolves");
-    assert_eq!(t.outcome, "queue_timeout");
-    assert!(t.queue_wait_ns > 0, "the wait itself is recorded");
     svc.shutdown();
 }
