@@ -343,7 +343,10 @@ fn scenarios() -> Vec<Scenario> {
     // depth grows with the chain), and one Theorem 4.2 decision.
     let mut cites =
         LavSetting::parse(&["Cites(P1, P2) :- cites(P1, P2)."]).expect("cites view parses");
-    cites.sources[0] = cites.sources[0].clone().with_adornment("bf");
+    cites.sources[0] = cites.sources[0]
+        .clone()
+        .with_adornment("bf")
+        .expect("bf fits a binary source");
     let q_cites = parse_program("q(P) :- cites(p0, P). q(P) :- q(Q2), cites(Q2, P).").unwrap();
     let chain256: String = (0..256)
         .map(|i| format!("Cites(p{i}, p{}). ", i + 1))
@@ -362,7 +365,10 @@ fn scenarios() -> Vec<Scenario> {
     ])
     .expect("book views parse");
     for s in &mut books.sources {
-        *s = s.clone().with_adornment("bf");
+        *s = s
+            .clone()
+            .with_adornment("bf")
+            .expect("bf fits a binary source");
     }
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
     let q_red = parse_program("qf(P) :- authored(I, eco), price(I, P), authored(I, A).").unwrap();

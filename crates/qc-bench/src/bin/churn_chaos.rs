@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use qc_datalog::Symbol;
 use qc_guard::{stage, FaultKind, FaultPlan};
-use qc_mediator::relative::{decide, Question, Sources, Verdict};
+use qc_mediator::relative::{decide, Question, RelativeError, Sources, Verdict};
 use qc_mediator::schema::{LavSetting, SourceDescription};
 use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
 use qc_obs::Counter;
@@ -86,7 +86,7 @@ struct Case {
     oracle: Verdict,
 }
 
-fn random_case(rng: &mut StdRng) -> Option<Case> {
+fn random_case(rng: &mut StdRng) -> Result<Option<Case>, String> {
     let q = Symbol::new("q");
     let cq1 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
     let cq2 = random_query(Shape::Chain, 1 + rng.gen_range(0..2), 2, rng);
@@ -96,13 +96,16 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
     let oracle =
         match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views)).map(|d| d.verdict) {
             Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-            _ => return None,
+            Err(RelativeError::Input(e)) => {
+                return Err(format!("the generator drew malformed input: {e}"))
+            }
+            _ => return Ok(None),
         };
-    Some(Case {
+    Ok(Some(Case {
         views,
         req: Request::new(p1, q, p2, q),
         oracle,
-    })
+    }))
 }
 
 /// An auxiliary view over predicates no chain workload mentions: deltas
@@ -602,9 +605,18 @@ fn main() -> ExitCode {
     let mut skipped = 0usize;
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-        let Some(case) = random_case(&mut rng) else {
-            skipped += 1;
-            continue;
+        let case = match random_case(&mut rng) {
+            Ok(Some(case)) => case,
+            Ok(None) => {
+                skipped += 1;
+                continue;
+            }
+            // A generator that drifts into input the gate rejects would
+            // shrink the suite unseen if it were skipped.
+            Err(msg) => {
+                tally.fail(trial, &msg);
+                continue;
+            }
         };
         tally.trials += 1;
         check_stale_storm(trial, &case, &mut tally);

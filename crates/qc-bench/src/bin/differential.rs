@@ -213,10 +213,10 @@ fn main() -> ExitCode {
             let mut views =
                 LavSetting::parse(&["Va(A, B) :- p0(A, B).", "Vb(A, B) :- p1(A, B)."]).unwrap();
             if rng.gen_bool(0.5) {
-                views.sources[0] = views.sources[0].clone().with_adornment("bf");
+                views.sources[0] = views.sources[0].clone().with_adornment("bf").unwrap();
             }
             if rng.gen_bool(0.5) {
-                views.sources[1] = views.sources[1].clone().with_adornment("bf");
+                views.sources[1] = views.sources[1].clone().with_adornment("bf").unwrap();
             }
             let bodies = [
                 "p0(c0, X)",

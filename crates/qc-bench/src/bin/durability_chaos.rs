@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use qc_datalog::{parse_program, Program, Symbol};
 use qc_guard::{stage, FaultKind, FaultPlan};
-use qc_mediator::relative::{decide, Question, Sources, Verdict};
+use qc_mediator::relative::{decide, Question, RelativeError, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{query_program, random_query, random_views, Shape};
 use qc_serve::{
@@ -94,7 +94,7 @@ struct Case {
 
 /// A random case: one in three from [`multi_disjunct_question`], the
 /// rest a random chain workload.
-fn random_case(rng: &mut StdRng) -> Option<Case> {
+fn random_case(rng: &mut StdRng) -> Result<Option<Case>, String> {
     let (views, p1, a1, p2, a2) = if rng.gen_range(0..3) == 0 {
         multi_disjunct_question(rng)
     } else {
@@ -108,13 +108,16 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
         .map(|d| d.verdict)
     {
         Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-        _ => return None,
+        Err(RelativeError::Input(e)) => {
+            return Err(format!("the generator drew malformed input: {e}"))
+        }
+        _ => return Ok(None),
     };
-    Some(Case {
+    Ok(Some(Case {
         views,
         req: Request::new(p1, a1, p2, a2),
         oracle,
-    })
+    }))
 }
 
 /// A question whose plan has `2^m` disjuncts, m = 2–3, each checked at a
@@ -610,9 +613,18 @@ fn main() -> ExitCode {
     let mut skipped = 0usize;
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-        let Some(case) = random_case(&mut rng) else {
-            skipped += 1;
-            continue;
+        let case = match random_case(&mut rng) {
+            Ok(Some(case)) => case,
+            Ok(None) => {
+                skipped += 1;
+                continue;
+            }
+            // A generator that drifts into input the gate rejects would
+            // shrink the suite unseen if it were skipped.
+            Err(msg) => {
+                tally.fail(trial, &msg);
+                continue;
+            }
         };
         tally.trials += 1;
         check_kill_restart(trial, &case, &dir, &mut rng, &mut tally);

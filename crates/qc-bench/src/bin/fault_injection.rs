@@ -314,7 +314,10 @@ fn main() -> ExitCode {
     ])
     .expect("parse adorned views");
     for source in &mut adorned.sources {
-        *source = source.clone().with_adornment("bf");
+        *source = source
+            .clone()
+            .with_adornment("bf")
+            .expect("bf fits a binary source");
     }
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").expect("parse qe");
     let q_strong = parse_program(

@@ -41,7 +41,7 @@ use std::process::ExitCode;
 
 use qc_datalog::Symbol;
 use qc_guard::{stage, FaultKind, FaultPlan};
-use qc_mediator::relative::{decide, Question, Sources, Verdict};
+use qc_mediator::relative::{decide, Question, RelativeError, Sources, Verdict};
 use qc_mediator::schema::LavSetting;
 use qc_mediator::workloads::{
     query_program, random_query, random_semi_interval_question, random_views, Shape,
@@ -96,7 +96,7 @@ struct Case {
     oracle: Verdict,
 }
 
-fn random_case(rng: &mut StdRng) -> Option<Case> {
+fn random_case(rng: &mut StdRng) -> Result<Option<Case>, String> {
     let q = Symbol::new("q");
     let (cq1, cq2, views) = if rng.gen_bool(0.25) {
         random_semi_interval_question(rng)
@@ -110,13 +110,16 @@ fn random_case(rng: &mut StdRng) -> Option<Case> {
     let oracle =
         match decide(&Question::new(&p1, &q, &p2, &q), Sources::Views(&views)).map(|d| d.verdict) {
             Ok(v @ (Verdict::Contained | Verdict::NotContained)) => v,
-            _ => return None,
+            Err(RelativeError::Input(e)) => {
+                return Err(format!("the generator drew malformed input: {e}"))
+            }
+            _ => return Ok(None),
         };
-    Some(Case {
+    Ok(Some(Case {
         views,
         req: Request::new(p1, q, p2, q),
         oracle,
-    })
+    }))
 }
 
 /// A definite verdict that disagrees with the oracle, rendered for the
@@ -389,11 +392,20 @@ fn main() -> ExitCode {
     let mut skipped = 0usize;
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-        let Some(case) = random_case(&mut rng) else {
-            // The unguarded oracle itself was indefinite (possible only on
-            // degenerate drawings); nothing to check against.
-            skipped += 1;
-            continue;
+        let case = match random_case(&mut rng) {
+            Ok(Some(case)) => case,
+            Ok(None) => {
+                // The unguarded oracle itself was indefinite (possible only on
+                // degenerate drawings); nothing to check against.
+                skipped += 1;
+                continue;
+            }
+            // A generator that drifts into input the gate rejects would
+            // shrink the suite unseen if it were skipped.
+            Err(msg) => {
+                tally.fail(trial, &msg);
+                continue;
+            }
         };
         tally.trials += 1;
         check_resume(trial, &case, &mut rng, &mut tally);

@@ -60,7 +60,7 @@ pub use rule::Rule;
 pub use subst::{unify_atoms, unify_terms, unify_terms_with, Subst, VarGen};
 pub use symbol::{interner_stats, InternerStats, Symbol};
 pub use term::{Const, Term, Var};
-pub use validate::{validate_program, validate_rule, ValidationError};
+pub use validate::{validate_rule, ValidationError};
 
 /// Re-export of the comparison operator type shared with `qc-constraints`.
 pub use qc_constraints::CompOp;

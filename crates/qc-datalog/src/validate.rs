@@ -1,10 +1,11 @@
-//! Static validation: safety, range restriction, comparison typing, arity.
+//! Static validation of one rule: safety, range restriction, comparison
+//! typing.
 
 use std::fmt;
 
 use qc_constraints::CompOp;
 
-use crate::{Comparison, Const, Program, Rule, Symbol, Term, Var};
+use crate::{Comparison, Const, Rule, Term, Var};
 
 /// A validation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,11 +35,6 @@ pub enum ValidationError {
         /// The offending comparison (display form).
         comparison: String,
     },
-    /// A predicate is used at two different arities.
-    ArityMismatch {
-        /// The offending predicate.
-        pred: Symbol,
-    },
 }
 
 impl fmt::Display for ValidationError {
@@ -55,9 +51,6 @@ impl fmt::Display for ValidationError {
                 f,
                 "ordering comparison over non-numeric operand ({comparison}): {rule}"
             ),
-            ValidationError::ArityMismatch { pred } => {
-                write!(f, "predicate {pred} used at inconsistent arities")
-            }
         }
     }
 }
@@ -104,23 +97,10 @@ pub fn validate_rule(rule: &Rule) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// Validates every rule of a program plus global arity consistency.
-pub fn validate_program(program: &Program) -> Result<(), ValidationError> {
-    for rule in program.rules() {
-        validate_rule(rule)?;
-    }
-    if let Err(preds) = program.arities() {
-        return Err(ValidationError::ArityMismatch {
-            pred: preds.into_iter().next().expect("nonempty on Err"),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_program, parse_rule};
+    use crate::parse_rule;
 
     #[test]
     fn safe_rule_passes() {
@@ -162,20 +142,5 @@ mod tests {
         // Equality over symbols is fine.
         let r2 = parse_rule("q(X) :- r(X), X != red.").unwrap();
         assert!(validate_rule(&r2).is_ok());
-    }
-
-    #[test]
-    fn program_arity_mismatch() {
-        let p = parse_program("q(X) :- r(X, Y). p(X) :- r(X).").unwrap();
-        assert!(matches!(
-            validate_program(&p),
-            Err(ValidationError::ArityMismatch { pred }) if pred == Symbol::new("r")
-        ));
-    }
-
-    #[test]
-    fn valid_program_passes() {
-        let p = parse_program("p(X, Y) :- e(X, Y). p(X, Z) :- p(X, Y), e(Y, Z).").unwrap();
-        assert!(validate_program(&p).is_ok());
     }
 }

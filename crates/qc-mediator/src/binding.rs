@@ -21,7 +21,7 @@ use qc_datalog::{Atom, Const, Literal, Program, Relation, Rule, Symbol, Term};
 use crate::certain::CertainError;
 use crate::fn_elim::eliminate_function_terms;
 use crate::inverse_rules::inverse_rules;
-use crate::schema::LavSetting;
+use crate::schema::{check_input, LavSetting};
 
 /// The reserved domain-predicate name.
 pub const DOM: &str = "dom";
@@ -79,7 +79,7 @@ pub fn is_executable_program(program: &Program, views: &LavSetting) -> bool {
 /// use qc_mediator::schema::LavSetting;
 ///
 /// let mut views = LavSetting::parse(&["V(A, B) :- p(A, B)."]).unwrap();
-/// views.sources[0] = views.sources[0].clone().with_adornment("bf");
+/// views.sources[0] = views.sources[0].clone().with_adornment("bf").unwrap();
 /// let q = parse_program("q(X) :- p(c0, X).").unwrap();
 /// let plan = executable_plan(&q, &views);
 /// // Recursion through dom, seeded by the query constant.
@@ -159,6 +159,7 @@ pub fn reachable_certain_answers(
     instance: &qc_datalog::Database,
     opts: &EvalOptions,
 ) -> Result<Relation, CertainError> {
+    check_input(&[(query, answer)], &views.sources, Some(instance))?;
     let plan = eliminate_function_terms(&executable_plan(query, views))?;
     // Restrict the instance to what the adornments allow: a source tuple
     // is *accessible* only if its bound arguments are in dom. The guarded
@@ -182,8 +183,8 @@ mod tests {
             "ByAuthor(Author, Isbn) :- authored(Isbn, Author).",
         ])
         .unwrap();
-        v.sources[0] = v.sources[0].clone().with_adornment("bf");
-        v.sources[1] = v.sources[1].clone().with_adornment("bf");
+        v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
+        v.sources[1] = v.sources[1].clone().with_adornment("bf").unwrap();
         v
     }
 
@@ -253,7 +254,7 @@ mod tests {
         // Classic Kwok–Weld example shape: citations reachable only
         // through repeated lookups.
         let mut v = LavSetting::parse(&["Cites(P1, P2) :- cites(P1, P2)."]).unwrap();
-        v.sources[0] = v.sources[0].clone().with_adornment("bf");
+        v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
         let q = parse_program("q(P) :- cites(p0, P). q(P) :- q(P1), cites(P1, P).").unwrap();
         let db =
             Database::parse("Cites(p0, p1). Cites(p1, p2). Cites(p2, p3). Cites(p9, p8).").unwrap();
@@ -287,7 +288,7 @@ mod tests {
             LavSetting::parse(&["RedCars(C, M, Y) :- CarDescription(C, M, red, Y)."]).unwrap();
         // NOTE: 'red' IS a constant of V, but it can only feed the Model
         // position via dom — which is the sound-plan semantics.
-        v.sources[0] = v.sources[0].clone().with_adornment("fbf");
+        v.sources[0] = v.sources[0].clone().with_adornment("fbf").unwrap();
         let q = parse_program("q(C, Y) :- CarDescription(C, M, red, Y).").unwrap();
         let db = Database::parse("RedCars(c1, corolla, 1988).").unwrap();
         let got =

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use qc_datalog::{Program, Rule, Symbol};
 
 use crate::inverse_rules::inverse_rules_for_source;
-use crate::schema::{LavSetting, SourceDescription};
+use crate::schema::{check_input, InputError, LavSetting, SourceDescription};
 
 /// One mutation of the catalog.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +125,9 @@ pub enum CatalogError {
     Unknown(String),
     /// Unparsable op syntax.
     Parse(String),
+    /// An added or replacing view is not well formed on its own
+    /// ([`check_input`]).
+    Input(InputError),
 }
 
 impl fmt::Display for CatalogError {
@@ -133,6 +136,7 @@ impl fmt::Display for CatalogError {
             CatalogError::Duplicate(n) => write!(f, "view {n:?} already in the catalog"),
             CatalogError::Unknown(n) => write!(f, "no view {n:?} in the catalog"),
             CatalogError::Parse(m) => write!(f, "{m}"),
+            CatalogError::Input(e) => write!(f, "{e}"),
         }
     }
 }
@@ -176,6 +180,29 @@ pub fn extend_footprint(out: &mut Vec<Symbol>, program: &Program) {
     }
 }
 
+/// A source's footprint, with repeats: its exported name plus its body
+/// predicates. A view's side of the test [`CompiledView::meets`].
+fn source_footprint(source: &SourceDescription) -> impl Iterator<Item = Symbol> + '_ {
+    std::iter::once(source.name).chain(source.view.subgoals.iter().map(|a| a.pred))
+}
+
+/// The sources of a plain setting whose footprint meets the predicates of
+/// `queries`, in order: [`CompiledCatalog::scope`] without compiling.
+pub fn setting_scope<'a>(
+    views: &'a LavSetting,
+    queries: &[&Program],
+) -> Vec<&'a SourceDescription> {
+    let mut preds = Vec::new();
+    for query in queries {
+        extend_footprint(&mut preds, query);
+    }
+    views
+        .sources
+        .iter()
+        .filter(|s| source_footprint(s).any(|p| preds.contains(&p)))
+        .collect()
+}
+
 /// One source with its compiled artifacts and the catalog version that
 /// last touched it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,10 +226,7 @@ impl CompiledView {
     fn compile(source: SourceDescription, version: u64) -> CompiledView {
         let inverse = inverse_rules_for_source(&source);
         let mut footprint = Vec::new();
-        add_preds(
-            &mut footprint,
-            std::iter::once(source.name).chain(source.view.subgoals.iter().map(|a| a.pred)),
-        );
+        add_preds(&mut footprint, source_footprint(&source));
         let rendered = source.to_string();
         CompiledView {
             source,
@@ -280,11 +304,15 @@ impl CompiledCatalog {
         out
     }
 
-    /// The views whose footprint meets `query`'s predicates, in catalog
-    /// order: every view `query`'s maximally-contained plan can mention.
-    pub fn scope(&self, query: &Program) -> Vec<&CompiledView> {
+    /// The views whose footprint meets the predicates of `queries`, in
+    /// catalog order: for one query, every view its maximally-contained
+    /// plan can mention; for Q1 and Q2, every view a `qc-serve` request
+    /// fingerprint covers.
+    pub fn scope(&self, queries: &[&Program]) -> Vec<&CompiledView> {
         let mut preds = Vec::new();
-        extend_footprint(&mut preds, query);
+        for query in queries {
+            extend_footprint(&mut preds, query);
+        }
         self.entries
             .iter()
             .filter(|e| e.meets(&preds))
@@ -298,10 +326,16 @@ impl CompiledCatalog {
 
     /// Checks every op of `delta` against the view names, in order: op
     /// K's validity can depend on the ops before it (`add V` then
-    /// `replace V` is legal).
+    /// `replace V` is legal). Each added or replacing view must pass the
+    /// input gate on its own; how it fits the rest of the catalog is
+    /// gated where a decision reads it, so this costs the delta's views,
+    /// not the catalog's.
     fn validate(&self, delta: &CatalogDelta) -> Result<(), CatalogError> {
         let mut present: BTreeMap<&str, bool> = BTreeMap::new();
         for op in &delta.ops {
+            if let CatalogOp::Add(s) | CatalogOp::Replace(s) = op {
+                check_input(&[], [s], None).map_err(CatalogError::Input)?;
+            }
             let name = op.name();
             let here = *present
                 .entry(name)
@@ -489,7 +523,7 @@ mod tests {
             .push(SourceDescription::parse("W(A) :- wsrc(A, B).").unwrap());
         let cat = CompiledCatalog::compile(&views);
         let scoped = |query: &str| -> Vec<String> {
-            cat.scope(&qc_datalog::parse_program(query).unwrap())
+            cat.scope(&[&qc_datalog::parse_program(query).unwrap()])
                 .iter()
                 .map(|e| e.source.name.to_string())
                 .collect()

@@ -19,7 +19,7 @@ use qc_datalog::{Database, Program, Relation, Symbol, Term, Tuple};
 
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
 use crate::inverse_rules::max_contained_plan;
-use crate::schema::LavSetting;
+use crate::schema::{check_input, InputError, LavSetting};
 
 /// Open- vs closed-world interpretation of sources (§2.2: incomplete vs
 /// complete sources; \[1\] calls these OWA/CWA).
@@ -34,6 +34,8 @@ pub enum World {
 /// Errors computing certain answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertainError {
+    /// The input is not well formed ([`check_input`]).
+    Input(InputError),
     /// Plan evaluation failed.
     Eval(EvalError),
     /// Function-term elimination failed.
@@ -43,6 +45,7 @@ pub enum CertainError {
 impl fmt::Display for CertainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CertainError::Input(e) => write!(f, "{e}"),
             CertainError::Eval(e) => write!(f, "evaluation: {e}"),
             CertainError::FnElim(e) => write!(f, "function-term elimination: {e}"),
         }
@@ -76,6 +79,12 @@ impl From<FnElimError> for CertainError {
     }
 }
 
+impl From<InputError> for CertainError {
+    fn from(e: InputError) -> CertainError {
+        CertainError::Input(e)
+    }
+}
+
 /// Computes the certain answers of a comparison-free datalog query over
 /// incomplete conjunctive sources by evaluating the maximally-contained
 /// plan (inverse rules, \[15\]) and discarding null-carrying tuples.
@@ -86,6 +95,7 @@ pub fn certain_answers(
     instance: &Database,
     opts: &EvalOptions,
 ) -> Result<Relation, CertainError> {
+    check_input(&[(query, answer)], &views.sources, Some(instance))?;
     let plan = max_contained_plan(query, views);
     Ok(answers(&plan, instance, answer, opts)?.without_nulls())
 }
@@ -100,6 +110,7 @@ pub fn certain_answers_via_elimination(
     instance: &Database,
     opts: &EvalOptions,
 ) -> Result<Relation, CertainError> {
+    check_input(&[(query, answer)], &views.sources, Some(instance))?;
     let plan = eliminate_function_terms(&max_contained_plan(query, views))?;
     Ok(answers(&plan, instance, answer, opts)?)
 }
@@ -131,6 +142,7 @@ pub fn certain_answer_support(
     tuple: &Tuple,
     opts: &EvalOptions,
 ) -> Result<Option<Vec<(Symbol, Tuple)>>, CertainError> {
+    check_input(&[(query, answer)], &views.sources, Some(instance))?;
     let plan = eliminate_function_terms(&max_contained_plan(query, views))?;
     let (idb, trace) = qc_datalog::eval::evaluate_traced(&plan, instance, opts)?;
     if !idb.relation(answer).is_some_and(|r| r.contains(tuple)) {

@@ -6,7 +6,8 @@
 //! (§2.2 of the paper). This crate implements:
 //!
 //! * [`schema`] — source descriptions, open/closed world, binding-pattern
-//!   adornments, optional declared mediated schemas;
+//!   adornments, and the input gate ([`check_input`]) that holds every
+//!   well-formedness rule and that every entry point runs first;
 //! * [`analysis`] — source-set analysis: losslessness, coverage, source
 //!   redundancy, relative-equivalence classes (§1's "coverage and
 //!   limitations" use case);
@@ -86,4 +87,4 @@ pub use inverse_rules::{inverse_rules, max_contained_plan};
 pub use relative::{
     decide, relatively_contained, relatively_equivalent, Decision, Question, Sources,
 };
-pub use schema::{Adornment, LavSetting, MediatedSchema, SchemaError, SourceDescription};
+pub use schema::{check_input, Adornment, InputError, LavSetting, SourceDescription};

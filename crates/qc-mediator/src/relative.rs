@@ -23,8 +23,11 @@
 //! lines over [`decide`]; [`relatively_contained_by_plans`] is the
 //! independent Thm 3.1 reference the tests compare it with.
 //!
-//! Cases the paper leaves open (arbitrary comparisons in *both* queries,
-//! complete sources) are reported as [`RelativeError::Unsupported`].
+//! Every entry point first runs the input gate
+//! ([`crate::schema::check_input`]) over the queries and the views it
+//! reads; a malformed input is [`RelativeError::Input`]. Cases the paper
+//! leaves open (arbitrary comparisons in *both* queries, complete
+//! sources) are reported as [`RelativeError::Unsupported`].
 
 use std::fmt;
 
@@ -38,10 +41,10 @@ use qc_containment::{cq_contained_in_ucq, cq_contained_memo, ucq_contained};
 use qc_datalog::eval::{EvalError, EvalOptions};
 use qc_datalog::{Comparison, ConjunctiveQuery, Program, Symbol, Term, Ucq, UnfoldError};
 
-use crate::catalog::{CompiledCatalog, CompiledView};
+use crate::catalog::{setting_scope, CompiledCatalog, CompiledView};
 use crate::expansion::{expand_cq, expand_program};
 use crate::fn_elim::{eliminate_function_terms, FnElimError};
-use crate::schema::LavSetting;
+use crate::schema::{check_input, InputError, LavSetting, SourceDescription};
 
 /// The views a plan draws on: those of a compiled catalog whose footprint
 /// meets Q1's predicates, in catalog order ([`CompiledCatalog::scope`]),
@@ -67,7 +70,7 @@ struct Planner<'a> {
 impl<'a> Planner<'a> {
     /// Plans `q1` from the views of `catalog` it reaches.
     fn new(catalog: &'a CompiledCatalog, q1: &Program, fresh: bool) -> Planner<'a> {
-        Planner::of(catalog.scope(q1), fresh)
+        Planner::of(catalog.scope(&[q1]), fresh)
     }
 
     /// Plans from every view of `catalog`: the binding-pattern route,
@@ -111,6 +114,8 @@ impl<'a> Planner<'a> {
 /// Errors from the relative-containment procedures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelativeError {
+    /// The input is not well formed ([`check_input`]).
+    Input(InputError),
     /// The query/view class falls outside the paper's decidable cases
     /// (e.g. arbitrary comparisons in the contained query, or two
     /// recursive queries).
@@ -136,6 +141,7 @@ pub enum RelativeError {
 impl fmt::Display for RelativeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RelativeError::Input(e) => write!(f, "{e}"),
             RelativeError::Unsupported(s) => write!(f, "unsupported case: {s}"),
             RelativeError::Unfold(e) => write!(f, "unfold: {e}"),
             RelativeError::DatalogUcq(e) => write!(f, "datalog/UCQ containment: {e}"),
@@ -152,6 +158,11 @@ impl fmt::Display for RelativeError {
 
 impl std::error::Error for RelativeError {}
 
+impl From<InputError> for RelativeError {
+    fn from(e: InputError) -> Self {
+        RelativeError::Input(e)
+    }
+}
 impl From<UnfoldError> for RelativeError {
     fn from(e: UnfoldError) -> Self {
         RelativeError::Unfold(e)
@@ -260,7 +271,9 @@ pub fn max_contained_ucq_plan(
     views: &LavSetting,
 ) -> Result<Ucq, RelativeError> {
     let catalog = CompiledCatalog::compile(views);
-    max_contained_ucq_plan_with(query, answer, &Planner::new(&catalog, query, true))
+    let planner = Planner::new(&catalog, query, true);
+    check_input(&[(query, answer)], &planner.views().sources, None)?;
+    max_contained_ucq_plan_with(query, answer, &planner)
 }
 
 /// [`max_contained_ucq_plan`] drawing inverse rules from a compiled
@@ -273,7 +286,9 @@ pub fn max_contained_ucq_plan_catalog(
     answer: &Symbol,
     catalog: &CompiledCatalog,
 ) -> Result<Ucq, RelativeError> {
-    max_contained_ucq_plan_with(query, answer, &Planner::new(catalog, query, false))
+    let planner = Planner::new(catalog, query, false);
+    check_input(&[(query, answer)], &planner.views().sources, None)?;
+    max_contained_ucq_plan_with(query, answer, &planner)
 }
 
 fn max_contained_ucq_plan_with(
@@ -357,7 +372,9 @@ pub fn semi_interval_plan(
 ) -> Result<Ucq, RelativeError> {
     let catalog = CompiledCatalog::compile(views);
     let q = Program::new(vec![query.to_rule()]);
-    semi_interval_plan_with(query, &Planner::new(&catalog, &q, true))
+    let planner = Planner::new(&catalog, &q, true);
+    check_input(&[(&q, &query.head.pred)], &planner.views().sources, None)?;
+    semi_interval_plan_with(query, &planner)
 }
 
 fn semi_interval_plan_with(
@@ -468,6 +485,24 @@ pub enum Sources<'a> {
     Views(&'a LavSetting),
     /// A compiled catalog, whose cached inverse rules are reused.
     Catalog(&'a CompiledCatalog),
+}
+
+impl<'a> Sources<'a> {
+    /// The views a decision of `q` reads: on the binding-pattern route,
+    /// whose `dom` rules draw on every source, all of them; otherwise
+    /// those whose footprint meets Q1's or Q2's predicates, the views a
+    /// `qc-serve` request fingerprint covers.
+    fn read_by(self, q: &Question<'_>) -> Vec<&'a SourceDescription> {
+        let queries = [q.q1, q.q2];
+        match self {
+            Sources::Views(v) if q.binding_patterns => v.sources.iter().collect(),
+            Sources::Views(v) => setting_scope(v, &queries),
+            Sources::Catalog(c) if q.binding_patterns => {
+                c.entries().iter().map(|e| &e.source).collect()
+            }
+            Sources::Catalog(c) => c.scope(&queries).into_iter().map(|e| &e.source).collect(),
+        }
+    }
 }
 
 /// A relative-containment question: `Q1 ⊑_V Q2` (Definition 2.4), or
@@ -692,6 +727,10 @@ impl Decision {
 /// `P1^exp ⊆ Q2`, on the route the module docs' case table gives for the
 /// question's class.
 ///
+/// First it runs the input gate over Q1, Q2 and the views the decision
+/// reads: a malformed question is [`RelativeError::Input`] on every
+/// surface, before any route is picked.
+///
 /// The decision runs under the installed [`qc_guard::Guard`], if any. A
 /// limit that trips becomes [`Verdict::Unknown`] carrying the sound
 /// partial progress; input and class errors stay `Err`.
@@ -706,6 +745,21 @@ impl Decision {
 /// fixpoint and ignore resume state ([`ResumeState::Monolithic`]).
 pub fn decide(question: &Question<'_>, sources: Sources<'_>) -> Result<Decision, RelativeError> {
     let _span = qc_obs::span("relative_containment");
+    gate(question, sources)?;
+    decide_in(question, sources)
+}
+
+/// The input gate of a decision ([`check_input`]): Q1, Q2 and the views
+/// the decision reads ([`Sources::read_by`]). It needs no compiled
+/// catalog, so a malformed question, and a classically contained one in
+/// [`explain`], never pays for one.
+fn gate(q: &Question<'_>, sources: Sources<'_>) -> Result<(), RelativeError> {
+    let queries = [(q.q1, &q.ans1), (q.q2, &q.ans2)];
+    Ok(check_input(&queries, sources.read_by(q), None)?)
+}
+
+/// [`decide`] on a gated question.
+fn decide_in(question: &Question<'_>, sources: Sources<'_>) -> Result<Decision, RelativeError> {
     let (q1, q2) = (question.q1, question.q2);
     let q1_recursive = q1
         .dependency_graph()
@@ -1009,9 +1063,9 @@ impl std::fmt::Display for ContainmentKind {
     }
 }
 
-/// Classifies a question: classical containment first, then, only when
-/// that fails, one [`decide`], whose [`Decision`] (with its witness) comes
-/// back too. The classical check runs the procedure for the question's
+/// Classifies a question: the input gate [`decide`] runs, classical
+/// containment, then, only when that fails, one [`decide`], whose
+/// [`Decision`] (with its witness) comes back too. The classical check runs the procedure for the question's
 /// class: UCQ containment of the unfoldings when both queries are
 /// nonrecursive, the type fixpoint when only Q1 is recursive, and Q2
 /// evaluated over the canonical databases of Q1's unfolding when only Q2
@@ -1021,6 +1075,7 @@ pub fn explain(
     sources: Sources<'_>,
 ) -> Result<(ContainmentKind, Option<Decision>), RelativeError> {
     let _span = qc_obs::span("explain_containment");
+    gate(question, sources)?;
     let classical = {
         let _s = qc_obs::span("classical_check");
         classically_contained(question)?
@@ -1028,7 +1083,10 @@ pub fn explain(
     if classical {
         return Ok((ContainmentKind::Classical, None));
     }
-    let decision = decide(question, sources)?;
+    let decision = {
+        let _s = qc_obs::span("relative_containment");
+        decide_in(question, sources)?
+    };
     let kind = if decision.holds()? {
         ContainmentKind::OnlyRelative
     } else {

@@ -1,8 +1,13 @@
 //! Mediated schemas and source descriptions.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 
-use qc_datalog::{parse_rule, ConjunctiveQuery, ParseError, Symbol};
+use qc_datalog::{
+    parse_rule, validate_rule, ConjunctiveQuery, Database, ParseError, Program, Relation, Rule,
+    Symbol, ValidationError,
+};
 
 /// A binding-pattern adornment: one flag per argument of a source
 /// relation. `b` (bound) positions must be supplied to call the source;
@@ -106,19 +111,18 @@ impl SourceDescription {
     }
 
     /// Builder: attaches a binding-pattern adornment (e.g. `"fbf"`).
-    /// May be called several times to model multiple access paths.
-    ///
-    /// # Panics
-    /// Panics if the string is not a valid adornment of the view's arity.
-    pub fn with_adornment(mut self, s: &str) -> SourceDescription {
-        let a = Adornment::parse(s).expect("adornment must be over {b, f}");
-        assert_eq!(
-            a.arity(),
-            self.view.head.arity(),
-            "adornment arity must match the view head"
-        );
+    /// May be called several times to model multiple access paths. A
+    /// pattern that is not one `b` or `f` per head position is
+    /// [`InputError::Adornment`] (rule 5 of [`check_input`]).
+    pub fn with_adornment(mut self, s: &str) -> Result<SourceDescription, InputError> {
+        let bad = || InputError::Adornment {
+            source: self.name,
+            pattern: s.to_string(),
+        };
+        let a = Adornment::parse(s).ok_or_else(bad)?;
         self.adornments.push(a);
-        self
+        adornments_fit(&self)?;
+        Ok(self)
     }
 
     /// The effective adornments: the declared ones, or the single all-free
@@ -199,140 +203,238 @@ impl LavSetting {
     }
 }
 
-/// A declared mediated schema: relation names with arities.
-///
-/// Purely optional — the algorithms infer vocabularies structurally — but
-/// validating queries and view definitions against a declared schema
-/// catches typos (wrong relation name, wrong arity) before they silently
-/// become "no certain answers".
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct MediatedSchema {
-    relations: std::collections::BTreeMap<Symbol, usize>,
-}
-
-/// A schema-validation failure.
+/// Why an input is not well formed: the one error of the input gate
+/// [`check_input`]. Each variant names the rule it breaks and the
+/// predicate, source or rule at fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaError {
-    /// A body atom uses a relation the schema does not declare.
-    UnknownRelation {
-        /// The offending relation.
-        relation: Symbol,
-        /// Where it was used (display form of the rule).
-        context: String,
+pub enum InputError {
+    /// Rule 1: a query rule or a view is unsafe, not range-restricted,
+    /// or compares a non-numeric constant with `<`, `<=`, `>` or `>=`.
+    Rule(ValidationError),
+    /// Rule 2: a predicate is used at two arities.
+    Arity {
+        /// The predicate.
+        pred: Symbol,
+        /// The arity of its first use.
+        first: usize,
+        /// The arity of a later use.
+        other: usize,
     },
-    /// A body atom uses a relation at the wrong arity.
-    WrongArity {
-        /// The offending relation.
-        relation: Symbol,
-        /// Declared arity.
-        declared: usize,
-        /// Used arity.
-        used: usize,
-        /// Where it was used.
-        context: String,
+    /// Rule 3: two sources share a name.
+    DuplicateSource(Symbol),
+    /// Rule 3: a view body or a query uses a source name as a predicate of
+    /// its own.
+    SourceNameUsed {
+        /// The source name.
+        source: Symbol,
+        /// The rule that uses it.
+        rule: String,
+    },
+    /// Rule 4: an answer predicate has no rules.
+    NoRules(Symbol),
+    /// Rule 4: the two answer predicates have different arities.
+    AnswerArity {
+        /// The first answer predicate and its arity.
+        first: (Symbol, usize),
+        /// The second answer predicate and its arity.
+        other: (Symbol, usize),
+    },
+    /// Rule 5: an adornment is not one `b` or `f` per head position.
+    Adornment {
+        /// The source.
+        source: Symbol,
+        /// The adornment as written.
+        pattern: String,
+    },
+    /// Rule 6: an instance relation named like a source has another arity.
+    InstanceArity {
+        /// The source.
+        source: Symbol,
+        /// The source's arity.
+        expected: usize,
+        /// The instance relation's arity.
+        found: usize,
     },
 }
 
-impl fmt::Display for SchemaError {
+impl fmt::Display for InputError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchemaError::UnknownRelation { relation, context } => {
-                write!(f, "unknown mediated relation {relation} in: {context}")
+            InputError::Rule(e) => write!(f, "{e}"),
+            InputError::Arity { pred, first, other } => write!(
+                f,
+                "predicate {pred} is used with arity {first} and with arity {other}"
+            ),
+            InputError::DuplicateSource(name) => write!(f, "source {name} is defined twice"),
+            InputError::SourceNameUsed { source, rule } => {
+                write!(f, "source name {source} is used as a predicate in: {rule}")
             }
-            SchemaError::WrongArity {
-                relation,
-                declared,
-                used,
-                context,
+            InputError::NoRules(ans) => write!(f, "no rules for query {ans}"),
+            InputError::AnswerArity { first, other } => write!(
+                f,
+                "answer predicates {} and {} differ in arity ({} vs {})",
+                first.0, other.0, first.1, other.1
+            ),
+            InputError::Adornment { source, pattern } => write!(
+                f,
+                "adornment {pattern:?} of source {source} must have one b or f per head position"
+            ),
+            InputError::InstanceArity {
+                source,
+                expected,
+                found,
             } => write!(
                 f,
-                "relation {relation} declared with arity {declared}, used with {used} in: {context}"
+                "instance relation {source} has arity {found}, but source {source} has arity {expected}"
             ),
         }
     }
 }
 
-impl std::error::Error for SchemaError {}
+impl std::error::Error for InputError {}
 
-impl MediatedSchema {
-    /// Builds a schema from `(name, arity)` pairs.
-    pub fn new(relations: impl IntoIterator<Item = (&'static str, usize)>) -> MediatedSchema {
-        MediatedSchema {
-            relations: relations
-                .into_iter()
-                .map(|(n, a)| (Symbol::new(n), a))
-                .collect(),
+/// The input gate: checks that what one call reads is well formed, before
+/// it plans, decides or evaluates. `queries` are the query programs with
+/// their answer predicates (Q1 and Q2, one query, or none), `views` the
+/// sources the call reads and `instance`, for certain answers, the source
+/// facts. The rules, each a precondition of the paper's definitions:
+///
+/// 1. every query rule and every view passes [`validate_rule`]: safe and
+///    range-restricted (§2.1), with well-typed comparisons;
+/// 2. each predicate has one arity across the queries and the view bodies;
+/// 3. source names are unique, and no view body or query uses one as a
+///    predicate of its own: views are over a separate mediated schema
+///    (§2.2), which is what keeps a decision's plan scope exact;
+/// 4. every answer predicate has rules, and the answer predicates share
+///    one arity (Definition 2.4 compares queries of the same arity);
+/// 5. an adornment has one `b` or `f` per head position (§4);
+/// 6. an instance relation named like a source has that source's arity.
+///
+/// ```
+/// use qc_datalog::{parse_program, Symbol};
+/// use qc_mediator::schema::{check_input, InputError, LavSetting};
+///
+/// let views = LavSetting::parse(&["V(X, Y) :- e(X, Y)."]).unwrap();
+/// let q = parse_program("q(X) :- e(X).").unwrap();
+/// let err = check_input(&[(&q, &Symbol::new("q"))], &views.sources, None).unwrap_err();
+/// assert!(matches!(err, InputError::Arity { .. }), "{err}");
+/// ```
+pub fn check_input<'a>(
+    queries: &[(&Program, &Symbol)],
+    views: impl IntoIterator<Item = &'a SourceDescription>,
+    instance: Option<&Database>,
+) -> Result<(), InputError> {
+    let views: Vec<&SourceDescription> = views.into_iter().collect();
+    let view_rules: Vec<Rule> = views.iter().map(|s| s.view.to_rule()).collect();
+    let query_rules = || queries.iter().flat_map(|(p, _)| p.rules());
+    // Rule 1.
+    for rule in query_rules().chain(&view_rules) {
+        validate_rule(rule).map_err(InputError::Rule)?;
+    }
+    // Rules 3 and 2, over one table of source names and predicate arities.
+    let mut table: BTreeMap<Symbol, Use> = BTreeMap::new();
+    for s in &views {
+        if table.insert(s.name, Use::Source).is_some() {
+            return Err(InputError::DuplicateSource(s.name));
         }
     }
-
-    /// Declares a relation.
-    pub fn declare(&mut self, name: impl AsRef<str>, arity: usize) {
-        self.relations.insert(Symbol::new(name), arity);
-    }
-
-    /// The declared arity of a relation.
-    pub fn arity_of(&self, name: &str) -> Option<usize> {
-        self.relations.get(&Symbol::new(name)).copied()
-    }
-
-    /// Infers a schema from the view bodies of a setting (first use wins;
-    /// inconsistent uses surface via [`MediatedSchema::validate_views`]).
-    pub fn infer(views: &LavSetting) -> MediatedSchema {
-        let mut s = MediatedSchema::default();
-        for src in &views.sources {
-            for a in &src.view.subgoals {
-                s.relations.entry(a.pred).or_insert(a.arity());
+    let uses = query_rules()
+        .flat_map(|r| {
+            std::iter::once(&r.head)
+                .chain(r.body_atoms())
+                .map(move |a| (a, r))
+        })
+        .chain(
+            view_rules
+                .iter()
+                .flat_map(|r| r.body_atoms().map(move |a| (a, r))),
+        );
+    for (atom, rule) in uses {
+        match table.entry(atom.pred) {
+            Entry::Vacant(e) => {
+                e.insert(Use::Arity(atom.arity()));
             }
-        }
-        s
-    }
-
-    fn check_atoms<'a>(
-        &self,
-        atoms: impl Iterator<Item = &'a qc_datalog::Atom>,
-        context: &str,
-    ) -> Result<(), SchemaError> {
-        for a in atoms {
-            match self.relations.get(&a.pred) {
-                None => {
-                    return Err(SchemaError::UnknownRelation {
-                        relation: a.pred,
-                        context: context.to_string(),
+            Entry::Occupied(e) => match *e.get() {
+                Use::Source => {
+                    return Err(InputError::SourceNameUsed {
+                        source: atom.pred,
+                        rule: rule.to_string(),
                     })
                 }
-                Some(&declared) if declared != a.arity() => {
-                    return Err(SchemaError::WrongArity {
-                        relation: a.pred,
-                        declared,
-                        used: a.arity(),
-                        context: context.to_string(),
+                Use::Arity(first) if first != atom.arity() => {
+                    return Err(InputError::Arity {
+                        pred: atom.pred,
+                        first,
+                        other: atom.arity(),
                     })
                 }
-                Some(_) => {}
+                Use::Arity(_) => {}
+            },
+        }
+    }
+    // Rule 4.
+    let mut first: Option<(Symbol, usize)> = None;
+    for (program, ans) in queries {
+        let rule = program
+            .rules_for(ans)
+            .next()
+            .ok_or(InputError::NoRules(**ans))?;
+        let this = (**ans, rule.head.arity());
+        match first {
+            Some(f) if f.1 != this.1 => {
+                return Err(InputError::AnswerArity {
+                    first: f,
+                    other: this,
+                })
+            }
+            Some(_) => {}
+            None => first = Some(this),
+        }
+    }
+    // Rule 5.
+    for s in &views {
+        adornments_fit(s)?;
+    }
+    // Rule 6.
+    if let Some(db) = instance {
+        for s in &views {
+            let expected = s.view.head.arity();
+            match db.relation(&s.name).and_then(Relation::arity) {
+                Some(found) if found != expected => {
+                    return Err(InputError::InstanceArity {
+                        source: s.name,
+                        expected,
+                        found,
+                    })
+                }
+                _ => {}
             }
         }
-        Ok(())
     }
+    Ok(())
+}
 
-    /// Validates every view definition against the schema.
-    pub fn validate_views(&self, views: &LavSetting) -> Result<(), SchemaError> {
-        for src in &views.sources {
-            let ctx = src.view.to_rule().to_string();
-            self.check_atoms(src.view.subgoals.iter(), &ctx)?;
-        }
-        Ok(())
+/// Rule 5 of [`check_input`] for one source.
+fn adornments_fit(s: &SourceDescription) -> Result<(), InputError> {
+    match s
+        .adornments
+        .iter()
+        .find(|a| a.arity() != s.view.head.arity())
+    {
+        Some(a) => Err(InputError::Adornment {
+            source: s.name,
+            pattern: a.to_string(),
+        }),
+        None => Ok(()),
     }
+}
 
-    /// Validates a query program: every *EDB* body atom (an atom whose
-    /// predicate the program does not define) must match the schema.
-    pub fn validate_query(&self, query: &qc_datalog::Program) -> Result<(), SchemaError> {
-        let idb = query.idb_preds();
-        for rule in query.rules() {
-            let ctx = rule.to_string();
-            self.check_atoms(rule.body_atoms().filter(|a| !idb.contains(&a.pred)), &ctx)?;
-        }
-        Ok(())
-    }
+/// How [`check_input`]'s table knows a name: as a source, or as a
+/// predicate of the arity it was first used at.
+#[derive(Clone, Copy)]
+enum Use {
+    Source,
+    Arity(usize),
 }
 
 /// The three sources of the paper's running example (Example 1).
@@ -378,52 +480,121 @@ mod tests {
         let s = SourceDescription::parse("V(X, Y) :- p(X, Y).")
             .unwrap()
             .complete()
-            .with_adornment("bf");
+            .with_adornment("bf")
+            .unwrap();
         assert!(s.complete);
         assert_eq!(s.adornments[0].to_string(), "bf");
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
-    fn adornment_arity_checked() {
-        let _ = SourceDescription::parse("V(X, Y) :- p(X, Y).")
-            .unwrap()
-            .with_adornment("bfb");
+    fn adornments_need_one_b_or_f_per_head_position() {
+        let v = SourceDescription::parse("V(X, Y) :- p(X, Y).").unwrap();
+        for bad in ["bfb", "b", "xz", ""] {
+            let err = v.clone().with_adornment(bad).unwrap_err();
+            assert_eq!(
+                err,
+                InputError::Adornment {
+                    source: Symbol::new("V"),
+                    pattern: bad.to_string()
+                }
+            );
+            assert!(err.to_string().contains("source V"), "{err}");
+        }
+        // The gate checks adornments pushed without the builder too.
+        let mut pushed = v.clone();
+        pushed.adornments.push(Adornment::parse("f").unwrap());
+        assert!(matches!(
+            check_input(&[], [&pushed], None),
+            Err(InputError::Adornment { .. })
+        ));
+    }
+
+    fn gate(
+        queries: &[(&str, &str)],
+        views: &[&str],
+        instance: Option<&str>,
+    ) -> Result<(), InputError> {
+        use qc_datalog::parse_program;
+        let programs: Vec<(Program, Symbol)> = queries
+            .iter()
+            .map(|(p, a)| (parse_program(p).unwrap(), Symbol::new(a)))
+            .collect();
+        let pairs: Vec<(&Program, &Symbol)> = programs.iter().map(|(p, a)| (p, a)).collect();
+        let views = LavSetting::parse(views).unwrap();
+        let db = instance.map(|i| Database::parse(i).unwrap());
+        check_input(&pairs, &views.sources, db.as_ref())
     }
 
     #[test]
-    fn mediated_schema_validation() {
-        use qc_datalog::parse_program;
-        let schema = MediatedSchema::new([("CarDesc", 4), ("Review", 3)]);
-        assert_eq!(schema.arity_of("CarDesc"), Some(4));
-        assert_eq!(schema.arity_of("Nope"), None);
-        let v = example1_sources();
-        assert!(schema.validate_views(&v).is_ok());
-        // Inference recovers the same schema from the views.
-        let inferred = MediatedSchema::infer(&v);
-        assert_eq!(inferred.arity_of("CarDesc"), Some(4));
-        assert_eq!(inferred.arity_of("Review"), Some(3));
-        // A typo'd query is caught.
-        let typo = parse_program("q(X) :- CarDes(X, M, C, Y).").unwrap();
+    fn the_gate_checks_each_rule() {
+        let v = ["V(X, Y) :- e(X, Y)."];
+        let q = ("q(X) :- e(X, Y).", "q");
+        assert_eq!(gate(&[q, q], &v, Some("V(1, 2).")), Ok(()));
+        // 1: unsafe head, unrestricted comparison, ill-typed comparison.
+        for bad in [
+            "q(X, Y) :- e(X, Z).",
+            "q(X) :- e(X, Z), W < 3.",
+            "q(X) :- e(X, Z), X < red.",
+        ] {
+            assert!(
+                matches!(gate(&[(bad, "q")], &v, None), Err(InputError::Rule(_))),
+                "{bad}"
+            );
+        }
         assert!(matches!(
-            schema.validate_query(&typo),
-            Err(SchemaError::UnknownRelation { .. })
+            gate(&[q], &["V(X, Y) :- e(X, Z)."], None),
+            Err(InputError::Rule(_))
         ));
-        let wrong = parse_program("q(X) :- CarDesc(X, M, C).").unwrap();
+        // 2: across the queries and the view bodies.
+        let err = gate(&[("q(X) :- e(X).", "q")], &v, None).unwrap_err();
+        assert_eq!(
+            err,
+            InputError::Arity {
+                pred: Symbol::new("e"),
+                first: 1,
+                other: 2
+            }
+        );
         assert!(matches!(
-            schema.validate_query(&wrong),
-            Err(SchemaError::WrongArity {
-                declared: 4,
-                used: 3,
-                ..
+            gate(&[q, ("r(X) :- e(X, Y, Z).", "r")], &[], None),
+            Err(InputError::Arity { .. })
+        ));
+        // 3: duplicate names, and source names used as predicates.
+        assert_eq!(
+            gate(&[], &["V(X, Y) :- e(X, Y).", "V(X, Y) :- f(X, Y)."], None),
+            Err(InputError::DuplicateSource(Symbol::new("V")))
+        );
+        for (queries, views) in [
+            (vec![("q(X) :- V(X, Y).", "q")], vec!["V(X, Y) :- e(X, Y)."]),
+            (vec![("V(X) :- e(X, Y).", "V")], vec!["V(X, Y) :- e(X, Y)."]),
+            (vec![], vec!["V(X, Y) :- e(X, Y).", "W(X) :- V(X, Y)."]),
+            (vec![], vec!["V(X) :- V(X)."]),
+        ] {
+            assert!(
+                matches!(
+                    gate(&queries, &views, None),
+                    Err(InputError::SourceNameUsed { .. })
+                ),
+                "{queries:?} {views:?}"
+            );
+        }
+        // 4: answers with rules, of one arity.
+        assert_eq!(
+            gate(&[q, ("r(X) :- e(X, Y).", "zzz")], &v, None),
+            Err(InputError::NoRules(Symbol::new("zzz")))
+        );
+        let err = gate(&[("u(X, Y) :- e(X, Y).", "u"), q], &v, None).unwrap_err();
+        assert!(matches!(err, InputError::AnswerArity { .. }), "{err}");
+        assert!(err.to_string().contains("u and q"), "{err}");
+        // 6: instance relations named like a source.
+        assert_eq!(
+            gate(&[q], &v, Some("V(1). e(1, 2, 3).")),
+            Err(InputError::InstanceArity {
+                source: Symbol::new("V"),
+                expected: 2,
+                found: 1
             })
-        ));
-        // IDB helpers in the query are not checked against the schema.
-        let helper = parse_program("q(X) :- h(X). h(X) :- CarDesc(X, M, C, Y).").unwrap();
-        assert!(schema.validate_query(&helper).is_ok());
-        // Errors render.
-        let msg = schema.validate_query(&typo).unwrap_err().to_string();
-        assert!(msg.contains("unknown"), "{msg}");
+        );
     }
 
     #[test]

@@ -81,8 +81,8 @@ proptest! {
         }
         let opts = EvalOptions::default();
         let unrestricted = certain_answers(&p, &s("q"), &views, &db, &opts).unwrap();
-        views.sources[0] = views.sources[0].clone().with_adornment("bf");
-        views.sources[1] = views.sources[1].clone().with_adornment("bf");
+        views.sources[0] = views.sources[0].clone().with_adornment("bf").unwrap();
+        views.sources[1] = views.sources[1].clone().with_adornment("bf").unwrap();
         let restricted = reachable_certain_answers(&p, &s("q"), &views, &db, &opts).unwrap();
         for t in restricted.tuples() {
             prop_assert!(
@@ -96,9 +96,9 @@ proptest! {
     fn extra_adornments_only_add_reachable_answers(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut one = LavSetting::parse(&["V(A, B) :- p0(A, B)."]).unwrap();
-        one.sources[0] = one.sources[0].clone().with_adornment("bf");
+        one.sources[0] = one.sources[0].clone().with_adornment("bf").unwrap();
         let mut two = LavSetting::parse(&["V(A, B) :- p0(A, B)."]).unwrap();
-        two.sources[0] = two.sources[0].clone().with_adornment("bf").with_adornment("fb");
+        two.sources[0] = two.sources[0].clone().with_adornment("bf").unwrap().with_adornment("fb").unwrap();
         // A query seeded with a constant.
         let p = qc_datalog::parse_program("q(Y) :- p0(c0, X), p0(X, Y).").unwrap();
         let mut db = Database::new();
@@ -126,10 +126,10 @@ proptest! {
             "Vb(A, B) :- p1(A, B).",
         ]).unwrap();
         if rng.gen_bool(0.5) {
-            views.sources[0] = views.sources[0].clone().with_adornment("bf");
+            views.sources[0] = views.sources[0].clone().with_adornment("bf").unwrap();
         }
         if rng.gen_bool(0.5) {
-            views.sources[1] = views.sources[1].clone().with_adornment("bf");
+            views.sources[1] = views.sources[1].clone().with_adornment("bf").unwrap();
         }
         // Queries seeded with the shared constant c0 so dom is nonempty.
         let bodies = [

@@ -97,8 +97,10 @@ impl std::fmt::Display for TraceId {
 /// of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// Refused before running: the service is draining, or the input is
-    /// outside the decidable classes (the payload says which).
+    /// Refused before running: the service is draining, the input is
+    /// malformed (the input gate's error, naming the predicate, source or
+    /// rule at fault), or it is outside the decidable classes (the payload
+    /// says which).
     Rejected {
         /// The request's trace ID.
         trace: TraceId,

@@ -664,18 +664,22 @@ impl ServeCore {
     /// request without its own budget. `Err` is only
     /// [`ServiceError::Rejected`] here — queue-level errors belong to
     /// [`crate::Service`], and panics propagate to the caller's
-    /// supervision. A fresh trace ID is allocated; [`crate::Service`]
-    /// workers instead call [`ServeCore::handle_traced_at`] with the ID
-    /// minted at admission.
+    /// supervision. A fresh trace ID is allocated and the fingerprint
+    /// computed; [`crate::Service`] workers instead call
+    /// [`ServeCore::handle_traced_at`] with both from admission.
     pub fn handle(&self, req: &Request, depth: usize) -> Result<Response, ServiceError> {
         let trace = self.next_trace();
-        self.handle_traced_at(&self.snapshot(), req, depth, trace, Duration::ZERO)
+        let snap = self.snapshot();
+        let fingerprint = req.fingerprint(&snap);
+        self.handle_traced_at(&snap, req, fingerprint, depth, trace, Duration::ZERO)
     }
 
-    /// [`ServeCore::handle`] with an explicit trace ID, the time the
-    /// request already spent in the admission queue, and the catalog
-    /// snapshot it was admitted under — so a delta applied while it
-    /// waited in the queue cannot mix catalogs mid-verdict.
+    /// [`ServeCore::handle`] with the catalog snapshot the request was
+    /// admitted under (so a delta applied while it waited in the queue
+    /// cannot mix catalogs mid-verdict), its fingerprint against that
+    /// snapshot ([`Request::fingerprint`], computed once at admission), an
+    /// explicit trace ID, and the time it already spent in the admission
+    /// queue.
     ///
     /// A request passes through seven stages, in order:
     ///
@@ -700,12 +704,12 @@ impl ServeCore {
         &self,
         snap: &Arc<CatalogSnapshot>,
         req: &Request,
+        fingerprint: u64,
         depth: usize,
         trace: TraceId,
         queue_wait: Duration,
     ) -> Result<Response, ServiceError> {
         let started = Instant::now();
-        let fingerprint = req.fingerprint(snap);
         let plain = req.is_plain();
         let mut run = match plain.then(|| self.cached_verdict(fingerprint)).flatten() {
             Some(verdict) => Run::cache_hit(verdict),

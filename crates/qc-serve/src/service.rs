@@ -26,6 +26,9 @@ struct Job {
     /// The catalog snapshot captured at admission: the run uses this even
     /// if a delta lands while the job waits in the queue.
     snap: Arc<CatalogSnapshot>,
+    /// The request's fingerprint against `snap`, computed once at
+    /// admission.
+    fingerprint: u64,
     enqueued: Instant,
     /// Coalescing key this job leads (other identical requests attach as
     /// waiters under it), when coalescing applies.
@@ -75,13 +78,13 @@ impl QueueShared {
 /// fingerprint folds the relevant views' epoch versions, so a request
 /// admitted after a delta touching its views never attaches to a leader
 /// running against the old catalog.
-fn coalesce_key(req: &Request, snap: &CatalogSnapshot) -> Option<u64> {
+fn coalesce_key(req: &Request, fingerprint: u64) -> Option<u64> {
     use std::hash::{Hash, Hasher};
     if req.fault.is_some() {
         return None;
     }
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    req.fingerprint(snap).hash(&mut h);
+    fingerprint.hash(&mut h);
     req.budget.hash(&mut h);
     req.timeout.hash(&mut h);
     if let Some(cp) = &req.checkpoint {
@@ -198,7 +201,8 @@ impl Service {
         // Snapshot-on-admission: the catalog this request will run
         // against, whatever deltas land while it queues.
         let snap = self.core.snapshot();
-        let key = coalesce_key(&req, &snap);
+        let fingerprint = req.fingerprint(&snap);
+        let key = coalesce_key(&req, fingerprint);
         let mut jobs = self.shared.jobs();
         loop {
             if self.shared.draining.load(Ordering::SeqCst) {
@@ -266,6 +270,7 @@ impl Service {
             req,
             trace,
             snap,
+            fingerprint,
             enqueued: Instant::now(),
             key,
             reply: tx,
@@ -373,7 +378,7 @@ fn worker_loop(core: Arc<ServeCore>, shared: Arc<QueueShared>) {
             }
         };
         let waited = job.enqueued.elapsed();
-        let reply = run_supervised(&core, &job.snap, &job.req, depth, job.trace, waited);
+        let reply = run_supervised(&core, &job, depth, waited);
         // Resolve coalesced waiters. The key is removed *before* replies
         // are sent: requests admitted from here on lead a fresh
         // computation instead of attaching to an answer already on its
@@ -436,16 +441,23 @@ fn error_with_trace(e: ServiceError, trace: TraceId) -> ServiceError {
 /// service on one request.
 fn run_supervised(
     core: &ServeCore,
-    snap: &Arc<CatalogSnapshot>,
-    req: &Request,
+    job: &Job,
     depth: usize,
-    trace: TraceId,
     queue_wait: Duration,
 ) -> Result<Response, ServiceError> {
     let queue_wait_ns = nanos(queue_wait);
-    match catch_unwind(AssertUnwindSafe(|| {
-        core.handle_traced_at(snap, req, depth, trace, queue_wait)
-    })) {
+    let trace = job.trace;
+    let run = || {
+        core.handle_traced_at(
+            &job.snap,
+            &job.req,
+            job.fingerprint,
+            depth,
+            trace,
+            queue_wait,
+        )
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
         Ok(r) => r,
         Err(p) => {
             core.counters().add(Counter::ServeWorkerRestarts, 1);
@@ -455,9 +467,7 @@ fn run_supervised(
                 queue_wait_ns,
                 Some(panic_message(p.as_ref())),
             ));
-            match catch_unwind(AssertUnwindSafe(|| {
-                core.handle_traced_at(snap, req, depth, trace, queue_wait)
-            })) {
+            match catch_unwind(AssertUnwindSafe(run)) {
                 Ok(r) => r,
                 Err(p) => {
                     let why = panic_message(p.as_ref());

@@ -121,8 +121,8 @@ fn main() {
         "PriceOf(Isbn, Price) :- price(Isbn, Price).",
     ])
     .unwrap();
-    adorned.sources[0] = adorned.sources[0].clone().with_adornment("bf");
-    adorned.sources[1] = adorned.sources[1].clone().with_adornment("bf");
+    adorned.sources[0] = adorned.sources[0].clone().with_adornment("bf").unwrap();
+    adorned.sources[1] = adorned.sources[1].clone().with_adornment("bf").unwrap();
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
     let db = Database::parse("Catalog(eco, i1). PriceOf(i1, 30). PriceOf(i9, 99).").unwrap();
     let got = reachable_certain_answers(&q_eco, &s("qe"), &adorned, &db, &EvalOptions::default())

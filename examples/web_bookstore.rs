@@ -29,9 +29,9 @@ fn main() {
         "Cites(P1, P2) :- cites(P1, P2).",
     ])
     .unwrap();
-    views.sources[0] = views.sources[0].clone().with_adornment("bf");
-    views.sources[1] = views.sources[1].clone().with_adornment("bf");
-    views.sources[2] = views.sources[2].clone().with_adornment("bf");
+    views.sources[0] = views.sources[0].clone().with_adornment("bf").unwrap();
+    views.sources[1] = views.sources[1].clone().with_adornment("bf").unwrap();
+    views.sources[2] = views.sources[2].clone().with_adornment("bf").unwrap();
     println!("== Adorned sources ==");
     for s in &views.sources {
         println!("  {}^{}  {}", s.name, s.adornments[0], s.view.to_rule());

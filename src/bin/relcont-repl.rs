@@ -30,11 +30,12 @@ use relcont::mediator::relative::{
     decide, explain_containment, max_contained_ucq_plan, relatively_contained_witness, Question,
     RelativeError, Sources, Verdict,
 };
-use relcont::mediator::schema::{LavSetting, SourceDescription};
+use relcont::mediator::schema::{check_input, LavSetting, SourceDescription};
 
 const HELP: &str = "\
 commands:
-  view <rule>.            declare a source (LAV view definition)
+  view <rule>.            declare a source (LAV view definition; replaces a
+                          source of the same name)
   adorn <source> <bf..>   attach a binding-pattern adornment
   complete <source>       mark a source closed-world
   query <rule>.           declare a query (head predicate = its name)
@@ -188,8 +189,11 @@ impl Session {
             "view" => {
                 let src = SourceDescription::parse(rest).map_err(|e| e.to_string())?;
                 let name = src.name;
-                self.views.sources.retain(|s| s.name != name);
-                self.views.sources.push(src);
+                let mut views = self.views.clone();
+                views.sources.retain(|s| s.name != name);
+                views.sources.push(src);
+                check_input(&[], &views.sources, None).map_err(|e| e.to_string())?;
+                self.views = views;
                 Ok(Some(format!("source {name} declared")))
             }
             "adorn" => {
@@ -203,14 +207,10 @@ impl Session {
                     .iter()
                     .position(|s| s.name == name)
                     .ok_or_else(|| format!("unknown source {name:?}"))?;
-                if relcont::mediator::schema::Adornment::parse(pattern)
-                    .is_none_or(|a| a.arity() != self.views.sources[idx].view.head.arity())
-                {
-                    return Err(format!(
-                        "adornment must be over {{b, f}} and match {name}'s arity"
-                    ));
-                }
-                self.views.sources[idx] = self.views.sources[idx].clone().with_adornment(pattern);
+                self.views.sources[idx] = self.views.sources[idx]
+                    .clone()
+                    .with_adornment(pattern)
+                    .map_err(|e| e.to_string())?;
                 Ok(Some(format!("{name} adorned with {pattern}")))
             }
             "complete" => {

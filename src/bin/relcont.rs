@@ -17,9 +17,11 @@
 //! ```
 //!
 //! When `--ans` is omitted, the head predicate of the file's first rule is
-//! used. Exit code 0 = containment holds / success, 1 = does not hold,
-//! 2 = usage or input error, 3 = undecided (a resource limit stopped the
-//! decision before it finished).
+//! used. Every loaded file passes the input gate
+//! (`relcont::mediator::schema::check_input`). Exit code 0 = containment
+//! holds / success, 1 = does not hold, 2 = a usage error (printed with the
+//! usage text) or malformed input (one `relcont: …` line), 3 = undecided
+//! (a resource limit stopped the decision before it finished).
 //!
 //! Every command also accepts the observability and resource flags:
 //!
@@ -37,7 +39,7 @@
 //! last N per-request timelines (trace ID, outcome, stage breakdown,
 //! guard trips) as JSON.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -50,7 +52,7 @@ use relcont::mediator::certain::certain_answers;
 use relcont::mediator::relative::{
     decide, explain, max_contained_ucq_plan, Question, Sources, Verdict,
 };
-use relcont::mediator::schema::LavSetting;
+use relcont::mediator::schema::{check_input, LavSetting};
 
 /// What a command run decided, driving the exit code.
 enum Outcome {
@@ -60,6 +62,26 @@ enum Outcome {
     False,
     /// A resource limit stopped the decision (exit 3).
     Unknown(String),
+}
+
+/// Why a command failed; both exit 2.
+enum Failure {
+    /// The command line is wrong: an unknown command, or a missing or
+    /// malformed flag. The usage text follows the message.
+    Usage(String),
+    /// The input is: an unreadable or malformed file, or an error from
+    /// the procedure itself.
+    Input(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Input(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
 }
 
 fn outcome_of(holds: bool) -> Outcome {
@@ -87,9 +109,13 @@ fn main() -> ExitCode {
             eprintln!("relcont: undecided: {reason}");
             ExitCode::from(3)
         }
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("relcont: {msg}");
             eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Input(msg)) => {
+            eprintln!("relcont: {msg}");
             ExitCode::from(2)
         }
     }
@@ -103,7 +129,9 @@ usage:
   relcont certain --views FILE --query FILE [--ans P]
                   (--instance FILE and/or --csv pred=file[,pred=file...]) [--bp]
   relcont eval    --program FILE --data FILE --ans P
-  relcont validate --views FILE [--query FILE]
+  relcont validate --views FILE [--query FILE [--ans P]]
+                  (checks the input as every command does, and that each
+                   relation of the query is one a view mentions)
   relcont serve   --views FILE --queries FILE --jobs FILE
                   [--workers N] [--queue N] [--pool UNITS]
                   [--journal PATH] [--retries N] [--churn-script PATH]
@@ -129,9 +157,9 @@ resource limits (any command; exit 3 when one stops the decision):
   --timeout MS         wall-clock deadline in milliseconds
   --budget UNITS       deterministic work-unit budget";
 
-fn run(args: &[String]) -> Result<Outcome, String> {
+fn run(args: &[String]) -> Result<Outcome, Failure> {
     let Some((cmd, rest)) = args.split_first() else {
-        return Err("missing command".into());
+        return Err(usage("missing command"));
     };
     let opts = parse_flags(rest)?;
     let metrics_path = opts.optional("metrics-json").map(str::to_string);
@@ -146,7 +174,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         .map(|r| qc_obs::install(r as std::sync::Arc<dyn qc_obs::Recorder>));
     let guard = opts.guard()?;
     let result = {
-        let body = || -> Result<Outcome, String> {
+        let body = || -> Result<Outcome, Failure> {
             // `guarded` converts trips from stages without fallible
             // plumbing into an Unknown outcome instead of an unwind.
             match relcont::guard::guarded(|| match cmd.as_str() {
@@ -156,7 +184,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 "eval" => cmd_eval(&opts),
                 "validate" => cmd_validate(&opts),
                 "serve" => cmd_serve(&opts),
-                other => Err(format!("unknown command {other:?}")),
+                other => Err(usage(format!("unknown command {other:?}"))),
             }) {
                 Ok(r) => r,
                 Err(resource) => Ok(Outcome::Unknown(resource.to_string())),
@@ -215,11 +243,22 @@ struct Flags {
 }
 
 impl Flags {
-    fn required(&self, key: &str) -> Result<&str, String> {
+    fn required(&self, key: &str) -> Result<&str, Failure> {
         self.values
             .get(key)
             .map(String::as_str)
-            .ok_or_else(|| format!("missing --{key}"))
+            .ok_or_else(|| usage(format!("missing --{key}")))
+    }
+
+    /// The value of `--key` parsed as `T`, if given; a value that does not
+    /// parse is a usage error saying what `key` expects.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, expects: &str) -> Result<Option<T>, Failure> {
+        self.optional(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| usage(format!("--{key} expects {expects}, got {v:?}")))
+            })
+            .transpose()
     }
 
     fn optional(&self, key: &str) -> Option<&str> {
@@ -233,35 +272,39 @@ impl Flags {
     }
 
     /// Builds the guard described by `--timeout` / `--budget`, if any.
-    fn guard(&self) -> Result<Option<Guard>, String> {
+    fn guard(&self) -> Result<Option<Guard>, Failure> {
         if !self.limited() {
             return Ok(None);
         }
         let mut g = Guard::unlimited();
-        if let Some(ms) = self.optional("timeout") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("--timeout expects milliseconds, got {ms:?}"))?;
-            g = g.with_timeout(std::time::Duration::from_millis(ms));
+        if let Some(timeout) = self.timeout()? {
+            g = g.with_timeout(timeout);
         }
-        if let Some(units) = self.optional("budget") {
-            let units: u64 = units
-                .parse()
-                .map_err(|_| format!("--budget expects a unit count, got {units:?}"))?;
+        if let Some(units) = self.budget()? {
             g = g.with_budget(units);
         }
         Ok(Some(g))
     }
+
+    fn timeout(&self) -> Result<Option<std::time::Duration>, Failure> {
+        Ok(self
+            .parsed("timeout", "milliseconds")?
+            .map(std::time::Duration::from_millis))
+    }
+
+    fn budget(&self) -> Result<Option<u64>, Failure> {
+        self.parsed("budget", "a unit count")
+    }
 }
 
-fn parse_flags(rest: &[String]) -> Result<Flags, String> {
+fn parse_flags(rest: &[String]) -> Result<Flags, Failure> {
     let mut values = BTreeMap::new();
     let mut bp = false;
     let mut trace = false;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("unexpected argument {flag:?}"));
+            return Err(usage(format!("unexpected argument {flag:?}")));
         };
         if name == "bp" {
             bp = true;
@@ -271,13 +314,16 @@ fn parse_flags(rest: &[String]) -> Result<Flags, String> {
             trace = true;
             continue;
         }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+        let value = it
+            .next()
+            .ok_or_else(|| usage(format!("--{name} needs a value")))?;
         values.insert(name.to_string(), value.clone());
     }
     Ok(Flags { values, bp, trace })
 }
 
-/// Loads a view file: rules plus `%% adorn` / `%% complete` directives.
+/// Loads a view file: rules plus `%% adorn` / `%% complete` directives,
+/// through the input gate.
 fn load_views(path: &str) -> Result<LavSetting, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut rules = String::new();
@@ -311,7 +357,10 @@ fn load_views(path: &str) -> Result<LavSetting, String> {
                     .iter()
                     .position(|s| s.name == name.as_str())
                     .ok_or_else(|| format!("{path}: unknown source {name}"))?;
-                views.sources[idx] = views.sources[idx].clone().with_adornment(pattern);
+                views.sources[idx] = views.sources[idx]
+                    .clone()
+                    .with_adornment(pattern)
+                    .map_err(|e| format!("{path}: {e}"))?;
             }
             "complete" => {
                 let [name] = tail.as_slice() else {
@@ -327,25 +376,19 @@ fn load_views(path: &str) -> Result<LavSetting, String> {
             other => return Err(format!("{path}: unknown directive %% {other}")),
         }
     }
+    check_input(&[], &views.sources, None).map_err(|e| format!("{path}: {e}"))?;
     Ok(views)
 }
 
-/// Parses a rule file. A predicate used at two arities is an input error:
-/// evaluation keeps one relation, of one arity, per predicate.
-fn parse_rules(label: &str, text: &str) -> Result<Program, String> {
-    let program = parse_program(text).map_err(|e| format!("{label}: {e}"))?;
-    if let Err(preds) = program.arities() {
-        return Err(format!(
-            "{label}: predicate {} is used with more than one arity",
-            preds[0]
-        ));
-    }
-    Ok(program)
+/// Reads and parses a rule file.
+fn load_program(path: &str) -> Result<Program, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse_program(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Loads a query file and its answer predicate, through the input gate.
 fn load_query(path: &str, ans: Option<&str>) -> Result<(Program, Symbol), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = parse_rules(path, &text)?;
+    let program = load_program(path)?;
     let ans = match ans {
         Some(a) => Symbol::new(a),
         None => program
@@ -354,10 +397,11 @@ fn load_query(path: &str, ans: Option<&str>) -> Result<(Program, Symbol), String
             .map(|r| r.head.pred)
             .ok_or_else(|| format!("{path}: empty program"))?,
     };
+    check_input(&[(&program, &ans)], [], None).map_err(|e| format!("{path}: {e}"))?;
     Ok((program, ans))
 }
 
-fn cmd_check(flags: &Flags) -> Result<Outcome, String> {
+fn cmd_check(flags: &Flags) -> Result<Outcome, Failure> {
     let views = load_views(flags.required("views")?)?;
     let (q1, ans1) = load_query(flags.required("q1")?, flags.optional("ans1"))?;
     let (q2, ans2) = load_query(flags.required("q2")?, flags.optional("ans2"))?;
@@ -408,7 +452,7 @@ fn cmd_check(flags: &Flags) -> Result<Outcome, String> {
     Ok(outcome_of(*verdict == Verdict::Contained))
 }
 
-fn cmd_plan(flags: &Flags) -> Result<Outcome, String> {
+fn cmd_plan(flags: &Flags) -> Result<Outcome, Failure> {
     let views = load_views(flags.required("views")?)?;
     let (q, ans) = load_query(flags.required("query")?, flags.optional("ans"))?;
     let plan = match max_contained_ucq_plan(&q, &ans, &views) {
@@ -417,7 +461,7 @@ fn cmd_plan(flags: &Flags) -> Result<Outcome, String> {
             if let Some(r) = e.resource() {
                 return Ok(Outcome::Unknown(r.to_string()));
             }
-            return Err(e.to_string());
+            return Err(e.to_string().into());
         }
     };
     if plan.is_empty() {
@@ -430,7 +474,7 @@ fn cmd_plan(flags: &Flags) -> Result<Outcome, String> {
     Ok(Outcome::True)
 }
 
-fn cmd_certain(flags: &Flags) -> Result<Outcome, String> {
+fn cmd_certain(flags: &Flags) -> Result<Outcome, Failure> {
     let views = load_views(flags.required("views")?)?;
     let (q, ans) = load_query(flags.required("query")?, flags.optional("ans"))?;
     let mut db = Database::new();
@@ -442,7 +486,7 @@ fn cmd_certain(flags: &Flags) -> Result<Outcome, String> {
         load_csv_specs(&mut db, specs)?;
     }
     if flags.optional("instance").is_none() && flags.optional("csv").is_none() {
-        return Err("certain needs --instance and/or --csv".into());
+        return Err(usage("certain needs --instance and/or --csv"));
     }
     let rel = match if flags.bp {
         reachable_certain_answers(&q, &ans, &views, &db, &engine_eval_options())
@@ -454,7 +498,7 @@ fn cmd_certain(flags: &Flags) -> Result<Outcome, String> {
             if let Some(r) = e.resource() {
                 return Ok(Outcome::Unknown(r.to_string()));
             }
-            return Err(e.to_string());
+            return Err(e.to_string().into());
         }
     };
     let mut rows: Vec<String> = rel
@@ -481,31 +525,37 @@ fn cmd_certain(flags: &Flags) -> Result<Outcome, String> {
     Ok(Outcome::True)
 }
 
-fn cmd_validate(flags: &Flags) -> Result<Outcome, String> {
+/// The input gate over a views file and, optionally, a query, plus one
+/// check of `validate`'s own: every relation the query reads is one a
+/// view mentions (any other has no certain answers, which is usually a
+/// typo).
+fn cmd_validate(flags: &Flags) -> Result<Outcome, Failure> {
     let views = load_views(flags.required("views")?)?;
-    let schema = relcont::mediator::schema::MediatedSchema::infer(&views);
-    schema
-        .validate_views(&views)
-        .map_err(|e| format!("views: {e}"))?;
+    let mentioned: BTreeSet<Symbol> = views
+        .sources
+        .iter()
+        .flat_map(|s| s.view.subgoals.iter().map(|a| a.pred))
+        .collect();
     println!(
-        "{} source(s) over a mediated schema of {} relation(s): consistent",
+        "{} source(s) over a mediated schema of {} relation(s): well formed",
         views.sources.len(),
-        views
-            .sources
-            .iter()
-            .flat_map(|s| s.view.subgoals.iter().map(|a| a.pred))
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
+        mentioned.len()
     );
     if let Some(qpath) = flags.optional("query") {
         let (q, ans) = load_query(qpath, flags.optional("ans"))?;
-        schema
-            .validate_query(&q)
-            .map_err(|e| format!("query: {e}"))?;
+        check_input(&[(&q, &ans)], &views.sources, None).map_err(|e| format!("{qpath}: {e}"))?;
+        let idb = q.idb_preds();
         for rule in q.rules() {
-            relcont::datalog::validate_rule(rule).map_err(|e| format!("query: {e}"))?;
+            if let Some(a) = rule
+                .body_atoms()
+                .find(|a| !idb.contains(&a.pred) && !mentioned.contains(&a.pred))
+            {
+                return Err(
+                    format!("{qpath}: no view mentions relation {} in: {rule}", a.pred).into(),
+                );
+            }
         }
-        println!("query {ans}: safe and consistent with the schema");
+        println!("query {ans}: well formed, over relations the views mention");
     }
     Ok(Outcome::True)
 }
@@ -517,50 +567,26 @@ fn cmd_validate(flags: &Flags) -> Result<Outcome, String> {
 /// instead of a process guard, and admission is governed by `--workers`
 /// and `--queue`. `--pool` is the grant of a job admitted to an idle
 /// service; a job with `d` others queued behind it gets `pool / (d + 1)`.
-fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
+fn cmd_serve(flags: &Flags) -> Result<Outcome, Failure> {
     let views = load_views(flags.required("views")?)?;
     let qpath = flags.required("queries")?;
-    let qtext = std::fs::read_to_string(qpath).map_err(|e| format!("{qpath}: {e}"))?;
-    let program = parse_rules(qpath, &qtext)?;
+    let program = load_program(qpath)?;
     let jpath = flags.required("jobs")?;
     let jtext = std::fs::read_to_string(jpath).map_err(|e| format!("{jpath}: {e}"))?;
 
     let mut cfg = relcont::serve::ServeConfig::default();
-    if let Some(w) = flags.optional("workers") {
-        cfg.workers = w
-            .parse()
-            .map_err(|_| format!("--workers expects a count, got {w:?}"))?;
+    if let Some(w) = flags.parsed("workers", "a count")? {
+        cfg.workers = w;
     }
-    if let Some(q) = flags.optional("queue") {
-        cfg.queue_capacity = q
-            .parse()
-            .map_err(|_| format!("--queue expects a capacity, got {q:?}"))?;
+    if let Some(q) = flags.parsed("queue", "a capacity")? {
+        cfg.queue_capacity = q;
     }
-    if let Some(p) = flags.optional("pool") {
-        cfg.pool = p
-            .parse()
-            .map_err(|_| format!("--pool expects a unit count, got {p:?}"))?;
+    if let Some(p) = flags.parsed("pool", "a unit count")? {
+        cfg.pool = p;
     }
-    let budget: Option<u64> = match flags.optional("budget") {
-        Some(b) => Some(
-            b.parse()
-                .map_err(|_| format!("--budget expects a unit count, got {b:?}"))?,
-        ),
-        None => None,
-    };
-    let timeout = match flags.optional("timeout") {
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse()
-                .map_err(|_| format!("--timeout expects milliseconds, got {ms:?}"))?,
-        )),
-        None => None,
-    };
-    let retries: u32 = match flags.optional("retries") {
-        Some(n) => n
-            .parse()
-            .map_err(|_| format!("--retries expects a count, got {n:?}"))?,
-        None => 0,
-    };
+    let budget = flags.budget()?;
+    let timeout = flags.timeout()?;
+    let retries: u32 = flags.parsed("retries", "a count")?.unwrap_or(0);
 
     let mut pairs: Vec<(String, String)> = Vec::new();
     for (lineno, line) in jtext.lines().enumerate() {
@@ -571,18 +597,17 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
         let mut it = line.split_whitespace();
         match (it.next(), it.next(), it.next()) {
             (Some(a), Some(b), None) => pairs.push((a.to_string(), b.to_string())),
-            _ => return Err(format!("{jpath}:{}: expected `ANS1 ANS2`", lineno + 1)),
+            _ => return Err(format!("{jpath}:{}: expected `ANS1 ANS2`", lineno + 1).into()),
         }
     }
     if pairs.is_empty() {
-        return Err(format!("{jpath}: no jobs"));
+        return Err(format!("{jpath}: no jobs").into());
     }
-    for (a, b) in &pairs {
-        for name in [a, b] {
-            if !program.rules().iter().any(|r| r.head.pred.as_str() == name) {
-                return Err(format!("{jpath}: no rules for query {name} in {qpath}"));
-            }
-        }
+    let distinct: BTreeSet<&(String, String)> = pairs.iter().collect();
+    for (a, b) in distinct {
+        let (a, b) = (Symbol::new(a), Symbol::new(b));
+        check_input(&[(&program, &a), (&program, &b)], &views.sources, None)
+            .map_err(|e| format!("{jpath}: job {a} {b}: {e}"))?;
     }
 
     let svc = match flags.optional("journal") {
@@ -770,10 +795,10 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, String> {
 }
 
 /// Loads `--csv pred=file[,pred=file…]` specs into a database.
-fn load_csv_specs(db: &mut Database, specs: &str) -> Result<(), String> {
+fn load_csv_specs(db: &mut Database, specs: &str) -> Result<(), Failure> {
     for spec in specs.split(',') {
         let Some((pred, path)) = spec.split_once('=') else {
-            return Err(format!("--csv expects pred=file, got {spec:?}"));
+            return Err(usage(format!("--csv expects pred=file, got {spec:?}")));
         };
         let text = std::fs::read_to_string(path.trim()).map_err(|e| format!("{path}: {e}"))?;
         db.load_csv(pred.trim(), &text)
@@ -782,10 +807,8 @@ fn load_csv_specs(db: &mut Database, specs: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_eval(flags: &Flags) -> Result<Outcome, String> {
-    let text =
-        std::fs::read_to_string(flags.required("program")?).map_err(|e| format!("program: {e}"))?;
-    let program = parse_rules("program", &text)?;
+fn cmd_eval(flags: &Flags) -> Result<Outcome, Failure> {
+    let program = load_program(flags.required("program")?)?;
     let data =
         std::fs::read_to_string(flags.required("data")?).map_err(|e| format!("data: {e}"))?;
     let db = Database::parse(&data).map_err(|e| format!("data: {e}"))?;
@@ -793,7 +816,7 @@ fn cmd_eval(flags: &Flags) -> Result<Outcome, String> {
     let rel = match relcont::datalog::eval::answers(&program, &db, &ans, &engine_eval_options()) {
         Ok(rel) => rel,
         Err(EvalError::Resource(r)) => return Ok(Outcome::Unknown(r.to_string())),
-        Err(e) => return Err(e.to_string()),
+        Err(e) => return Err(e.to_string().into()),
     };
     let mut rows: Vec<String> = rel
         .tuples()

@@ -47,7 +47,7 @@ fn redcars_fbf() -> LavSetting {
         "RedCars(CarNo, Model, Year) :- CarDescription(CarNo, Model, red, Year).",
     ])
     .unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("fbf");
+    v.sources[0] = v.sources[0].clone().with_adornment("fbf").unwrap();
     v
 }
 
@@ -81,8 +81,8 @@ fn executable_plans_are_recursive_and_executable() {
         "PriceOf(Isbn, Price) :- price(Isbn, Price).",
     ])
     .unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("bf");
-    v.sources[1] = v.sources[1].clone().with_adornment("bf");
+    v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
+    v.sources[1] = v.sources[1].clone().with_adornment("bf").unwrap();
     let q = parse_program("q(P) :- authored(I, eco), price(I, P).").unwrap();
     let plan = executable_plan(&q, &v);
     assert!(plan.is_recursive());
@@ -96,7 +96,7 @@ fn recursion_is_necessary_for_reachability() {
     // Kwok–Weld-style citation chains: a nonrecursive plan of depth k
     // misses papers at depth > k; the dom-recursive plan finds them all.
     let mut v = LavSetting::parse(&["Cites(P1, P2) :- cites(P1, P2)."]).unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("bf");
+    v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
     let q = parse_program("q(P) :- cites(p0, P). q(P) :- q(Q), cites(Q, P).").unwrap();
     // A long chain.
     let mut facts = String::new();
@@ -116,8 +116,8 @@ fn theorem_4_1_4_2_decisions() {
         "PriceOf(Isbn, Price) :- price(Isbn, Price).",
     ])
     .unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("bf");
-    v.sources[1] = v.sources[1].clone().with_adornment("bf");
+    v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
+    v.sources[1] = v.sources[1].clone().with_adornment("bf").unwrap();
 
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
     // Adding a redundant subgoal keeps relative equivalence.
@@ -151,8 +151,8 @@ fn bp_witness_expansion_explains_failure() {
         "PriceOf(Isbn, Price) :- price(Isbn, Price).",
     ])
     .unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("bf");
-    v.sources[1] = v.sources[1].clone().with_adornment("bf");
+    v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
+    v.sources[1] = v.sources[1].clone().with_adornment("bf").unwrap();
     let q_eco = parse_program("qe(P) :- authored(I, eco), price(I, P).").unwrap();
     let q_strong = parse_program(
         "qs(P) :- authored(I, eco), price(I, P), price(I2, P), authored(I2, eco), cites(I, I2).",
@@ -187,8 +187,8 @@ fn binding_patterns_vs_unrestricted_relative_containment() {
     assert!(!relatively_contained(&q_all, &s("qa"), &q_eco, &s("qe"), &v_free).unwrap());
 
     let mut v_bound = v_free.clone();
-    v_bound.sources[0] = v_bound.sources[0].clone().with_adornment("bf");
-    v_bound.sources[1] = v_bound.sources[1].clone().with_adornment("bf");
+    v_bound.sources[0] = v_bound.sources[0].clone().with_adornment("bf").unwrap();
+    v_bound.sources[1] = v_bound.sources[1].clone().with_adornment("bf").unwrap();
     assert!(contained_bp(&q_all, &s("qa"), &q_eco, &s("qe"), &v_bound).unwrap());
 }
 
@@ -200,7 +200,9 @@ fn multiple_adornments_model_multiple_access_paths() {
     v.sources[0] = v.sources[0]
         .clone()
         .with_adornment("bf")
-        .with_adornment("fb");
+        .unwrap()
+        .with_adornment("fb")
+        .unwrap();
     let db = Database::parse("Phonebook(alice, 111). Phonebook(bob, 222).").unwrap();
 
     // Starting from a name, the name->number path applies.
@@ -218,7 +220,7 @@ fn multiple_adornments_model_multiple_access_paths() {
     // With ONLY the name-bound path, the by-number query reaches nothing.
     let mut v_one =
         LavSetting::parse(&["Phonebook(Name, Number) :- listing(Name, Number)."]).unwrap();
-    v_one.sources[0] = v_one.sources[0].clone().with_adornment("bf");
+    v_one.sources[0] = v_one.sources[0].clone().with_adornment("bf").unwrap();
     let got =
         reachable_certain_answers(&q_by_number, &s("q"), &v_one, &db, &EvalOptions::default())
             .unwrap();
@@ -235,7 +237,7 @@ fn multiple_adornments_model_multiple_access_paths() {
 fn reachable_answers_monotone_in_seeds() {
     // More query constants → larger dom → more reachable answers.
     let mut v = LavSetting::parse(&["Cites(P1, P2) :- cites(P1, P2)."]).unwrap();
-    v.sources[0] = v.sources[0].clone().with_adornment("bf");
+    v.sources[0] = v.sources[0].clone().with_adornment("bf").unwrap();
     let db = Database::parse("Cites(p0, p1). Cites(p5, p6).").unwrap();
     let q_one: Program = parse_program("q(Y) :- cites(X, Y), cites(p0, Z).").unwrap();
     let one = reachable_certain_answers(&q_one, &s("q"), &v, &db, &EvalOptions::default()).unwrap();

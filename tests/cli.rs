@@ -429,6 +429,63 @@ fn cli_reports_usage_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
     let out = Command::new(bin).args(["check"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // An input error is one `relcont: …` line, without the usage text.
+    let dir = tmpdir("usage");
+    let views = write_tmp(&dir, "views.dl", "V(X, Y) :- e(X, Y).");
+    let query = write_tmp(&dir, "q.dl", "q(X, Y) :- e(X, Z).");
+    let out = Command::new(bin)
+        .args(["plan", "--views"])
+        .arg(&views)
+        .arg("--query")
+        .arg(&query)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(stderr.contains("unsafe rule"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// A `%% adorn` line that is not one `b` or `f` per head position is an
+/// input error for every command that reads the views file, not a panic.
+#[test]
+fn cli_rejects_a_bad_adornment_without_panicking() {
+    let dir = tmpdir("adorn");
+    // The commands below name these files relative to `dir`.
+    write_tmp(&dir, "q.dl", "q(X) :- e(X, Y).");
+    write_tmp(&dir, "facts.dl", "V(1, 2).");
+    write_tmp(&dir, "jobs.txt", "q q");
+    let bin = env!("CARGO_BIN_EXE_relcont");
+    for pattern in ["fff", "xz"] {
+        let views = write_tmp(
+            &dir,
+            &format!("views_{pattern}.dl"),
+            &format!("V(X, Y) :- e(X, Y).\n%% adorn V {pattern}\n"),
+        );
+        let commands: [&[&str]; 5] = [
+            &["check", "--q1", "q.dl", "--q2", "q.dl"],
+            &["plan", "--query", "q.dl"],
+            &["certain", "--query", "q.dl", "--instance", "facts.dl"],
+            &["validate"],
+            &["serve", "--queries", "q.dl", "--jobs", "jobs.txt"],
+        ];
+        for args in commands {
+            let out = Command::new(bin)
+                .current_dir(&dir)
+                .args(args)
+                .arg("--views")
+                .arg(&views)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} {pattern}: {out:?}");
+            assert!(!stderr.contains("panicked"), "{args:?} {pattern}: {stderr}");
+            assert!(stderr.contains("source V"), "{args:?} {pattern}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} {pattern}: {out:?}");
+        }
+    }
 }
 
 #[test]
@@ -565,7 +622,8 @@ fn cli_rejects_facts_of_two_arities() {
     assert!(stdout.contains("2 fact(s) total"), "{stdout}");
 
     // A query defined at two arities: `certain` reports it on the error
-    // line, like any failed command, and the session carries on.
+    // line, like any failed command, and the session carries on. The
+    // input gate refuses it before any evaluation.
     let mut child = Command::new(env!("CARGO_BIN_EXE_relcont-repl"))
         .env("NO_PROMPT", "1")
         .stdin(Stdio::piped())
@@ -593,7 +651,7 @@ quit
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{out:?}");
     assert!(
-        stdout.contains("error: evaluation: predicate t is used with more than one arity"),
+        stdout.contains("error: predicate t is used with arity 2 and with arity 1"),
         "{stdout}"
     );
     assert!(stdout.contains("2 fact(s) total"), "{stdout}");

@@ -8,11 +8,11 @@ use relcont::containment::datalog_ucq::{
 use relcont::containment::{cq_contained, ucq_contained};
 use relcont::datalog::eval::{answers, evaluate, EvalError, EvalOptions};
 use relcont::datalog::{
-    parse_program, parse_query, parse_rule, validate_program, validate_rule, Database, Program,
-    Symbol, Term, Ucq, ValidationError,
+    parse_program, parse_query, parse_rule, validate_rule, Database, Program, Symbol, Term, Ucq,
+    ValidationError,
 };
 use relcont::mediator::relative::{relatively_contained, RelativeError};
-use relcont::mediator::schema::LavSetting;
+use relcont::mediator::schema::{check_input, InputError, LavSetting};
 
 #[test]
 fn parser_error_paths() {
@@ -67,10 +67,12 @@ fn validation_error_variants() {
         validate_rule(&illtyped),
         Err(ValidationError::IllTypedComparison { .. })
     ));
+    // Arity consistency is the input gate's rule, across every rule it
+    // reads.
     let mixed = parse_program("q(X) :- r(X). p(X) :- r(X, X).").unwrap();
     assert!(matches!(
-        validate_program(&mixed),
-        Err(ValidationError::ArityMismatch { .. })
+        check_input(&[(&mixed, &Symbol::new("q"))], [], None),
+        Err(InputError::Arity { pred, first: 1, other: 2 }) if pred == Symbol::new("r")
     ));
     // Errors render human-readably.
     let msg = validate_rule(&unsafe_rule).unwrap_err().to_string();
@@ -184,13 +186,21 @@ fn relative_unsupported_cases_are_reported() {
     assert!(matches!(err, RelativeError::Unsupported(_)));
     assert!(err.to_string().contains("open problem"), "{err}");
 
-    // Recursive query against views with comparisons.
+    // Recursive query against views with comparisons (a binary Q2, so the
+    // two answer predicates share an arity).
     let views_cmp = LavSetting::parse(&["W(X, Y) :- p(X, Y), X < 3."]).unwrap();
     let rec = parse_program("t(X, Y) :- p(X, Y). t(X, Z) :- t(X, Y), p(Y, Z).").unwrap();
-    assert!(matches!(
-        relatively_contained(&rec, &Symbol::new("t"), &q2, &Symbol::new("q2"), &views_cmp),
-        Err(RelativeError::Unsupported(_))
-    ));
+    let pairs = parse_program("r(X, Y) :- p(X, Y).").unwrap();
+    let err = relatively_contained(
+        &rec,
+        &Symbol::new("t"),
+        &pairs,
+        &Symbol::new("r"),
+        &views_cmp,
+    )
+    .unwrap_err();
+    assert!(matches!(err, RelativeError::Unsupported(_)), "{err}");
+    assert!(err.to_string().contains("recursive"), "{err}");
 }
 
 #[test]
@@ -274,7 +284,11 @@ fn serde_round_trips() {
         "PriceOf(I, P) :- price(I, P).",
     ])
     .unwrap();
-    views.sources[1] = views.sources[1].clone().with_adornment("bf").complete();
+    views.sources[1] = views.sources[1]
+        .clone()
+        .with_adornment("bf")
+        .unwrap()
+        .complete();
     let json = serde_json::to_string_pretty(&views).unwrap();
     let back: LavSetting = serde_json::from_str(&json).unwrap();
     assert_eq!(views, back);

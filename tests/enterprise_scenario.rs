@@ -18,7 +18,7 @@ use relcont::mediator::relative::{
     explain_containment, max_contained_ucq_plan, relatively_contained,
     relatively_contained_witness, ContainmentKind,
 };
-use relcont::mediator::schema::{LavSetting, MediatedSchema};
+use relcont::mediator::schema::{check_input, InputError, LavSetting};
 
 fn s(n: &str) -> Symbol {
     Symbol::new(n)
@@ -46,17 +46,28 @@ fn sources() -> LavSetting {
 
 #[test]
 fn schema_validates_everything() {
-    let schema = MediatedSchema::new([
-        ("employee", 2),
-        ("salary", 2),
-        ("project", 2),
-        ("assigned", 2),
-        ("review", 2),
-    ]);
+    // The six views use the five mediated relations at one arity each,
+    // and a payroll query over two of them passes the gate beside them.
     let v = sources();
-    schema.validate_views(&v).expect("views are well-typed");
+    check_input(&[], &v.sources, None).expect("views are well formed");
     let q = parse_program("q(Id) :- employee(Id, Dept), salary(Id, A).").unwrap();
-    schema.validate_query(&q).expect("query is well-typed");
+    check_input(&[(&q, &s("q"))], &v.sources, None).expect("query is well formed");
+    // A query that reads `salary` at another arity, or a source as if it
+    // were a mediated relation, does not.
+    let wrong = parse_program("w(Id) :- salary(Id).").unwrap();
+    assert_eq!(
+        check_input(&[(&wrong, &s("w"))], &v.sources, None),
+        Err(InputError::Arity {
+            pred: s("salary"),
+            first: 1,
+            other: 2
+        })
+    );
+    let source = parse_program("h(Id) :- HrDirectory(Id, D).").unwrap();
+    assert!(matches!(
+        check_input(&[(&source, &s("h"))], &v.sources, None),
+        Err(InputError::SourceNameUsed { source, .. }) if source == s("HrDirectory")
+    ));
 }
 
 #[test]
@@ -165,7 +176,7 @@ fn access_restricted_payroll() {
         .iter()
         .position(|x| x.name == "HighEarners")
         .unwrap();
-    v.sources[idx] = v.sources[idx].clone().with_adornment("bf");
+    v.sources[idx] = v.sources[idx].clone().with_adornment("bf").unwrap();
 
     let db = Database::parse(
         "HrDirectory(e1, eng). HrDirectory(e3, eng).

@@ -71,13 +71,19 @@ fn mutual_recursion_through_helper() {
          even(X, Z) :- odd(X, Y), edge(Y, Z).
          odd(X, Z) :- even(X, Y), edge(Y, Z).",
     );
-    let loose = prog("s(X, Y) :- edge(X, A), edge(B, C).");
-    // Every even/odd expansion starts from edge(X, ...) so containment in
-    // the loose pattern holds... head Y of `even` must also be covered:
-    // even(X, X) pattern binds both to X. Check it does not crash and is
-    // decided.
+    // Every even/odd expansion starts with an edge out of X, and ends
+    // either back at X (the base rule) or at the target of an edge. So
+    // `even` is contained in the union of those two patterns, and in
+    // neither alone.
+    let loose = prog(
+        "s(X, X) :- edge(X, A).
+         s(X, Y) :- edge(X, A), edge(B, Y).",
+    );
     let r = relatively_contained(&even_odd, &s("even"), &loose, &s("s"), &v);
-    assert!(r.is_ok());
+    assert_eq!(r, Ok(true));
+    let ends_at_edge = prog("s(X, Y) :- edge(X, A), edge(B, Y).");
+    let r = relatively_contained(&even_odd, &s("even"), &ends_at_edge, &s("s"), &v);
+    assert_eq!(r, Ok(false));
 }
 
 #[test]
